@@ -27,6 +27,7 @@ from .errors import (
     GridMismatch,
     InvalidParams,
     NewtonDivergence,
+    NonFiniteState,
     OutsideSubdifferentialDomain,
     ScheduleMismatch,
 )

@@ -31,6 +31,10 @@ class CgNoConvergence(ChRelaxError):
         self.iterations = iterations
 
 
+class NonFiniteState(ChRelaxError):
+    """A substep produced NaN or infinite values."""
+
+
 class GridMismatch(ChRelaxError):
     """Fields from different grids (or wrong shapes) were combined."""
 

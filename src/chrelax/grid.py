@@ -10,6 +10,13 @@ face-based gradient form satisfies the summation-by-parts identity
     inner(-laplacian(u), v) == face_form(u, v)
 
 exactly, which is what the energy bookkeeping in the stepper relies on.
+
+On this grid the cosine (DCT-II) basis diagonalises the Laplacian
+exactly, with analytic eigenvalues, so a shifted system
+``(c - d lap) x = b`` with constant c is solved by transform, divide,
+transform back: by dense per-axis matrices on small grids, by the real FFT
+of the mirrored field on large ones.  ``solve_shifted`` uses that solve at
+the mean shift to precondition conjugate gradients for a per-cell shift.
 """
 
 from __future__ import annotations
@@ -20,6 +27,10 @@ import math
 import numpy as np
 
 from .errors import CgNoConvergence, GridMismatch, InvalidParams
+
+# Axes of up to this many cells take the cosine transform as a dense matrix
+# product (at most 512 KiB per axis, and faster than the FFT at these sizes).
+DENSE_COSINE_MAX = 256
 
 
 class Grid:
@@ -46,6 +57,7 @@ class Grid:
         self.h = tuple(L / k for L, k in zip(length, n))
         self.ncells = int(np.prod(n))
         self.cell_volume = float(np.prod(self.h))
+        self._cosine = None  # built on the first cosine solve
 
     def __repr__(self):
         return f"Grid(n={self.n}, length={self.length})"
@@ -134,16 +146,24 @@ class Grid:
 
     # -- linear solves ------------------------------------------------------
 
-    def solve_spd(self, apply, rhs, tol=1e-10, max_iter=None, diag=None):
+    def solve_spd(self, apply, rhs, tol=1e-10, max_iter=None, diag=None,
+                  precond=None):
         """Preconditioned conjugate gradients for an SPD operator.
 
         ``apply`` maps a field to a field and must be symmetric positive
         definite in the discrete inner product.  Stops when the residual
-        has dropped below ``tol`` relative to ``rhs``; ``diag`` enables
-        Jacobi preconditioning.  Raises CgNoConvergence when the budget
-        (default 10 * ncells + 50 iterations) runs out.
+        has dropped below ``tol`` relative to ``rhs``.  ``precond`` maps a
+        residual to an approximate solution (an SPD approximate inverse);
+        ``diag`` is the Jacobi shorthand for ``precond = r / diag``.
+        Raises CgNoConvergence when the budget (default 10 * ncells + 50
+        iterations) runs out.
         """
         self.check(rhs)
+        if diag is not None:
+
+            def precond(r):
+                return r / diag
+
         if max_iter is None:
             max_iter = 10 * self.ncells + 50
         bnorm = math.sqrt(float(rhs @ rhs))
@@ -152,7 +172,7 @@ class Grid:
         target_sq = (tol * bnorm) ** 2
         x = np.zeros_like(rhs)
         r = rhs.copy()
-        z = r / diag if diag is not None else r
+        z = precond(r) if precond is not None else r
         p = z.copy()
         rz = float(r @ z)
         rr = float(r @ r)
@@ -171,8 +191,8 @@ class Grid:
             rr = float(r @ r)
             if rr <= target_sq:
                 return x
-            z = r / diag if diag is not None else r
-            rz_new = rr if diag is None else float(r @ z)
+            z = precond(r) if precond is not None else r
+            rz_new = rr if precond is None else float(r @ z)
             p = z + (rz_new / rz) * p
             rz = rz_new
         raise CgNoConvergence(
@@ -191,6 +211,69 @@ class Grid:
             shape[ax] = self.n[ax]
             diag += d.reshape(shape) / h**2
         return diag.reshape(-1)
+
+    def _cosine_tables(self):
+        """The cosine solve's tables, built once: the orthonormal DCT-II
+        matrix of each axis and the eigenvalues of -laplacian on the cosine
+        modes; on a grid with an axis longer than DENSE_COSINE_MAX, no
+        matrices and the eigenvalues of the even extension (2n cells per
+        axis, periodic) in rfftn layout."""
+        if self._cosine is None:
+            dense = max(self.n) <= DENSE_COSINE_MAX
+            sizes = (list(self.n) if dense
+                     else [2 * k for k in self.n[:-1]] + [self.n[-1] + 1])
+            mats, lam = [], np.zeros(sizes)
+            for ax, (k, h, m) in enumerate(zip(self.n, self.h, sizes)):
+                j = np.arange(m)
+                shape = [1] * self.dim
+                shape[ax] = m
+                lam += ((4.0 / h**2) * np.sin(0.5 * np.pi * j / k) ** 2).reshape(shape)
+                if dense:
+                    C = np.cos(np.pi * np.outer(j, j + 0.5) / k) * math.sqrt(2.0 / k)
+                    C[0] *= math.sqrt(0.5)
+                    mats.append(C)
+            self._cosine = (mats if dense else None, lam)
+        return self._cosine
+
+    def cosine_solve(self, shift, scale, rhs):
+        """Exact solve of (shift - scale * laplacian) x = rhs for a scalar
+        shift > 0 and scale >= 0: transform, divide, transform back.
+
+        Small grids transform with dense per-axis matrices.  Larger ones
+        use the real FFT: mirrored across each boundary, a field is an even
+        periodic field on 2n cells per axis, where the Neumann Laplacian is
+        the periodic one.  That costs O(N log N) time and O(N) memory.
+        """
+        if not (shift > 0.0 and scale >= 0.0):
+            raise InvalidParams(
+                f"cosine solve needs shift > 0 and scale >= 0, got {shift}, {scale}")
+        mats, lam = self._cosine_tables()
+        denom = shift + scale * lam
+        if mats is None:
+            u = rhs.reshape(self.n)
+            for ax in range(self.dim):
+                u = np.concatenate((u, np.flip(u, ax)), axis=ax)
+            axes = tuple(range(self.dim))
+            x = np.fft.irfftn(np.fft.rfftn(u, axes=axes) / denom, u.shape, axes=axes)
+            return x[tuple(slice(k) for k in self.n)].reshape(-1)
+        if self.dim == 1:
+            (C,) = mats
+            return C.T @ ((C @ rhs) / denom)
+        C0, C1 = mats
+        coef = C0 @ rhs.reshape(self.n) @ C1.T
+        return (C0.T @ (coef / denom) @ C1).reshape(-1)
+
+    def solve_shifted(self, shift, scale, rhs, tol=1e-10):
+        """Solve (shift - scale * laplacian) x = rhs by conjugate gradients.
+
+        ``shift`` is a scalar or a per-cell field with positive mean.  The
+        preconditioner is the exact cosine solve at the mean shift, so a
+        constant shift converges in one iteration.
+        """
+        mean = float(np.mean(shift))
+        return self.solve_spd(
+            lambda w: shift * w - scale * self.laplacian(w), rhs, tol,
+            precond=lambda r: self.cosine_solve(mean, scale, r))
 
     # -- I/O -----------------------------------------------------------------
 

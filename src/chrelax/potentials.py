@@ -188,17 +188,7 @@ class SplitPotential:
     def yosida_prime(self, r, yp):
         """F1'_eps(r) = (r - resolvent(r)) / eps, Lipschitz with constant 1/eps."""
         a = _as_array(r)
-        x = _as_array(self.resolvent(a, yp))
-        if self.kind == "regular":
-            # identical to (r - x)/eps through the defining equation, but
-            # evaluating the section at x avoids cancellation for small eps
-            return _like(r, x**3)
-        if self.kind == "logarithmic":
-            interior = np.abs(x) < 1.0
-            xs = np.where(interior, x, 0.0)
-            val = np.where(interior, np.log1p(xs) - np.log1p(-xs), (a - x) / yp.epsilon)
-            return _like(r, val)
-        return _like(r, (a - x) / yp.epsilon)
+        return _like(r, self._prime_at(a, _as_array(self.resolvent(a, yp)), yp))
 
     def yosida_curvature(self, r, yp):
         """Pointwise derivative of F1'_eps, used in the phase-step Jacobian.
@@ -208,15 +198,39 @@ class SplitPotential:
         interval, 1/eps outside).
         """
         a = _as_array(r)
+        x = None if self.kind == "obstacle" else _as_array(self.resolvent(a, yp))
+        return _like(r, self._curvature_at(a, x, yp))
+
+    def yosida_parts(self, r, yp):
+        """(F1'_eps(r), its derivative) from a single resolvent evaluation;
+        the same values as yosida_prime and yosida_curvature."""
+        a = _as_array(r)
+        x = _as_array(self.resolvent(a, yp))
+        return (_like(r, self._prime_at(a, x, yp)),
+                _like(r, self._curvature_at(a, x, yp)))
+
+    def _prime_at(self, a, x, yp):
+        # F1'_eps(a) given the resolvent x = J(a)
+        if self.kind == "regular":
+            # identical to (r - x)/eps through the defining equation, but
+            # evaluating the section at x avoids cancellation for small eps
+            return x**3
+        if self.kind == "logarithmic":
+            interior = np.abs(x) < 1.0
+            xs = np.where(interior, x, 0.0)
+            return np.where(interior, np.log1p(xs) - np.log1p(-xs), (a - x) / yp.epsilon)
+        return (a - x) / yp.epsilon
+
+    def _curvature_at(self, a, x, yp):
+        # derivative of F1'_eps at a given the resolvent x = J(a)
         eps = yp.epsilon
         if self.kind == "obstacle":
-            return _like(r, np.where(np.abs(a) <= 1.0, 0.0, 1.0 / eps))
-        x = _as_array(self.resolvent(a, yp))
+            return np.where(np.abs(a) <= 1.0, 0.0, 1.0 / eps)
         if self.kind == "regular":
             c = 3.0 * x * x
-            return _like(r, c / (1.0 + eps * c))
+            return c / (1.0 + eps * c)
         gap = np.maximum(1.0 - x * x, 0.0)
-        return _like(r, 2.0 / (gap + 2.0 * eps))
+        return 2.0 / (gap + 2.0 * eps)
 
     def moreau(self, r, yp):
         """Moreau envelope F1_eps(r) = F1(J(r)) + |r - J(r)|^2 / (2 eps).

@@ -13,12 +13,20 @@ the smooth potential part F2' lagged at the old phase:
   nutrient  (sigma' - sigma)/dt - lap sigma' + P(phi') sigma'
                 = -chi lap phi' - P(phi')(chi (1 - phi') - mu') + u2
 
-Every substep is a symmetric positive definite solve: the phase step by a
-damped Newton iteration whose Jacobian tau/dt - lap + diag(F1''_eps) is
-SPD, the other two by preconditioned conjugate gradients.  The linear
-substeps are solved in increment form (unknown minus its previous value),
-which keeps the absolute residual, and with it the drift of the conserved
-quantities, far below the relative CG tolerance.
+Every substep is a symmetric positive definite shifted-Laplacian solve
+``(shift - scale lap) x = b``, done by ``Grid.solve_shifted``:
+
+  phase Newton Jacobian   shift = tau/dt + F1''_eps(phi'),  scale = 1
+  potential (alpha > 0)   shift = alpha + dt^2 P(phi'),     scale = dt^2
+  potential (alpha = 0)   shift = P(phi'),                  scale = 1
+  nutrient                shift = 1 + dt P(phi'),           scale = dt
+
+The phase step wraps its solve in a damped Newton iteration.  The solves
+are conjugate gradients preconditioned by the exact cosine solve at the
+mean shift, one iteration for a constant shift.  The linear substeps are
+solved in increment form (unknown minus its previous value), which keeps
+the absolute residual, and with it the drift of the conserved quantities,
+far below the relative CG tolerance.
 
 Integrating the potential substep over the box gives the discrete mass
 identity
@@ -38,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChRelaxError, InvalidParams, NewtonDivergence
+from .errors import ChRelaxError, InvalidParams, NewtonDivergence, NonFiniteState
 from .model import State, eval_control, initial_state, validate
 from .potentials import YosidaParams
 
@@ -86,7 +94,6 @@ class Trajectory:
     mass_sigma: np.ndarray = None
     mass_v: np.ndarray = None
     max_newton_iters: int = 0
-    accumulators: dict = field(default_factory=dict)
 
     def series(self, name):
         """List of one field's snapshots through time."""
@@ -106,46 +113,38 @@ def step_phi(state, params, potential, scheme, grid):
 
     Solves tau (x - phi)/dt - lap x + F1'_eps(x) = g with
     g = mu + chi sigma - F2'(phi) by damped Newton; the residual is
-    measured in the discrete L2 norm.
+    measured in the discrete L2 norm.  One resolvent evaluation per
+    iterate gives the residual, the Jacobian curvature and xi.
     """
     dt, tau = scheme.dt, params.tau
     yp = scheme.yosida
     g = state.mu + params.chi * state.sigma - potential.f2_prime(state.phi)
-    lapdiag = grid.laplacian_diag()
-
-    x = state.phi.copy()
 
     def residual(z):
-        return tau * (z - state.phi) / dt - grid.laplacian(z) + np.asarray(
-            potential.yosida_prime(z, yp)
-        ) - g
+        fp, curv = potential.yosida_parts(z, yp)
+        return tau * (z - state.phi) / dt - grid.laplacian(z) + fp - g, fp, curv
 
-    r = residual(x)
+    x = state.phi.copy()
+    r, fp, curv = residual(x)
     rnorm = grid.h_norm(r)
     for it in range(scheme.newton_max_iter):
         if rnorm <= scheme.newton_tol:
-            return x, np.asarray(potential.yosida_prime(x, yp)), it
-        curv = np.asarray(potential.yosida_curvature(x, yp))
-
-        def jac(w, c=curv):
-            return tau / dt * w - grid.laplacian(w) + c * w
-
-        delta = grid.solve_spd(
-            jac, -r, tol=scheme.cg_tol, diag=tau / dt + lapdiag + curv
-        )
+            return x, fp, it
+        delta = grid.solve_shifted(tau / dt + curv, 1.0, -r, scheme.cg_tol)
         s = 1.0
         while True:
             xn = x + s * delta
-            rn = residual(xn)
+            rn, fpn, curvn = residual(xn)
             rn_norm = grid.h_norm(rn)
             if np.isfinite(rn_norm) and (rn_norm <= rnorm or s < 2.0**-30):
                 break
             s *= 0.5
-        x, r, rnorm = xn, rn, rn_norm
+        x, r, fp, curv, rnorm = xn, rn, fpn, curvn, rn_norm
     if rnorm <= scheme.newton_tol:
-        return x, np.asarray(potential.yosida_prime(x, yp)), scheme.newton_max_iter
+        return x, fp, scheme.newton_max_iter
     raise NewtonDivergence(
-        f"phase step stalled at residual {rnorm:.3e}",
+        f"phase step did not reach newton_tol {scheme.newton_tol} in "
+        f"{scheme.newton_max_iter} Newton iterations",
         residual=rnorm,
         iterations=scheme.newton_max_iter,
     )
@@ -169,12 +168,7 @@ def step_mu(state, phi_next, params, scheme, u1, grid):
         + dt * grid.laplacian(mu_pred)
         + dt * (P * (state.sigma + params.chi * (1.0 - phi_next) - mu_pred) - H * u1)
     )
-
-    def apply(w):
-        return (alpha + dt * dt * P) * w - dt * dt * grid.laplacian(w)
-
-    diag = alpha + dt * dt * (P + grid.laplacian_diag())
-    dv = grid.solve_spd(apply, rhs, tol=scheme.cg_tol, diag=diag)
+    dv = grid.solve_shifted(alpha + dt * dt * P, dt * dt, rhs, scheme.cg_tol)
     v_next = state.v + dv
     return state.mu + dt * v_next, v_next
 
@@ -182,9 +176,9 @@ def step_mu(state, phi_next, params, scheme, u1, grid):
 def step_mu_limit(state, phi_next, params, scheme, u1, grid):
     """Potential update of the parabolic limit (alpha = 0); returns mu_next.
 
-    Solves (-lap + P) mu' = P (sigma + chi(1 - phi')) - h u1 - (phi' - phi)/dt,
-    warm started at the previous mu.  P must be bounded away from zero or
-    the operator degenerates on constants.
+    Solves (-lap + P) mu' = P (sigma + chi(1 - phi')) - h u1 - (phi' - phi)/dt
+    in increment form from the previous mu.  P must be bounded away from
+    zero or the operator degenerates on constants.
     """
     dt = scheme.dt
     P = params.proliferation(phi_next)
@@ -194,18 +188,13 @@ def step_mu_limit(state, phi_next, params, scheme, u1, grid):
             f"limit potential step needs min P(phi) > 0, got {pmin}"
         )
     H = params.truncation(phi_next)
-    b = (
-        P * (state.sigma + params.chi * (1.0 - phi_next))
+    rhs = (
+        P * (state.sigma + params.chi * (1.0 - phi_next) - state.mu)
+        + grid.laplacian(state.mu)
         - H * u1
         - (phi_next - state.phi) / dt
     )
-
-    def apply(w):
-        return -grid.laplacian(w) + P * w
-
-    rhs = b - apply(state.mu)
-    diag = grid.laplacian_diag() + P
-    dmu = grid.solve_spd(apply, rhs, tol=scheme.cg_tol, diag=diag)
+    dmu = grid.solve_shifted(P, 1.0, rhs, scheme.cg_tol)
     return state.mu + dmu
 
 
@@ -223,21 +212,25 @@ def step_sigma(state, phi_next, mu_next, params, scheme, u2, grid):
         - P * (state.sigma + params.chi * (1.0 - phi_next) - mu_next)
         + u2
     )
-
-    def apply(w):
-        return (1.0 + dt * P) * w - dt * grid.laplacian(w)
-
-    diag = 1.0 + dt * (P + grid.laplacian_diag())
-    dsig = grid.solve_spd(apply, rhs, tol=scheme.cg_tol, diag=diag)
+    dsig = grid.solve_shifted(1.0 + dt * P, dt, rhs, scheme.cg_tol)
     return state.sigma + dsig
+
+
+def _require_finite(**fields):
+    for name, u in fields.items():
+        if not np.isfinite(u).all():
+            bad = int(np.count_nonzero(~np.isfinite(u)))
+            raise NonFiniteState(f"{name} is non-finite in {bad} of {u.size} cells")
 
 
 def run(params, potential, controls, init, grid, T, scheme):
     """Integrate from t = 0 to t = T; returns a Trajectory.
 
-    T must be an integer number of steps.  Substep failures propagate with
-    the failing step index attached.  The run is deterministic: identical
-    inputs produce bit-identical trajectories.
+    T must be an integer number of steps.  Each substep's output is checked
+    for non-finite values; substep failures propagate with the step, the
+    substep (phi, mu, mu_limit or sigma) and the solver residual in the
+    message and as ``step``/``substep`` attributes.  The run is
+    deterministic: identical inputs produce bit-identical trajectories.
     """
     problems = validate(params, potential, init, controls, grid)
     if problems:
@@ -260,28 +253,32 @@ def run(params, potential, controls, init, grid, T, scheme):
     mass_sigma[0] = grid.integrate(state.sigma)
     mass_v[0] = grid.integrate(state.v)
 
-    acc = {}
-    for name in ("mu", "v", "phi", "sigma"):
-        u = getattr(state, name)
-        acc[f"max_h_{name}"] = grid.h_norm(u)
-        acc[f"max_v_{name}"] = grid.v_norm(u)
-        acc[f"l2t_v_{name}"] = 0.0
-
     for n in range(nsteps):
         t_next = (n + 1) * scheme.dt
+        substep = "phi"
         try:
             u1 = eval_control(controls.u1, t_next, grid)
             u2 = eval_control(controls.u2, t_next, grid)
             phi_next, xi_next, iters = step_phi(state, params, potential, scheme, grid)
+            _require_finite(phi=phi_next, xi=xi_next)
             if params.alpha > 0.0:
+                substep = "mu"
                 mu_next, v_next = step_mu(state, phi_next, params, scheme, u1, grid)
             else:
+                substep = "mu_limit"
                 mu_next = step_mu_limit(state, phi_next, params, scheme, u1, grid)
                 v_next = np.zeros_like(mu_next)
+            _require_finite(mu=mu_next, v=v_next)
+            substep = "sigma"
             sigma_next = step_sigma(state, phi_next, mu_next, params, scheme, u2, grid)
+            _require_finite(sigma=sigma_next)
         except ChRelaxError as e:
             head = e.args[0] if e.args else e.__class__.__name__
-            e.args = (f"step {n + 1} (t = {t_next:.6g}): {head}",) + e.args[1:]
+            residual = getattr(e, "residual", None)
+            tail = "" if residual is None else f" (residual {residual:.3e})"
+            e.args = (f"step {n + 1} (t = {t_next:.6g}), substep {substep}: "
+                      f"{head}{tail}",) + e.args[1:]
+            e.step, e.substep = n + 1, substep
             raise
         state = State(mu=mu_next, v=v_next, phi=phi_next, sigma=sigma_next,
                       xi=xi_next, t=t_next)
@@ -289,12 +286,6 @@ def run(params, potential, controls, init, grid, T, scheme):
         mass_phi[n + 1] = grid.integrate(state.phi)
         mass_sigma[n + 1] = grid.integrate(state.sigma)
         mass_v[n + 1] = grid.integrate(state.v)
-        for name in ("mu", "v", "phi", "sigma"):
-            u = getattr(state, name)
-            hn, vn = grid.h_norm(u), grid.v_norm(u)
-            acc[f"max_h_{name}"] = max(acc[f"max_h_{name}"], hn)
-            acc[f"max_v_{name}"] = max(acc[f"max_v_{name}"], vn)
-            acc[f"l2t_v_{name}"] += scheme.dt * vn * vn
         if (n + 1) % scheme.record_every == 0 or n + 1 == nsteps:
             traj.snapshots.append(state)
             rec_times.append(t_next)
@@ -304,8 +295,4 @@ def run(params, potential, controls, init, grid, T, scheme):
     traj.mass_phi = mass_phi
     traj.mass_sigma = mass_sigma
     traj.mass_v = mass_v
-    traj.accumulators = {
-        k: (float(np.sqrt(v)) if k.startswith("l2t") else float(v))
-        for k, v in acc.items()
-    }
     return traj

@@ -185,10 +185,10 @@ def test_criterion_8_eps_cauchy():
     assert d_phi[1e-3] <= 1e-2 * d_phi[1e-1]
 
 
-def test_criterion_9_negative_control():
+def test_criterion_9_negative_control(jacobi_solves):
     with _Budget(5.0) as b:
         drift_mass, drift_sigma, _ = conservation_drift(
             default_config(**{"solver.cg_tol": 1e-2}))
-    print(f"criterion 9: loosened cg_tol drifts {drift_mass:.3e} / "
+    print(f"criterion 9: loosened Jacobi-CG tolerance drifts {drift_mass:.3e} / "
           f"{drift_sigma:.3e} (mass must exceed 1e-8), {b.elapsed:.2f}s")
     assert drift_mass > 1e-8

@@ -124,8 +124,8 @@ def test_sweep_eps_writes_report(tmp_path, capsys):
         assert all(np.isfinite(float(v)) for v in row)
 
 
-def test_check_negative_control_exits_two(tmp_path, capsys):
-    # a loose linear solver breaks conservation, which check must catch
+def test_check_negative_control_exits_two(tmp_path, capsys, jacobi_solves):
+    # a loose Jacobi-CG solve breaks conservation, which check must catch
     cfg = "grid.n = 64\ntime.T = 0.25\ntime.dt = 1e-3\npotential.kind = regular\nsolver.cg_tol = 1e-2\n"
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "results"

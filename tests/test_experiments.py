@@ -203,10 +203,11 @@ def test_batteries_are_seed_stable_and_tight():
     assert ident <= 1e-12 and eig <= 1e-10
 
 
-def test_conservation_drift_uses_caller_tolerances():
+def test_conservation_drift_uses_caller_tolerances(request):
     tight, tight_sigma, traj = conservation_drift(default_config())
     assert tight <= 1e-8 and tight_sigma <= 1e-8
     assert traj.mass_phi.shape == (251,)
+    request.getfixturevalue("jacobi_solves")
     loose, loose_sigma, _ = conservation_drift(
         default_config(**{"solver.cg_tol": 1e-2}))
     assert loose > 1e-8

@@ -324,6 +324,19 @@ def test_curvature_matches_finite_difference(kind):
     assert np.all(pot.yosida_curvature(pts, yp) >= 0.0)
 
 
+@pytest.mark.parametrize("kind", ["regular", "logarithmic", "obstacle"])
+def test_yosida_parts_equal_separate_calls(kind):
+    pot = SplitPotential(kind)
+    yp = YosidaParams(epsilon=1e-3)
+    pts = np.linspace(-3.0, 3.0, 61) if kind == "regular" else np.linspace(
+        -1.2, 1.2, 61)
+    prime, curv = pot.yosida_parts(pts, yp)
+    np.testing.assert_array_equal(prime, pot.yosida_prime(pts, yp))
+    np.testing.assert_array_equal(curv, pot.yosida_curvature(pts, yp))
+    assert pot.yosida_parts(0.3, yp) == (
+        pot.yosida_prime(0.3, yp), pot.yosida_curvature(0.3, yp))
+
+
 def test_curvature_closed_forms():
     yp = YosidaParams(epsilon=0.5)
     reg = SplitPotential.regular()

@@ -1,0 +1,223 @@
+"""Tests for the shifted-Laplacian solve and the seed fingerprint.
+
+The cosine solve is checked against dense linear algebra on small grids.
+The fingerprint pins the final field norms and the mass-series endpoints
+of a few scenarios as computed by the original Jacobi-CG solver, at the
+default CG tolerance and at a converged one (1e-13); the ``jacobi_solves``
+fixture (conftest.py) reinstates that solver for comparison.  Re-record it
+(only after a deliberate change of results) with
+
+    PYTHONPATH=src python tests/test_solve.py --record
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from chrelax import Grid, InvalidParams, default_config
+from chrelax import grid as grid_module
+from chrelax.config import build_scenario
+from chrelax.experiments import _conservation_config, _run_scenario
+
+FINGERPRINT = Path(__file__).with_name("seed_fingerprint.json")
+
+
+def dense_laplacian(grid):
+    return np.column_stack(
+        [grid.laplacian(np.eye(grid.ncells)[:, j].copy()) for j in range(grid.ncells)])
+
+
+# -- the cosine solve ------------------------------------------------------
+
+
+@pytest.fixture(params=["dense", "fft"])
+def transform(request, monkeypatch):
+    """Run a test with the dense-matrix and with the FFT cosine transform;
+    grids must be built inside the test, since each caches its tables."""
+    if request.param == "fft":
+        monkeypatch.setattr(grid_module, "DENSE_COSINE_MAX", 0)
+    return request.param
+
+
+@pytest.mark.parametrize("n,length", [(10, 1.0), (7, 1.0), ((4, 6), (1.0, 2.0)),
+                                      ((5, 3), (2.0, 0.5))])
+@pytest.mark.parametrize("shift,scale", [(1.0, 1.0), (0.3, 2.5e-3), (2.0, 0.0)])
+def test_cosine_solve_matches_dense(n, length, shift, scale, transform):
+    grid = Grid(n, length)
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal(grid.ncells)
+    A = shift * np.eye(grid.ncells) - scale * dense_laplacian(grid)
+    want = np.linalg.solve(A, b)
+    got = grid.cosine_solve(shift, scale, b)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n,length", [(12, 1.0), ((5, 7), (2.0, 1.0))])
+def test_solve_shifted_variable_shift_matches_dense_lu(n, length, transform):
+    grid = Grid(n, length)
+    rng = np.random.default_rng(13)
+    b = rng.standard_normal(grid.ncells)
+    shift = 1.0 + 4.0 * rng.random(grid.ncells)
+    A = np.diag(shift) - 0.1 * dense_laplacian(grid)
+    want = np.linalg.solve(A, b)
+    got = grid.solve_shifted(shift, 0.1, b, tol=1e-13)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * np.max(np.abs(want)))
+
+
+def test_constant_shift_converges_in_one_iteration():
+    g = Grid((8, 8))
+    b = np.random.default_rng(17).standard_normal(g.ncells)
+    calls = []
+
+    def counted(w):
+        calls.append(1)
+        return 2.0 * w - 0.5 * g.laplacian(w)
+
+    x = g.solve_spd(counted, b, tol=1e-12,
+                    precond=lambda r: g.cosine_solve(2.0, 0.5, r))
+    assert len(calls) == 1
+    np.testing.assert_allclose(counted(x), b, rtol=0, atol=1e-12)
+
+
+def test_cosine_solve_conserves_mass(transform):
+    # lap integrates to zero, so shift * int(x) = int(b) up to roundoff
+    for g in (Grid(64), Grid((16, 24), length=(1.0, 1.5))):
+        b = np.random.default_rng(19).standard_normal(g.ncells)
+        x = g.cosine_solve(0.7, 3.0, b)
+        assert abs(0.7 * g.integrate(x) - g.integrate(b)) <= 1e-14 * g.h_norm(b)
+
+
+@pytest.mark.parametrize("n", [20000, (384, 256)])
+def test_cosine_solve_on_large_grids(n):
+    # beyond DENSE_COSINE_MAX cells per axis the FFT keeps the solve at
+    # O(N log N) time and O(N) memory
+    grid = Grid(n)
+    assert grid._cosine_tables()[0] is None
+    b = np.random.default_rng(23).standard_normal(grid.ncells)
+    x = grid.cosine_solve(1.0, 1e-4, b)
+    resid = x - 1e-4 * grid.laplacian(x) - b
+    assert grid.h_norm(resid) <= 1e-12 * grid.h_norm(b)
+
+
+def test_cosine_solve_rejects_indefinite_shift():
+    g = Grid(8)
+    with pytest.raises(InvalidParams):
+        g.cosine_solve(0.0, 1.0, g.field(1.0))
+
+
+# -- seed fingerprint --------------------------------------------------------
+
+
+def fingerprint_configs():
+    """The fingerprinted scenarios: criterion 3's conservation run, a 2-D
+    ramp-P run and a 1-D logarithmic alpha = 0 limit run."""
+    ramp2d = default_config(**{
+        "grid.dim": 2, "grid.n": [16], "time.T": 0.05, "time.dt": 1e-3,
+        "model.alpha": 0.1, "model.P.kind": "ramp", "model.P.p0": 1.0,
+        "potential.kind": "regular",
+        "init.phi0.kind": "cosine_bump", "init.phi0.amplitude": 0.5,
+        "init.sigma0.kind": "constant", "init.sigma0.value": 0.5,
+        "controls.u1.kind": "gaussian_pulse", "controls.u1.amplitude": 0.5,
+        "controls.u1.center_x": 0.4, "controls.u1.center_y": 0.5,
+        "controls.u1.width": 0.15,
+        "controls.u2.kind": "sinusoid", "controls.u2.amplitude": 0.3,
+        "controls.u2.omega": 2.0,
+    })
+    limit_log = default_config(**{
+        "grid.n": [32], "time.T": 0.05, "time.dt": 1e-3,
+        "model.alpha": 0.0, "model.P.kind": "constant", "model.P.p0": 1.0,
+        "potential.kind": "logarithmic", "potential.epsilon": 1e-3,
+        "init.phi0.kind": "tanh_interface", "init.phi0.lo": -0.9,
+        "init.phi0.hi": 0.9, "init.phi0.width": 0.1,
+        "init.sigma0.kind": "constant", "init.sigma0.value": 0.2,
+        "controls.u2.kind": "sinusoid", "controls.u2.amplitude": 0.3,
+    })
+    return {
+        "criterion3": _conservation_config(default_config()),
+        "ramp2d": ramp2d,
+        "limit_log": limit_log,
+    }
+
+
+def fingerprint(cfg):
+    sc = build_scenario(cfg)
+    traj = _run_scenario(sc)
+    out = {f"norm_{name}": sc.grid.h_norm(getattr(traj.final, name))
+           for name in ("phi", "mu", "sigma")}
+    for name in ("mass_phi", "mass_sigma", "mass_v"):
+        series = getattr(traj, name)
+        out[f"{name}_first"] = float(series[0])
+        out[f"{name}_last"] = float(series[-1])
+    return out
+
+
+CG_TOLS = ("1e-10", "1e-13")  # the default and a converged Jacobi-CG solve
+
+
+@pytest.mark.parametrize("case", sorted(fingerprint_configs()))
+@pytest.mark.parametrize("solver", ["cosine", "jacobi"])
+@pytest.mark.parametrize("cg_tol", CG_TOLS)
+def test_seed_fingerprint(case, solver, cg_tol, request):
+    # Jacobi-CG is compared with the seed at the same tolerance.  The cosine
+    # preconditioner solves constant shifts exactly, so it reproduces the
+    # seed's converged solution rather than its truncation at 1e-10 (which
+    # moves criterion 3's final mass of v by 8.5e-12).
+    if solver == "jacobi":
+        request.getfixturevalue("jacobi_solves")
+    record = json.loads(FINGERPRINT.read_text())[case]
+    want = record[cg_tol if solver == "jacobi" else CG_TOLS[-1]]
+    cfg = fingerprint_configs()[case].with_updates({"solver.cg_tol": float(cg_tol)})
+    got = fingerprint(cfg)
+    assert sorted(got) == sorted(want)
+    for key, ref in want.items():
+        # relative 1e-9; values below 1e-3 in magnitude are roundoff-sized
+        # masses and are compared against 1e-3
+        assert abs(got[key] - ref) <= 1e-9 * max(abs(ref), 1e-3), (key, got[key], ref)
+
+
+# -- determinism across BLAS thread counts ---------------------------------------
+
+
+def test_outputs_identical_across_blas_threads(tmp_path):
+    # the dense cosine transforms and the CG dot products go through BLAS;
+    # 64 x 64 is the benchmark's 2-D size
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "grid.dim = 2\ngrid.n = 64\ntime.T = 0.01\ntime.dt = 1e-3\n"
+        "time.record_every = 10\noutput.dump_fields = true\n"
+        "potential.kind = logarithmic\nmodel.P.kind = ramp\nmodel.alpha = 0.1\n"
+        "init.phi0.kind = cosine_bump\ninit.phi0.amplitude = 0.5\n"
+        "init.sigma0.kind = constant\ninit.sigma0.value = 0.5\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = tmp_path / f"t{threads}"
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from chrelax.cli import dispatch; "
+             "sys.exit(dispatch(sys.argv[1:]))",
+             "simulate", "--config", str(cfg), "--out", str(out)],
+            env=env, check=True, capture_output=True)
+        files = sorted(out.rglob("*.csv"))
+        assert any(f.name.startswith("diagnostics_") for f in files)
+        outputs.append({f.relative_to(out): f.read_bytes() for f in files})
+    assert outputs[0] == outputs[1]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_solve.py --record")
+    record = {
+        case: {tol: {k: float(f"{v:.17g}") for k, v in fingerprint(
+            cfg.with_updates({"solver.cg_tol": float(tol)})).items()}
+            for tol in CG_TOLS}
+        for case, cfg in fingerprint_configs().items()}
+    FINGERPRINT.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {FINGERPRINT}")

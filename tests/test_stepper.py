@@ -9,6 +9,7 @@ ordering, the lagged smooth potential part, and the source sampling time.
 import numpy as np
 import pytest
 
+from chrelax import stepper
 from chrelax import (
     Controls,
     ControlSpec,
@@ -18,6 +19,7 @@ from chrelax import (
     InvalidParams,
     ModelParams,
     NewtonDivergence,
+    NonFiniteState,
     ProliferationSpec,
     SchemeConfig,
     SplitPotential,
@@ -295,8 +297,30 @@ def test_run_rejects_bad_horizon_and_setup():
 def test_substep_failure_reports_step_index():
     params, pot, controls, init, g = source_free_setup(n=16, p0=1.0)
     starved = SchemeConfig(dt=1e-3, eps=1e-3, newton_max_iter=0)
-    with pytest.raises(NewtonDivergence, match=r"^step 1 \(t = 0.001\)"):
+    with pytest.raises(NewtonDivergence, match=r"^step 1 \(t = 0.001\)") as ei:
         run(params, pot, controls, init, g, T=0.01, scheme=starved)
+    assert ei.value.step == 1 and ei.value.substep == "phi"
+    assert "substep phi" in str(ei.value)
+    assert f"(residual {ei.value.residual:.3e})" in str(ei.value)
+
+
+def test_non_finite_state_fails_at_its_substep(monkeypatch):
+    params, pot, controls, init, g = source_free_setup(n=16, p0=1.0)
+    clean = stepper.step_sigma
+
+    def poisoned(state, *args):
+        out = clean(state, *args)
+        if state.t > 0.0:  # from the second step on
+            out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(stepper, "step_sigma", poisoned)
+    with pytest.raises(NonFiniteState,
+                       match=r"^step 2 \(t = 0.002\), substep sigma: sigma is "
+                             r"non-finite in 1 of 16 cells") as ei:
+        run(params, pot, controls, init, g, T=0.01,
+            scheme=SchemeConfig(dt=1e-3, eps=1e-3))
+    assert ei.value.step == 2 and ei.value.substep == "sigma"
 
 
 def test_scheme_config_rejections():
