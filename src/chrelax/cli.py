@@ -14,9 +14,12 @@ import csv
 import os
 import sys
 
+import numpy as np
+
 from . import experiments
 from .config import build_scenario, parse_config
 from .errors import ChRelaxError, ConfigError
+from .grid import CSV_BLOCK_ROWS
 from .stepper import run
 
 
@@ -61,14 +64,19 @@ def write_report(report, outdir):
 
 
 def _write_diagnostics(traj, outdir, digest):
+    # the rows csv.writer would write (CRLF, nothing to quote), formatted
+    # one block of rows per call
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"diagnostics_{digest}.csv")
+    table = np.column_stack(
+        (traj.step_times, traj.mass_phi, traj.mass_sigma, traj.mass_v))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "t", "mass_phi", "mass_sigma", "mass_v"])
-        for k, t in enumerate(traj.step_times):
-            w.writerow([k, _fmt(float(t)), _fmt(float(traj.mass_phi[k])),
-                        _fmt(float(traj.mass_sigma[k])), _fmt(float(traj.mass_v[k]))])
+        fh.write("step,t,mass_phi,mass_sigma,mass_v\r\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            template = "".join(f"{start + k},%.17g,%.17g,%.17g,%.17g\r\n"
+                               for k in range(len(block)))
+            fh.write(template % tuple(block.ravel().tolist()))
     return path
 
 

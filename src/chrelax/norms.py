@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFit, ScheduleMismatch
+from .errors import DegenerateFit, GridMismatch, ScheduleMismatch
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,23 @@ def _check_pair(t1, t2):
 
 
 def series_norms(grid, fields, dt):
-    """Norms of a snapshot series (t_0 included in the sup norms)."""
-    linf_h = max(grid.h_norm(u) for u in fields)
-    linf_v = max(grid.v_norm(u) for u in fields)
-    l2_h = float(np.sqrt(sum(dt * grid.h_norm(u) ** 2 for u in fields[1:])))
-    l2_v = float(np.sqrt(sum(dt * grid.v_norm(u) ** 2 for u in fields[1:])))
-    return SeriesNorms(linf_h, linf_v, l2_h, l2_v)
+    """Norms of a snapshot series (t_0 included in the sup norms).
+
+    ``fields`` is a list of snapshots or their (N, ncells) stack; every
+    norm is a reduction over the stack's cell axis.
+    """
+    try:
+        rows = np.asarray(fields, dtype=float)
+    except ValueError as e:  # snapshots of different lengths
+        raise GridMismatch(f"cannot stack the snapshots: {e}") from None
+    h_sq, grad_sq = grid.stacked_sq_norms(rows)
+    v_sq = h_sq + grad_sq
+    return SeriesNorms(
+        linf_h=float(np.sqrt(np.max(h_sq))),
+        linf_v=float(np.sqrt(np.max(v_sq))),
+        l2_h=float(np.sqrt(dt * np.sum(h_sq[1:]))),
+        l2_v=float(np.sqrt(dt * np.sum(v_sq[1:]))),
+    )
 
 
 def convolve_one(fields, dt, n):
@@ -57,17 +68,22 @@ def convolve_one(fields, dt, n):
 
 
 def convolved_series(fields, dt):
-    """All partial convolutions (1 * w)(t_n), n = 0..N, in one pass."""
-    out = [np.zeros_like(fields[0])]
-    acc = np.zeros_like(fields[0])
-    for u in fields[:-1]:
-        acc = acc + dt * u
-        out.append(acc)
+    """All partial convolutions (1 * w)(t_n), n = 0..N, as one (N+1, ncells)
+    stack: a running sum down the time axis."""
+    w = np.asarray(fields, dtype=float)
+    out = np.empty_like(w)
+    out[0] = 0.0
+    np.multiply(w[:-1], dt, out=out[1:])
+    np.cumsum(out[1:], axis=0, out=out[1:])
     return out
 
 
 def diff_series(t1, t2, name):
-    return [a - b for a, b in zip(t1.series(name), t2.series(name))]
+    """One field's snapshot differences t1 - t2, stacked (N, ncells)."""
+    out = np.empty((len(t1.snapshots), t1.grid.ncells))
+    for row, a, b in zip(out, t1.series(name), t2.series(name)):
+        np.subtract(a, b, out=row)
+    return out
 
 
 def contdep_lhs(t1, t2):
@@ -79,12 +95,10 @@ def contdep_lhs(t1, t2):
     _check_pair(t1, t2)
     g, dt = t1.grid, t1.dt * t1.record_every
     dmu = diff_series(t1, t2, "mu")
-    dphi = diff_series(t1, t2, "phi")
-    dsig = diff_series(t1, t2, "sigma")
     nm = series_norms(g, dmu, dt)
-    np_ = series_norms(g, dphi, dt)
-    ns = series_norms(g, dsig, dt)
     conv = series_norms(g, convolved_series(dmu, dt), dt)
+    np_ = series_norms(g, diff_series(t1, t2, "phi"), dt)
+    ns = series_norms(g, diff_series(t1, t2, "sigma"), dt)
     return nm.linf_h + conv.linf_v + (np_.linf_h + np_.l2_v) + (ns.linf_h + ns.l2_v)
 
 
@@ -134,11 +148,10 @@ def alpha_error(t_alpha, t_limit):
     g, dt = t_alpha.grid, t_alpha.dt * t_alpha.record_every
     alpha = t_alpha.alpha
     mu_self = series_norms(g, t_alpha.series("mu"), dt)
-    dmu = diff_series(t_alpha, t_limit, "mu")
-    dphi = diff_series(t_alpha, t_limit, "phi")
+    conv_mu = series_norms(
+        g, convolved_series(diff_series(t_alpha, t_limit, "mu"), dt), dt)
+    nphi = series_norms(g, diff_series(t_alpha, t_limit, "phi"), dt)
     dsig = diff_series(t_alpha, t_limit, "sigma")
-    conv_mu = series_norms(g, convolved_series(dmu, dt), dt)
-    nphi = series_norms(g, dphi, dt)
     nsig = series_norms(g, dsig, dt)
     conv_sig = series_norms(g, convolved_series(dsig, dt), dt)
     return AlphaErrorTerms(

@@ -217,6 +217,8 @@ class SplitPotential:
             return x**3
         if self.kind == "logarithmic":
             interior = np.abs(x) < 1.0
+            if interior.all():  # no cell on the bounds: the section itself
+                return _entropy_slope(x)
             xs = np.where(interior, x, 0.0)
             return np.where(interior, np.log1p(xs) - np.log1p(-xs), (a - x) / yp.epsilon)
         return (a - x) / yp.epsilon
@@ -293,55 +295,62 @@ def _entropy_slope(x):
     return np.log1p(x) - np.log1p(-x)
 
 
+# Newton brackets the entropy root inside [-_EDGE, _EDGE].  A bracket counts
+# as collapsed at 4 ulp of |x| + 1, which is 4 spacing(1) for every |x| < 1.
+_EDGE = 1.0 - 1e-13
+_EDGE_SLOPE = _entropy_slope(_EDGE)
+_BRACKET_TOL = 4.0 * np.spacing(1.0)
+
+
 def _solve_entropy(r_in, eps, tol, max_iter):
     """Root of x + eps ln((1+x)/(1-x)) = r on (-1, 1), safeguarded Newton.
 
     Far outside the well (|r| much larger than 1) the root is within a few
     ulp of +-1 and is taken from the asymptotic form 1 - x = 2 exp(-(r-x)/eps)
     instead of iterating on a collapsed bracket.
+
+    Every iteration works on the whole array: a cell stops moving once its
+    residual is within ``tol`` or its bracket has collapsed, and the tail
+    cells and the bisection fallback are touched only when some cell needs
+    them.
     """
     shape = np.shape(r_in)
     r = np.asarray(r_in, dtype=float).reshape(-1)
-    edge = 1.0 - 1e-13
-    gedge = edge + eps * _entropy_slope(edge)
+    gedge = _EDGE + eps * _EDGE_SLOPE
 
-    x = np.clip(r, -0.9, 0.9)
-    lo = np.full_like(r, -edge)
-    hi = np.full_like(r, edge)
+    x = np.minimum(np.maximum(r, -0.9), 0.9)
+    lo = np.full_like(r, -_EDGE)
+    hi = np.full_like(r, _EDGE)
 
-    tail_hi = r >= gedge
-    tail_lo = r <= -gedge
-    if np.any(tail_hi):
+    tails = np.abs(r) >= gedge
+    any_tail = tails.any()
+    if any_tail:
+        tail_hi = r >= gedge
+        tail_lo = r <= -gedge
         x[tail_hi] = 1.0 - 2.0 * np.exp(-(r[tail_hi] - 1.0) / eps)
-    if np.any(tail_lo):
         x[tail_lo] = -1.0 + 2.0 * np.exp((r[tail_lo] + 1.0) / eps)
-    active = ~(tail_hi | tail_lo)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f = np.where(active, x + eps * _entropy_slope(x) - r, 0.0)
-        for _ in range(max_iter):
-            conv = (np.abs(f) <= tol) | (hi - lo <= 4.0 * np.spacing(np.abs(x) + 1.0))
-            if np.all(conv | ~active):
+        for it in range(max_iter + 1):
+            f = x + eps * _entropy_slope(x) - r
+            if any_tail:
+                f[tails] = 0.0  # tail cells are final, and so converged
+            conv = (np.abs(f) <= tol) | (hi - lo <= _BRACKET_TOL)
+            if conv.all():
                 break
-            work = active & ~conv
-            below = work & (f < 0.0)
-            above = work & (f > 0.0)
-            lo[below] = x[below]
-            hi[above] = x[above]
-            gp = 1.0 + eps * 2.0 / np.maximum(1.0 - x * x, 1e-300)
-            step = np.where(work, f / gp, 0.0)
-            xn = x - step
-            bad = work & ((xn <= lo) | (xn >= hi) | ~np.isfinite(xn))
-            xn[bad] = 0.5 * (lo[bad] + hi[bad])
-            x = np.where(work, xn, x)
-            f = np.where(active, x + eps * _entropy_slope(x) - r, 0.0)
-        else:
-            conv = (np.abs(f) <= tol) | (hi - lo <= 4.0 * np.spacing(np.abs(x) + 1.0))
-            if not np.all(conv | ~active):
-                bad = active & ~conv
+            if it == max_iter:
                 raise NewtonDivergence(
                     "resolvent Newton stalled for the logarithmic kind",
-                    residual=float(np.max(np.abs(f[bad]))),
+                    residual=float(np.max(np.abs(f[~conv]))),
                     iterations=max_iter,
                 )
+            # x stays inside [lo, hi], so moving the bracket of a converged
+            # cell changes nothing: only the cells still working move
+            lo = np.where(f < 0.0, x, lo)
+            hi = np.where(f > 0.0, x, hi)
+            xn = x - f / (1.0 + eps * 2.0 / np.maximum(1.0 - x * x, 1e-300))
+            inside = (lo < xn) & (xn < hi)  # false for NaN and +-inf too
+            if not inside.all():
+                xn = np.where(inside, xn, 0.5 * (lo + hi))
+            x = np.where(conv, x, xn)
     return x.reshape(shape)

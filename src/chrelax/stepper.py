@@ -115,10 +115,19 @@ def step_phi(state, params, potential, scheme, grid):
     g = mu + chi sigma - F2'(phi) by damped Newton; the residual is
     measured in the discrete L2 norm.  One resolvent evaluation per
     iterate gives the residual, the Jacobian curvature and xi.
+
+    The iteration stops at newton_tol or at the residual's roundoff floor,
+    whichever is larger.  Every iterate is rounded to the nearest double,
+    and tau/dt - lap amplifies that rounding by up to tau/dt + 4 sum 1/h^2.
+    The floor is eps_mach (tau/dt + 4 sum 1/h^2) |phi|_h; on 1-D and 2-D
+    runs with both potentials the residual stalled at 0.12-0.20 of it.
     """
     dt, tau = scheme.dt, params.tau
     yp = scheme.yosida
     g = state.mu + params.chi * state.sigma - potential.f2_prime(state.phi)
+    op_scale = tau / dt + sum(4.0 / (h * h) for h in grid.h)
+    floor = float(np.finfo(float).eps) * op_scale * grid.h_norm(state.phi)
+    tol = max(scheme.newton_tol, floor)
 
     def residual(z):
         fp, curv = potential.yosida_parts(z, yp)
@@ -128,7 +137,7 @@ def step_phi(state, params, potential, scheme, grid):
     r, fp, curv = residual(x)
     rnorm = grid.h_norm(r)
     for it in range(scheme.newton_max_iter):
-        if rnorm <= scheme.newton_tol:
+        if rnorm <= tol:
             return x, fp, it
         delta = grid.solve_shifted(tau / dt + curv, 1.0, -r, scheme.cg_tol)
         s = 1.0
@@ -140,11 +149,11 @@ def step_phi(state, params, potential, scheme, grid):
                 break
             s *= 0.5
         x, r, fp, curv, rnorm = xn, rn, fpn, curvn, rn_norm
-    if rnorm <= scheme.newton_tol:
+    if rnorm <= tol:
         return x, fp, scheme.newton_max_iter
     raise NewtonDivergence(
-        f"phase step did not reach newton_tol {scheme.newton_tol} in "
-        f"{scheme.newton_max_iter} Newton iterations",
+        f"phase step did not reach newton_tol {scheme.newton_tol} (roundoff "
+        f"floor {floor:.3g}) in {scheme.newton_max_iter} Newton iterations",
         residual=rnorm,
         iterations=scheme.newton_max_iter,
     )

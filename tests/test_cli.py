@@ -1,13 +1,16 @@
 """Tests for the command-line front end: exit codes, files, report formats."""
 
 import csv
+import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from chrelax import Grid, RateFit
-from chrelax.cli import dispatch, write_report
+from chrelax.cli import _write_diagnostics, dispatch, write_report
 from chrelax.experiments import StudyReport, Verdict
+from chrelax.grid import CSV_BLOCK_ROWS
 
 TINY = (
     "grid.n = 8\ntime.T = 5e-3\ntime.dt = 1e-3\npotential.kind = regular\n"
@@ -80,6 +83,24 @@ def test_simulate_writes_diagnostics(tmp_path, capsys):
     assert len(rows) == 7  # header + initial + 5 steps
     assert float(rows[1][2]) == 0.25  # mass of the constant initial phase
     assert float(rows[1][3]) == 0.5
+
+
+def test_diagnostics_bytes_match_csv_writer(tmp_path):
+    n = 2 * CSV_BLOCK_ROWS + 5  # three write blocks, the last one partial
+    rng = np.random.default_rng(41)
+    traj = SimpleNamespace(
+        step_times=np.arange(n) * 1e-3, mass_phi=rng.standard_normal(n),
+        mass_sigma=rng.standard_normal(n), mass_v=rng.standard_normal(n))
+    traj.mass_phi[:3] = [-0.0, 5e-324, 1e300]
+    path = _write_diagnostics(traj, str(tmp_path), "d")
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["step", "t", "mass_phi", "mass_sigma", "mass_v"])
+    for k in range(n):
+        w.writerow([k] + [f"{float(c[k]):.17g}" for c in (
+            traj.step_times, traj.mass_phi, traj.mass_sigma, traj.mass_v)])
+    with open(path, "rb") as fh:
+        assert fh.read() == buf.getvalue().encode()
 
 
 def test_simulate_dump_fields_round_trip(tmp_path):

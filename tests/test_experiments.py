@@ -213,6 +213,15 @@ def test_conservation_drift_uses_caller_tolerances(request):
     assert loose > 1e-8
 
 
+def test_tight_newton_tol_stops_at_roundoff_floor():
+    # the phase residual stalls near 1.5e-13 here, above this newton_tol:
+    # Newton stops at the residual's roundoff floor instead of failing
+    drift_mass, drift_sigma, traj = conservation_drift(
+        default_config(**{"solver.newton_tol": 1e-13}))
+    assert drift_mass <= 1e-8 and drift_sigma <= 1e-8
+    assert traj.mass_phi.shape == (251,)
+
+
 def test_invariant_suite_aggregates_verdicts():
     report = invariant_suite(default_config(), seed=0)
     names = [v.name for v in report.verdicts]

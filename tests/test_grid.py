@@ -5,12 +5,15 @@ column by column) with numpy.linalg as the reference: eigendecomposition for
 the spectral identities and an LU solve for the conjugate-gradient oracle.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
 from chrelax import CgNoConvergence, Grid, GridMismatch, InvalidParams
+from chrelax.grid import CSV_BLOCK_ROWS
 
 
 def dense_laplacian(grid):
@@ -138,6 +141,34 @@ def test_eigenpairs_match_dense_decomposition():
         assert np.max(np.abs(resid)) <= 1e-10 * max(1.0, abs(analytic[k]))
 
 
+def diff_laplacian(grid, u):
+    """The flux-form stencil through np.diff, with its face slices built on
+    every call: the reference for the precomputed-stencil Laplacian."""
+    a = u.reshape(grid.n)
+    out = np.zeros_like(a)
+    for ax, h in enumerate(grid.h):
+        flux = np.diff(a, axis=ax)
+        flux /= h * h
+        lo = [slice(None)] * grid.dim
+        hi = [slice(None)] * grid.dim
+        lo[ax] = slice(None, -1)
+        hi[ax] = slice(1, None)
+        out[tuple(lo)] += flux
+        out[tuple(hi)] -= flux
+    return out.reshape(-1)
+
+
+@pytest.mark.parametrize("n, length", [
+    (8, 1.0), (9, 2.5), (2, 1.0), ((6, 4), (1.0, 0.7)), ((5, 7), 1.0), ((2, 3), 3.0)])
+def test_laplacian_matches_diff_stencil_bitwise(n, length):
+    g = Grid(n, length)
+    rng = np.random.default_rng(29)
+    for scale in (1e-8, 1.0, 1e8):
+        u = scale * rng.standard_normal(g.ncells)
+        np.testing.assert_array_equal(
+            g.laplacian(u).view(np.int64), diff_laplacian(g, u).view(np.int64))
+
+
 def test_laplacian_diag_matches_dense():
     for g in (Grid(10), Grid((4, 6), length=(1.0, 2.0))):
         np.testing.assert_allclose(
@@ -221,6 +252,40 @@ def test_dump_load_round_trip(tmp_path):
         back = g.load_field(path)
         # 17 significant digits round-trip doubles exactly
         np.testing.assert_array_equal(back, u)
+
+
+def csv_writer_dump(grid, u):
+    """The field file as csv.writer writes it, row by row."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["x", "value"] if grid.dim == 1 else ["x", "y", "value"])
+    coords = grid.coordinates()
+    for i in range(grid.ncells):
+        w.writerow([f"{c[i]:.17g}" for c in coords] + [f"{u[i]:.17g}"])
+    return buf.getvalue().encode()
+
+
+def test_dump_field_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(31)
+    # the last grid spans three write blocks, the last one partial
+    for g in (Grid(7), Grid((3, 4), length=(1.0, 0.3)), Grid(2 * CSV_BLOCK_ROWS + 5)):
+        for k in range(2):  # the second dump reuses the grid's template
+            u = rng.standard_normal(g.ncells)
+            u[:3] = [-0.0, 5e-324, 1e300]
+            path = tmp_path / f"f{g.dim}_{k}.csv"
+            g.dump_field(u, path)
+            assert path.read_bytes() == csv_writer_dump(g, u)
+            np.testing.assert_array_equal(
+                g.load_field(path).view(np.int64), u.view(np.int64))
+
+
+def test_coordinates_are_cached_and_read_only():
+    g = Grid((3, 4))
+    x, y = g.coordinates()
+    assert g.coordinates()[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 1.0
+    np.testing.assert_allclose(x, np.repeat([1 / 6, 0.5, 5 / 6], 4), rtol=1e-15)
 
 
 def test_load_rejects_header_and_size_mismatch(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from chrelax import (
     DegenerateFit,
     Grid,
+    GridMismatch,
     ScheduleMismatch,
     State,
     Trajectory,
@@ -213,6 +214,77 @@ def test_diff_series_by_name():
     d = diff_series(t1, t2, "sigma")
     assert len(d) == 3
     np.testing.assert_allclose(d[1], 2.0, rtol=0, atol=0)
+
+
+# -- stacked series against the per-snapshot loop ---------------------------
+
+
+def loop_series_norms(grid, fields, dt):
+    """The four norms one snapshot at a time through Grid.h_norm/v_norm."""
+    return (
+        max(grid.h_norm(u) for u in fields),
+        max(grid.v_norm(u) for u in fields),
+        math.sqrt(sum(dt * grid.h_norm(u) ** 2 for u in fields[1:])),
+        math.sqrt(sum(dt * grid.v_norm(u) ** 2 for u in fields[1:])),
+    )
+
+
+def loop_convolved(fields, dt):
+    out, acc = [np.zeros_like(fields[0])], np.zeros_like(fields[0])
+    for u in fields[:-1]:
+        acc = acc + dt * u
+        out.append(acc)
+    return out
+
+
+def random_traj(grid, rng, n, alpha=0.3, dt=0.01):
+    traj = Trajectory(grid=grid, dt=dt, record_every=1, alpha=alpha)
+    for k in range(n):
+        traj.snapshots.append(State(
+            *(rng.standard_normal(grid.ncells) for _ in range(5)), t=k * dt))
+    traj.times = dt * np.arange(n)
+    return traj
+
+
+@pytest.mark.parametrize("grid", [Grid(16), Grid(7, length=2.0),
+                                  Grid((5, 6), length=(1.0, 0.4))])
+def test_stacked_norms_match_per_snapshot_loop(grid):
+    rng = np.random.default_rng(37)
+    t1, t2 = random_traj(grid, rng, 9), random_traj(grid, rng, 9)
+    dt = t1.dt
+    fields = t1.series("phi")
+    got = series_norms(grid, fields, dt)
+    want = loop_series_norms(grid, fields, dt)
+    np.testing.assert_allclose(
+        [got.linf_h, got.linf_v, got.l2_h, got.l2_v], want, rtol=1e-12, atol=0)
+    # the running sum adds in the loop's order: exactly the same values
+    np.testing.assert_array_equal(
+        convolved_series(fields, dt), np.array(loop_convolved(fields, dt)))
+
+    def diffs(name):
+        return [a - b for a, b in zip(t1.series(name), t2.series(name))]
+
+    dmu, dphi, dsig = diffs("mu"), diffs("phi"), diffs("sigma")
+    nm, nphi, nsig = (loop_series_norms(grid, d, dt) for d in (dmu, dphi, dsig))
+    conv_mu = loop_series_norms(grid, loop_convolved(dmu, dt), dt)
+    conv_sig = loop_series_norms(grid, loop_convolved(dsig, dt), dt)
+    want_lhs = nm[0] + conv_mu[1] + nphi[0] + nphi[3] + nsig[0] + nsig[3]
+    assert contdep_lhs(t1, t2) == pytest.approx(want_lhs, rel=1e-12, abs=0)
+    mu_self = loop_series_norms(grid, t1.series("mu"), dt)
+    terms = alpha_error(t1, t2)
+    np.testing.assert_allclose(
+        [terms.mu_weighted, terms.conv_mu_linf_v, terms.phi_linf_h,
+         terms.phi_l2_v, terms.sigma_l2_h, terms.conv_sigma_linf_v],
+        [math.sqrt(t1.alpha) * mu_self[0], conv_mu[1], nphi[0], nphi[3],
+         nsig[2], conv_sig[1]], rtol=1e-12, atol=0)
+
+
+def test_series_norms_reject_misshaped_stack():
+    g = Grid(8)
+    with pytest.raises(GridMismatch):
+        series_norms(g, [g.field(), np.zeros(7)], 0.1)
+    with pytest.raises(GridMismatch):
+        series_norms(g, np.zeros((3, 9)), 0.1)
 
 
 # -- rate fitting ------------------------------------------------------------

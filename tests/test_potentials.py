@@ -12,9 +12,11 @@ import pytest
 
 from chrelax import (
     InvalidParams,
+    NewtonDivergence,
     OutsideSubdifferentialDomain,
     SplitPotential,
     YosidaParams,
+    potentials,
 )
 
 LOG2X2 = 2.0 * math.log(2.0)
@@ -188,6 +190,104 @@ def test_entropy_resolvent_deep_tail():
     np.testing.assert_allclose(x, np.sign(r), rtol=0, atol=0)
     np.testing.assert_allclose(
         log.yosida_prime(r, yp), (r - x) / yp.epsilon, rtol=0, atol=0)
+
+
+def masked_entropy_resolvent(r, eps, tol, max_iter):
+    """The safeguarded entropy Newton solve written with boolean-mask
+    writes, one cell set at a time: the reference that the whole-array
+    solver in the package must match bit for bit."""
+    r = np.asarray(r, dtype=float).reshape(-1)
+    slope = lambda x: np.log1p(x) - np.log1p(-x)  # noqa: E731
+    edge = 1.0 - 1e-13
+    gedge = edge + eps * slope(edge)
+    x = np.clip(r, -0.9, 0.9)
+    lo = np.full_like(r, -edge)
+    hi = np.full_like(r, edge)
+    tail_hi = r >= gedge
+    tail_lo = r <= -gedge
+    x[tail_hi] = 1.0 - 2.0 * np.exp(-(r[tail_hi] - 1.0) / eps)
+    x[tail_lo] = -1.0 + 2.0 * np.exp((r[tail_lo] + 1.0) / eps)
+    active = ~(tail_hi | tail_lo)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = np.where(active, x + eps * slope(x) - r, 0.0)
+        for _ in range(max_iter):
+            conv = (np.abs(f) <= tol) | (hi - lo <= 4.0 * np.spacing(np.abs(x) + 1.0))
+            if np.all(conv | ~active):
+                return x
+            work = active & ~conv
+            below = work & (f < 0.0)
+            above = work & (f > 0.0)
+            lo[below] = x[below]
+            hi[above] = x[above]
+            gp = 1.0 + eps * 2.0 / np.maximum(1.0 - x * x, 1e-300)
+            xn = x - np.where(work, f / gp, 0.0)
+            bad = work & ((xn <= lo) | (xn >= hi) | ~np.isfinite(xn))
+            xn[bad] = 0.5 * (lo[bad] + hi[bad])
+            x = np.where(work, xn, x)
+            f = np.where(active, x + eps * slope(x) - r, 0.0)
+        conv = (np.abs(f) <= tol) | (hi - lo <= 4.0 * np.spacing(np.abs(x) + 1.0))
+        bad = active & ~conv
+        if np.any(bad):
+            raise NewtonDivergence("stalled", residual=float(np.max(np.abs(f[bad]))),
+                                   iterations=max_iter)
+    return x
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+def test_entropy_resolvent_matches_masked_reference_bitwise(eps):
+    rng = np.random.default_rng(23)
+    gedge = potentials._EDGE + eps * potentials._EDGE_SLOPE
+    r = np.concatenate([
+        rng.uniform(-1.2, 1.2, 200),
+        rng.uniform(-40.0, 40.0, 100),  # tails, where the asymptotic form applies
+        1.0 + rng.uniform(0.0, 30.0 * eps, 50),  # between the well and the tail
+        -1.0 - rng.uniform(0.0, 30.0 * eps, 50),
+        [0.0, -0.0, 1.0, -1.0, gedge, -gedge, np.inf, -np.inf, 5e-324],
+    ])
+    assert np.any(r >= gedge) and np.any(r <= -gedge)
+    for tol in (1e-12, 1e-14, 0.0):
+        got = potentials._solve_entropy(r, eps, tol, 100)
+        np.testing.assert_array_equal(
+            bits(got), bits(masked_entropy_resolvent(r, eps, tol, 100)))
+    # shape and scalars pass through
+    grid_shaped = r[:40].reshape(5, 8)
+    got = potentials._solve_entropy(grid_shaped, eps, 1e-12, 100)
+    assert got.shape == (5, 8)
+    np.testing.assert_array_equal(
+        bits(got).reshape(-1), bits(masked_entropy_resolvent(r[:40], eps, 1e-12, 100)))
+
+
+def test_entropy_resolvent_bisection_fallback():
+    # from x0 = 0.9 the first Newton step for r = 1.01 leaves the bracket,
+    # so the first update is a bisection
+    eps, r = 1e-3, np.array([1.01, 0.3, -1.01])
+    x0 = 0.9
+    f0 = x0 + eps * (math.log1p(x0) - math.log1p(-x0)) - r[0]
+    assert x0 - f0 / (1.0 + 2.0 * eps / (1.0 - x0 * x0)) >= potentials._EDGE
+    got = potentials._solve_entropy(r, eps, 1e-12, 100)
+    np.testing.assert_array_equal(
+        bits(got), bits(masked_entropy_resolvent(r, eps, 1e-12, 100)))
+    np.testing.assert_allclose(
+        got, [bisect_entropy_resolvent(v, eps) for v in r], rtol=0, atol=1e-12)
+
+
+def test_entropy_resolvent_stall_raises_like_reference():
+    r = np.array([0.5, -0.2, 0.99, 3.0])
+    for max_iter in (1, 2):
+        with pytest.raises(NewtonDivergence) as got:
+            potentials._solve_entropy(r, 1e-3, 1e-12, max_iter)
+        with pytest.raises(NewtonDivergence) as want:
+            masked_entropy_resolvent(r, 1e-3, 1e-12, max_iter)
+        assert "logarithmic" in str(got.value)
+        assert got.value.iterations == max_iter
+        assert got.value.residual == want.value.residual > 1e-12
+    with pytest.raises(NewtonDivergence):
+        SplitPotential.logarithmic().resolvent(
+            r, YosidaParams(epsilon=1e-3, newton_max_iter=1))
 
 
 def test_newton_residual_within_tolerance():
