@@ -98,7 +98,9 @@ def _simulate(cfg, outdir):
                sc.scheme)
     digest = cfg.digest()
     path = _write_diagnostics(traj, outdir, digest)
-    print(f"simulate: {len(traj.step_times) - 1} steps, diagnostics -> {path}")
+    its = traj.newton_iters
+    print(f"simulate: {len(its)} steps, {int(its.sum())} Newton iterations "
+          f"(at most {int(its.max())} per step), diagnostics -> {path}")
     if cfg["output.dump_fields"]:
         rundir = _dump_snapshots(traj, outdir, digest)
         print(f"simulate: field snapshots -> {rundir}")

@@ -15,8 +15,9 @@ On this grid the cosine (DCT-II) basis diagonalises the Laplacian
 exactly, with analytic eigenvalues, so a shifted system
 ``(c - d lap) x = b`` with constant c is solved by transform, divide,
 transform back: by dense per-axis matrices on small grids, by the real FFT
-of the mirrored field on large ones.  ``solve_shifted`` uses that solve at
-the mean shift to precondition conjugate gradients for a per-cell shift.
+of the mirrored field on large ones.  ``solve_shifted`` returns that solve
+for a scalar shift, and uses it at the mean shift to precondition
+conjugate gradients for a per-cell shift.
 """
 
 from __future__ import annotations
@@ -304,12 +305,15 @@ class Grid:
         return (C0.T @ (coef / denom) @ C1).reshape(-1)
 
     def solve_shifted(self, shift, scale, rhs, tol=1e-10):
-        """Solve (shift - scale * laplacian) x = rhs by conjugate gradients.
+        """Solve (shift - scale * laplacian) x = rhs.
 
-        ``shift`` is a scalar or a per-cell field with positive mean.  The
-        preconditioner is the exact cosine solve at the mean shift, so a
-        constant shift converges in one iteration.
+        A scalar ``shift`` is solved exactly by the cosine solve, and
+        ``tol`` does not apply.  A per-cell ``shift`` with positive mean is
+        solved by conjugate gradients to ``tol``, preconditioned with the
+        exact cosine solve at the mean shift.
         """
+        if np.ndim(shift) == 0:
+            return self.cosine_solve(shift, scale, rhs)
         mean = float(np.mean(shift))
         return self.solve_spd(
             lambda w: shift * w - scale * self.laplacian(w), rhs, tol,

@@ -40,6 +40,11 @@ class ProliferationSpec:
             return np.full_like(phi, self.p0)
         return self.p0 * np.clip(0.5 * (1.0 + phi), 0.0, 1.0)
 
+    def rate(self, phi):
+        """P(phi) as the scalar p0 for the constant kind, else per cell;
+        a scalar shift lets the stepper's solves skip conjugate gradients."""
+        return self.p0 if self.kind == "constant" else self(phi)
+
     @property
     def lipschitz(self):
         return 0.0 if self.kind == "constant" else 0.5 * self.p0
@@ -102,6 +107,10 @@ class ControlSpec:
     t_off: float = np.inf
     mode: int = 1
     omega: float = 0.0
+    # spatial profile per grid, built on the first sample on that grid (two
+    # threads sampling first at once both build it, with the same values)
+    _profiles: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "gaussian_pulse", "sinusoid"):
@@ -110,22 +119,34 @@ class ControlSpec:
             raise InvalidParams("gaussian_pulse needs a positive width")
 
     def sample(self, t, grid):
+        """The control at time t.  A pulse inside its window returns the
+        read-only profile it shares with every other such call."""
         if self.kind == "zero":
             return grid.field(0.0)
         if self.kind == "constant":
             return grid.field(self.value)
-        coords = grid.coordinates()
+        profile = self._profile(grid)
         if self.kind == "gaussian_pulse":
-            if not (self.t_on <= t <= self.t_off):
-                return grid.field(0.0)
-            q = np.zeros(grid.ncells)
-            for x, c in zip(coords, self.center):
-                q += (x - c) ** 2
-            return self.amplitude * np.exp(-q / (2.0 * self.width**2))
-        out = np.full(grid.ncells, self.amplitude * np.cos(self.omega * t))
-        for x, L in zip(coords, grid.length):
-            out *= np.cos(self.mode * np.pi * x / L)
-        return out
+            return profile if self.t_on <= t <= self.t_off else grid.field(0.0)
+        return self.amplitude * np.cos(self.omega * t) * profile
+
+    def _profile(self, grid):
+        # the pulse with its amplitude, or the product of the cosine modes
+        profile = self._profiles.get(grid)
+        if profile is None:
+            coords = grid.coordinates()
+            if self.kind == "gaussian_pulse":
+                q = np.zeros(grid.ncells)
+                for x, c in zip(coords, self.center):
+                    q += (x - c) ** 2
+                profile = self.amplitude * np.exp(-q / (2.0 * self.width**2))
+            else:
+                profile = np.ones(grid.ncells)
+                for x, L in zip(coords, grid.length):
+                    profile *= np.cos(self.mode * np.pi * x / L)
+            profile.flags.writeable = False
+            self._profiles[grid] = profile
+        return profile
 
 
 def eval_control(spec, t, grid):

@@ -21,12 +21,16 @@ Every substep is a symmetric positive definite shifted-Laplacian solve
   potential (alpha = 0)   shift = P(phi'),                  scale = 1
   nutrient                shift = 1 + dt P(phi'),           scale = dt
 
-The phase step wraps its solve in a damped Newton iteration.  The solves
-are conjugate gradients preconditioned by the exact cosine solve at the
-mean shift, one iteration for a constant shift.  The linear substeps are
-solved in increment form (unknown minus its previous value), which keeps
-the absolute residual, and with it the drift of the conserved quantities,
-far below the relative CG tolerance.
+The phase step wraps its solve in a damped Newton iteration, started from
+the polynomial extrapolation of the accepted phase levels: phi_0 at step
+1, 2 phi_1 - phi_0 at step 2, and 3 phi_n - 3 phi_{n-1} + phi_{n-2}
+afterwards.  From there most steps take one Newton iteration, and the
+stopping test is the one of a cold start.  A constant shift is solved exactly by the cosine
+transform; a per-cell shift by conjugate gradients preconditioned with
+that solve at the mean shift.  The linear substeps are solved in increment
+form (unknown minus its previous value), which keeps the absolute
+residual, and with it the drift of the conserved quantities, far below
+the relative CG tolerance.
 
 Integrating the potential substep over the box gives the discrete mass
 identity
@@ -80,7 +84,8 @@ class Trajectory:
     """Recorded output of one run.
 
     ``snapshots`` holds the state at t = 0, every record_every-th step and
-    the final time; the mass diagnostics cover every step.
+    the final time; the mass diagnostics cover every step, and
+    ``newton_iters[n]`` counts the phase Newton iterations of step n + 1.
     """
 
     grid: object
@@ -93,7 +98,7 @@ class Trajectory:
     mass_phi: np.ndarray = None
     mass_sigma: np.ndarray = None
     mass_v: np.ndarray = None
-    max_newton_iters: int = 0
+    newton_iters: np.ndarray = None  # phase Newton iterations of each step
 
     def series(self, name):
         """List of one field's snapshots through time."""
@@ -108,13 +113,15 @@ class Trajectory:
                 len(self.snapshots))
 
 
-def step_phi(state, params, potential, scheme, grid):
+def step_phi(state, params, potential, scheme, grid, guess=None):
     """Implicit phase update; returns (phi_next, xi_next, newton_iters).
 
     Solves tau (x - phi)/dt - lap x + F1'_eps(x) = g with
-    g = mu + chi sigma - F2'(phi) by damped Newton; the residual is
-    measured in the discrete L2 norm.  One resolvent evaluation per
-    iterate gives the residual, the Jacobian curvature and xi.
+    g = mu + chi sigma - F2'(phi) by damped Newton from ``guess``
+    (default: phi itself); the residual is measured in the discrete L2
+    norm.  One resolvent evaluation per iterate gives the residual, the
+    Jacobian curvature and xi.  F1'_eps is defined on all of R, so any
+    finite guess will do, also one outside the domain of F1.
 
     The iteration stops at newton_tol or at the residual's roundoff floor,
     whichever is larger.  Every iterate is rounded to the nearest double,
@@ -133,7 +140,7 @@ def step_phi(state, params, potential, scheme, grid):
         fp, curv = potential.yosida_parts(z, yp)
         return tau * (z - state.phi) / dt - grid.laplacian(z) + fp - g, fp, curv
 
-    x = state.phi.copy()
+    x = np.array(state.phi if guess is None else guess, dtype=float)
     r, fp, curv = residual(x)
     rnorm = grid.h_norm(r)
     for it in range(scheme.newton_max_iter):
@@ -169,7 +176,7 @@ def step_mu(state, phi_next, params, scheme, u1, grid):
     if not params.alpha > 0.0:
         raise InvalidParams("step_mu needs alpha > 0; use step_mu_limit instead")
     dt, alpha = scheme.dt, params.alpha
-    P = params.proliferation(phi_next)
+    P = params.proliferation.rate(phi_next)
     H = params.truncation(phi_next)
     mu_pred = state.mu + dt * state.v
     rhs = (
@@ -190,7 +197,7 @@ def step_mu_limit(state, phi_next, params, scheme, u1, grid):
     zero or the operator degenerates on constants.
     """
     dt = scheme.dt
-    P = params.proliferation(phi_next)
+    P = params.proliferation.rate(phi_next)
     pmin = float(np.min(P))
     if not pmin > 0.0:
         raise InvalidParams(
@@ -215,7 +222,7 @@ def step_sigma(state, phi_next, mu_next, params, scheme, u2, grid):
         - P (chi(1 - phi') - mu') + u2].
     """
     dt = scheme.dt
-    P = params.proliferation(phi_next)
+    P = params.proliferation.rate(phi_next)
     rhs = dt * (
         grid.laplacian(state.sigma - params.chi * phi_next)
         - P * (state.sigma + params.chi * (1.0 - phi_next) - mu_next)
@@ -262,13 +269,23 @@ def run(params, potential, controls, init, grid, T, scheme):
     mass_sigma[0] = grid.integrate(state.sigma)
     mass_v[0] = grid.integrate(state.v)
 
+    newton_iters = np.zeros(nsteps, dtype=int)
+    # the accepted phase levels before state.phi, newest first (at most two)
+    history = []
     for n in range(nsteps):
         t_next = (n + 1) * scheme.dt
         substep = "phi"
+        if not history:
+            guess = None
+        elif len(history) == 1:
+            guess = 2.0 * state.phi - history[0]
+        else:
+            guess = 3.0 * (state.phi - history[0]) + history[1]
         try:
             u1 = eval_control(controls.u1, t_next, grid)
             u2 = eval_control(controls.u2, t_next, grid)
-            phi_next, xi_next, iters = step_phi(state, params, potential, scheme, grid)
+            phi_next, xi_next, newton_iters[n] = step_phi(
+                state, params, potential, scheme, grid, guess)
             _require_finite(phi=phi_next, xi=xi_next)
             if params.alpha > 0.0:
                 substep = "mu"
@@ -289,9 +306,9 @@ def run(params, potential, controls, init, grid, T, scheme):
                       f"{head}{tail}",) + e.args[1:]
             e.step, e.substep = n + 1, substep
             raise
+        history = [state.phi] + history[:1]
         state = State(mu=mu_next, v=v_next, phi=phi_next, sigma=sigma_next,
                       xi=xi_next, t=t_next)
-        traj.max_newton_iters = max(traj.max_newton_iters, iters)
         mass_phi[n + 1] = grid.integrate(state.phi)
         mass_sigma[n + 1] = grid.integrate(state.sigma)
         mass_v[n + 1] = grid.integrate(state.v)
@@ -304,4 +321,5 @@ def run(params, potential, controls, init, grid, T, scheme):
     traj.mass_phi = mass_phi
     traj.mass_sigma = mass_sigma
     traj.mass_v = mass_v
+    traj.newton_iters = newton_iters
     return traj

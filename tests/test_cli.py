@@ -85,6 +85,25 @@ def test_simulate_writes_diagnostics(tmp_path, capsys):
     assert float(rows[1][3]) == 0.5
 
 
+def test_simulate_summary_reports_newton_iterations(tmp_path, capsys, monkeypatch):
+    from chrelax import cli
+    runs, plain = [], cli.run
+
+    def recorded(*args):
+        runs.append(plain(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run", recorded)
+    path = write_cfg(tmp_path, TINY)
+    assert dispatch(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+    (line,) = [s for s in capsys.readouterr().out.splitlines()
+               if "diagnostics ->" in s]
+    its = runs[0].newton_iters
+    assert line.startswith(
+        f"simulate: 5 steps, {its.sum()} Newton iterations "
+        f"(at most {its.max()} per step), diagnostics -> ")
+
+
 def test_diagnostics_bytes_match_csv_writer(tmp_path):
     n = 2 * CSV_BLOCK_ROWS + 5  # three write blocks, the last one partial
     rng = np.random.default_rng(41)

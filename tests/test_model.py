@@ -55,6 +55,14 @@ def test_proliferation_values_and_bounds():
         ProliferationSpec("smooth")
 
 
+def test_proliferation_rate_is_scalar_when_constant():
+    phi = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    const = ProliferationSpec("constant", p0=0.8)
+    assert const.rate(phi) == 0.8 and np.ndim(const.rate(phi)) == 0
+    ramp = ProliferationSpec("ramp", p0=2.0)
+    np.testing.assert_array_equal(ramp.rate(phi), ramp(phi))
+
+
 def test_truncation_values():
     phi = np.array([-2.0, -1.0, 0.0, 1.0, 3.0])
     ramp = TruncationSpec("ramp")
@@ -119,6 +127,70 @@ def test_control_boundedness_battery():
         t = float(rng.uniform(0.0, 2.0))
         u = spec.sample(t, g)
         assert np.max(np.abs(u)) <= abs(amp) + 1e-15
+
+
+def uncached_sample(spec, t, grid):
+    """ControlSpec.sample as it was before profiles were cached."""
+    if spec.kind == "zero":
+        return grid.field(0.0)
+    if spec.kind == "constant":
+        return grid.field(spec.value)
+    coords = grid.coordinates()
+    if spec.kind == "gaussian_pulse":
+        if not (spec.t_on <= t <= spec.t_off):
+            return grid.field(0.0)
+        q = np.zeros(grid.ncells)
+        for x, c in zip(coords, spec.center):
+            q += (x - c) ** 2
+        return spec.amplitude * np.exp(-q / (2.0 * spec.width**2))
+    out = np.full(grid.ncells, spec.amplitude * np.cos(spec.omega * t))
+    for x, L in zip(coords, grid.length):
+        out *= np.cos(spec.mode * np.pi * x / L)
+    return out
+
+
+@pytest.mark.parametrize("n,length", [(33, 1.0), ((12, 9), (1.0, 2.0))])
+def test_cached_control_samples_equal_the_formula(n, length):
+    specs = [
+        ControlSpec("zero"),
+        ControlSpec("constant", value=-0.4),
+        ControlSpec("gaussian_pulse", amplitude=0.7, center=(0.3, 1.1), width=0.2,
+                    t_on=0.1, t_off=0.5),
+        ControlSpec("sinusoid", amplitude=-1.3, mode=3, omega=2.5),
+    ]
+    times = np.linspace(0.0, 0.8, 17)
+    for spec in specs:
+        g = Grid(n, length)
+        for t in times:
+            got = spec.sample(t, g)
+            want = uncached_sample(spec, t, g)
+            if g.dim == 1:
+                np.testing.assert_array_equal(got, want)
+            else:
+                # the 2-D cosine product is taken in another order: two
+                # roundings on each side
+                np.testing.assert_allclose(got, want, rtol=2 * np.finfo(float).eps,
+                                           atol=0)
+            # a later sample on an equal grid reuses the same profile
+            np.testing.assert_array_equal(spec.sample(t, Grid(n, length)), got)
+
+
+def test_cached_control_profiles_are_shared_and_read_only():
+    pulse = ControlSpec("gaussian_pulse", center=(0.5,), t_off=1.0)
+    wave = ControlSpec("sinusoid", omega=1.0)
+    g = Grid(16)
+    a, b = pulse.sample(0.2, g), pulse.sample(0.7, Grid(16))
+    assert a is b and not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0] = 1.0
+    assert pulse.sample(2.0, g).flags.writeable  # outside the window
+    assert wave.sample(0.3, g) is not wave.sample(0.3, g)
+    # another grid gets its own profile
+    assert pulse.sample(0.2, Grid(8)).shape == (8,)
+    # the cache takes no part in equality or hashing
+    assert pulse == ControlSpec("gaussian_pulse", center=(0.5,), t_off=1.0)
+    assert hash(pulse) == hash(ControlSpec("gaussian_pulse", center=(0.5,), t_off=1.0))
+    assert "_profiles" not in repr(pulse)
 
 
 def test_control_constructor_rejections():

@@ -290,6 +290,40 @@ def test_entropy_resolvent_stall_raises_like_reference():
             r, YosidaParams(epsilon=1e-3, newton_max_iter=1))
 
 
+def pow_cubic_resolvent(r, eps, tol, max_iter):
+    """The regular resolvent's Newton solve with cubes taken by pow."""
+    x = np.array(r, dtype=float, copy=True)
+    f = eps * x**3
+    for _ in range(max_iter):
+        if np.all(np.abs(f) <= tol):
+            return x
+        x = x - f / (1.0 + 3.0 * eps * x * x)
+        f = x + eps * x**3 - r
+    slack = 8.0 * np.spacing(np.abs(x) + eps * np.abs(x) ** 3 + np.abs(r))
+    assert np.all(np.abs(f) <= np.maximum(tol, slack))
+    return x
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-1, 1e-3, 1e-5])
+def test_regular_resolvent_products_within_2_ulp_of_pow(eps):
+    rng = np.random.default_rng(23)
+    reg = SplitPotential.regular()
+    for scale in (1e-3, 1.0, 50.0, 1e3):
+        r = scale * rng.standard_normal(2000)
+        for tol in (1e-12, 0.0):
+            yp = YosidaParams(epsilon=eps, newton_tol=max(tol, 1e-300))
+            want = pow_cubic_resolvent(r, eps, tol, yp.newton_max_iter)
+            got = potentials._solve_cubic(r, eps, tol, yp.newton_max_iter)
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+            # the residual check of the solve still holds
+            resid = got + eps * got**3 - r
+            slack = 8.0 * np.spacing(np.abs(got) + eps * np.abs(got) ** 3 + np.abs(r))
+            assert np.all(np.abs(resid) <= np.maximum(tol, slack))
+            prime = reg.yosida_prime(r, yp)
+            cube = reg.resolvent(r, yp) ** 3
+            assert np.all(np.abs(prime - cube) <= np.spacing(np.abs(cube)))
+
+
 def test_newton_residual_within_tolerance():
     rng = np.random.default_rng(19)
     yp = YosidaParams(epsilon=1e-2, newton_tol=1e-12)

@@ -84,6 +84,24 @@ def test_constant_shift_converges_in_one_iteration():
     np.testing.assert_allclose(counted(x), b, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [9, (6, 5)])
+def test_scalar_shift_is_the_cosine_solve(n, transform, monkeypatch):
+    grid = Grid(n)
+    b = np.random.default_rng(29).standard_normal(grid.ncells)
+    want = grid.cosine_solve(1.3, 0.2, b)
+
+    def no_cg(*args, **kwargs):
+        raise AssertionError("a scalar shift needs no conjugate gradients")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Grid, "solve_spd", no_cg)
+        for shift in (1.3, np.float64(1.3), np.array(1.3)):
+            np.testing.assert_array_equal(grid.solve_shifted(shift, 0.2, b), want)
+    # the same system with the shift as a per-cell field goes through CG
+    cg = grid.solve_shifted(grid.field(1.3), 0.2, b, tol=1e-13)
+    np.testing.assert_allclose(cg, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
 def test_cosine_solve_conserves_mass(transform):
     # lap integrates to zero, so shift * int(x) = int(b) up to roundoff
     for g in (Grid(64), Grid((16, 24), length=(1.0, 1.5))):

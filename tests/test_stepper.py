@@ -25,7 +25,9 @@ from chrelax import (
     SplitPotential,
     State,
     YosidaParams,
+    build_scenario,
     initial_state,
+    parse_config,
     run,
     step_mu,
     step_mu_limit,
@@ -346,3 +348,129 @@ def test_constrained_phase_stays_near_admissible_range(kind):
     worst = max(float(np.max(np.abs(p))) for p in traj.series("phi"))
     # the relaxed constraint can overshoot the unit interval only at O(eps)
     assert worst <= 1.0 + 10 * eps
+
+
+# -- the predictor-started phase Newton ---------------------------------------
+
+
+def interface_state(kind, grid, scheme):
+    init = InitialData(
+        mu0=FieldSpec("cosine_bump", amplitude=0.2, mode=2), mu0_prime=FieldSpec(),
+        phi0=FieldSpec("tanh_interface", lo=-0.9, hi=0.9, width=0.1),
+        sigma0=FieldSpec("constant", value=0.5))
+    return initial_state(init, SplitPotential(kind), scheme.yosida, grid)
+
+
+@pytest.mark.parametrize("kind", ["regular", "logarithmic"])
+@pytest.mark.parametrize("start", ["phi_n", "close", "far", "outside"])
+def test_step_phi_from_a_guess_reaches_the_cold_start_answer(kind, start):
+    g = Grid(32)
+    pot = SplitPotential(kind)
+    params = ModelParams(alpha=0.1, tau=1.0)
+    scheme = SchemeConfig(dt=1e-3, eps=1e-3)
+    state = interface_state(kind, g, scheme)
+    cold, xi_cold, cold_iters = step_phi(state, params, pot, scheme, g)
+    guess = {
+        "phi_n": state.phi,
+        "close": cold + 1e-6 * np.random.default_rng(3).standard_normal(g.ncells),
+        "far": -state.phi,
+        # outside (-1, 1), where the logarithmic F1 is +infinity
+        "outside": np.where(np.arange(g.ncells) % 2, 1.5, -1.25),
+    }[start]
+    kept = guess.copy()
+    x, xi, iters = step_phi(state, params, pot, scheme, g, guess)
+    np.testing.assert_array_equal(guess, kept)  # the guess is not written to
+    if start == "phi_n":  # the default
+        np.testing.assert_array_equal(x, cold)
+        np.testing.assert_array_equal(xi, xi_cold)
+        assert iters == cold_iters
+    # tau/dt bounds the Jacobian from below, so a residual within
+    # newton_tol puts x within newton_tol / (tau/dt) of the solution
+    bound = scheme.newton_tol / (params.tau / scheme.dt)
+    assert g.h_norm(x - cold) <= bound
+    assert g.h_norm(xi - xi_cold) <= bound / scheme.eps
+    if start == "close":
+        assert iters < cold_iters
+
+
+def scenario(text):
+    sc = build_scenario(parse_config(text))
+    return sc.params, sc.potential, sc.controls, sc.init, sc.grid, sc.T, sc.scheme
+
+
+# A logarithmic interface with a pulse and a sinusoid source (as
+# criterion 7), and a 2-D regular run with ramp P (as the 2-D benchmark).
+# The first steps of the 1-D interface, while its initial layer relaxes,
+# still take two Newton iterations: 25 of 400 here.
+PREDICTOR_RUNS = {
+    "1d-log": (
+        "grid.n = 32\ntime.T = 0.1\ntime.dt = 2.5e-4\nmodel.alpha = 0.1\n"
+        "model.P.kind = constant\nmodel.P.p0 = 0.5\npotential.kind = logarithmic\n"
+        "potential.epsilon = 1e-3\ninit.phi0.kind = tanh_interface\n"
+        "init.sigma0.kind = constant\ninit.sigma0.value = 0.2\n"
+        "controls.u1.kind = gaussian_pulse\ncontrols.u1.amplitude = 0.5\n"
+        "controls.u1.center_x = 0.4\ncontrols.u1.width = 0.15\n"
+        "controls.u1.t_off = 0.3\ncontrols.u2.kind = sinusoid\n"
+        "controls.u2.amplitude = 0.3\ncontrols.u2.omega = 2.0\n"),
+    "2d-regular": (
+        "grid.dim = 2\ngrid.n = 16\ntime.T = 0.05\ntime.dt = 1e-3\n"
+        "model.alpha = 0.1\nmodel.P.kind = ramp\nmodel.P.p0 = 1.0\n"
+        "potential.kind = regular\ninit.phi0.kind = cosine_bump\n"
+        "init.phi0.amplitude = 0.5\ninit.sigma0.kind = constant\n"
+        "init.sigma0.value = 0.5\ncontrols.u1.kind = gaussian_pulse\n"
+        "controls.u1.amplitude = 0.5\ncontrols.u1.center_x = 0.4\n"
+        "controls.u1.width = 0.15\ncontrols.u1.t_off = 0.15\n"
+        "controls.u2.kind = sinusoid\ncontrols.u2.amplitude = 0.3\n"
+        "controls.u2.omega = 2.0\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREDICTOR_RUNS))
+def test_predictor_makes_most_steps_one_newton_iteration(name):
+    args = scenario(PREDICTOR_RUNS[name])
+    traj = run(*args)
+    its = traj.newton_iters
+    nsteps = len(traj.step_times) - 1
+    assert its.shape == (nsteps,) and its.dtype.kind == "i"
+    assert np.all(its >= 1)
+    assert np.mean(its[2:] == 1) >= 0.9
+    # step 1 starts from phi_0, as a cold start does
+    params, pot, controls, init, g, T, scheme = args
+    state = initial_state(init, pot, scheme.yosida, g)
+    assert its[0] == step_phi(state, params, pot, scheme, g)[2]
+
+
+def test_predictor_extrapolates_the_accepted_phases(monkeypatch):
+    params, pot, controls, init, g = source_free_setup(n=16, p0=1.0)
+    plain, guesses = stepper.step_phi, []
+
+    def recorded(state, params, potential, scheme, grid, guess=None):
+        guesses.append(guess)
+        return plain(state, params, potential, scheme, grid, guess)
+
+    monkeypatch.setattr(stepper, "step_phi", recorded)
+    traj = run(params, pot, controls, init, g, T=0.004,
+               scheme=SchemeConfig(dt=1e-3, eps=1e-3))
+    p0, p1, p2, p3 = traj.series("phi")[:4]
+    assert guesses[0] is None
+    np.testing.assert_array_equal(guesses[1], 2.0 * p1 - p0)
+    np.testing.assert_array_equal(guesses[2], 3.0 * (p2 - p1) + p0)
+    np.testing.assert_array_equal(guesses[3], 3.0 * (p3 - p2) + p1)
+
+
+def test_predictor_changes_the_run_only_at_newton_tolerance():
+    # the same run with every step started cold from phi_n
+    params, pot, controls, init, g, T, scheme = scenario(PREDICTOR_RUNS["1d-log"])
+    warm = run(params, pot, controls, init, g, T, scheme)
+    cold_step = stepper.step_phi
+
+    def cold(state, params, potential, scheme, grid, guess=None):
+        return cold_step(state, params, potential, scheme, grid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stepper, "step_phi", cold)
+        ref = run(params, pot, controls, init, g, T, scheme)
+    assert np.sum(ref.newton_iters) > np.sum(warm.newton_iters)
+    for name in ("phi", "mu", "sigma"):
+        d = g.h_norm(getattr(warm.final, name) - getattr(ref.final, name))
+        assert d <= 1e-9 * g.h_norm(getattr(ref.final, name))
