@@ -73,10 +73,16 @@ class Grid:
         self.cell_volume = float(np.prod(self.h))
         # per axis: the cells on the low and high side of each interior face
         # (indexing the trailing axes, so a leading stack axis passes
-        # through), h and h^2
+        # through) and h
         self._faces = tuple(
             (_axis_slice(self.dim, ax, slice(None, -1)),
-             _axis_slice(self.dim, ax, slice(1, None)), h, h * h)
+             _axis_slice(self.dim, ax, slice(1, None)), h)
+            for ax, h in enumerate(self.h))
+        # per axis of the flat field, for the Laplacian: the stride between
+        # the two cells of a face, h^2, and on the last axis of a 2-D grid
+        # the row length (no face joins a row's last cell to the next row)
+        self._stencil = tuple(
+            (int(np.prod(n[ax + 1:])), h * h, n[ax] if ax == 1 else 0)
             for ax, h in enumerate(self.h))
         self._coordinates = None  # built on first use
         self._dump_blocks = None  # built on the first dump
@@ -126,16 +132,17 @@ class Grid:
     def laplacian(self, u):
         """Mirror-ghost Neumann Laplacian in flux form."""
         self.check(u)
-        a = u.reshape(self.n)
-        out = np.zeros_like(a)
-        for lo, hi, _, hh in self._faces:
-            flux = a[hi] - a[lo]
+        out = np.zeros_like(u)
+        for stride, hh, row in self._stencil:
+            flux = u[stride:] - u[:-stride]
+            if row:
+                flux[row - 1::row] = 0.0  # differences across a row end
             flux /= hh
             # each interior flux enters two cells with opposite sign, so the
             # divergence telescopes and boundary fluxes never appear
-            out[lo] += flux
-            out[hi] -= flux
-        return out.reshape(-1)
+            out[:-stride] += flux
+            out[stride:] -= flux
+        return out
 
     def inner(self, u, v):
         self.check(u, v)
@@ -156,7 +163,7 @@ class Grid:
         a = u.reshape(self.n)
         b = v.reshape(self.n)
         total = 0.0
-        for lo, hi, h, _ in self._faces:
+        for lo, hi, h in self._faces:
             du = (a[hi] - a[lo]) / h
             dv = (b[hi] - b[lo]) / h
             total += self.cell_volume * float(np.sum(du * dv))
@@ -180,7 +187,7 @@ class Grid:
         h_sq = self.cell_volume * np.einsum("ij,ij->i", rows, rows)
         a = rows.reshape((len(rows),) + self.n)
         grad_sq = np.zeros(len(rows))
-        for lo, hi, h, _ in self._faces:
+        for lo, hi, h in self._faces:
             d = ((a[hi] - a[lo]) / h).reshape(len(rows), -1)
             grad_sq += self.cell_volume * np.einsum("ij,ij->i", d, d)
         return h_sq, grad_sq

@@ -28,6 +28,17 @@ which for the regular kind is a scalar cubic, for the logarithmic kind a
 scalar transcendental equation solved by safeguarded Newton, and for the
 obstacle kind the projection onto [-1, 1].  All operations act pointwise
 and accept floats or numpy arrays of any shape.
+
+The logarithmic resolvent can start warm.  Given ``near = (r0,
+F1'_eps(r0))`` at a nearby point r0, it starts from the linearisation
+x0 = J(r0) + (r - r0) J'(r0), where J(r0) = r0 - eps F1'_eps(r0) and
+J'(r0) = g / (g + 2 eps) with g = 1 - J(r0)^2, and takes at most two plain
+Newton updates.  The result is returned only when every cell passes the
+safeguarded solve's own residual test; a tail cell, a start or iterate
+outside the Newton bracket, or a residual still too large after two
+updates sends the whole array to the safeguarded solve, started cold and
+so bit-identical to a call without ``near``.  The other kinds ignore
+``near``.
 """
 
 from __future__ import annotations
@@ -171,11 +182,12 @@ class SplitPotential:
 
     # -- resolvent and Yosida machinery ---------------------------------
 
-    def resolvent(self, r, yp):
+    def resolvent(self, r, yp, near=None):
         """x solving x + eps * dF1(x) ∋ r, the proximal point of r.
 
         Nonexpansive in r; the result lies in the closure of the effective
-        domain of F1.
+        domain of F1.  ``near`` is an optional start hint for the
+        logarithmic kind (see the module docstring).
         """
         a = _as_array(r)
         eps = yp.epsilon
@@ -183,7 +195,10 @@ class SplitPotential:
             return _like(r, np.clip(a, -1.0, 1.0))
         if self.kind == "regular":
             return _like(r, _solve_cubic(a, eps, yp.newton_tol, yp.newton_max_iter))
-        return _like(r, _solve_entropy(a, eps, yp.newton_tol, yp.newton_max_iter))
+        x = None if near is None else _entropy_near(a, eps, yp.newton_tol, near)
+        if x is None:
+            x = _solve_entropy(a, eps, yp.newton_tol, yp.newton_max_iter)
+        return _like(r, x)
 
     def yosida_prime(self, r, yp):
         """F1'_eps(r) = (r - resolvent(r)) / eps, Lipschitz with constant 1/eps."""
@@ -201,11 +216,13 @@ class SplitPotential:
         x = None if self.kind == "obstacle" else _as_array(self.resolvent(a, yp))
         return _like(r, self._curvature_at(a, x, yp))
 
-    def yosida_parts(self, r, yp):
+    def yosida_parts(self, r, yp, near=None):
         """(F1'_eps(r), its derivative) from a single resolvent evaluation;
-        the same values as yosida_prime and yosida_curvature."""
+        the same values as yosida_prime and yosida_curvature, or, from the
+        start hint ``near`` (see ``resolvent``), the same up to the
+        resolvent's tolerance."""
         a = _as_array(r)
-        x = _as_array(self.resolvent(a, yp))
+        x = _as_array(self.resolvent(a, yp, near))
         return (_like(r, self._prime_at(a, x, yp)),
                 _like(r, self._curvature_at(a, x, yp)))
 
@@ -303,6 +320,32 @@ def _entropy_slope(x):
 _EDGE = 1.0 - 1e-13
 _EDGE_SLOPE = _entropy_slope(_EDGE)
 _BRACKET_TOL = 4.0 * np.spacing(1.0)
+
+
+def _entropy_near(r, eps, tol, near):
+    """Warm root of x + eps ln((1+x)/(1-x)) = r from the linearised
+    resolvent at ``near = (r0, F1'_eps(r0))``.
+
+    Returns x, or None when the safeguarded solve must run: some |r| is in
+    the tail, an iterate leaves (-_EDGE, _EDGE) or is not finite, or some
+    cell misses ``tol`` after two Newton updates.
+    """
+    # a NaN cell makes each maximum below NaN, which fails every comparison
+    if r.size == 0 or np.abs(r).max() >= _EDGE + eps * _EDGE_SLOPE:
+        return None
+    r0, fp0 = near
+    x0 = r0 - eps * fp0  # the resolvent at r0, up to its tolerance
+    gap = np.maximum(1.0 - x0 * x0, 0.0)
+    x = x0 + (r - r0) * (gap / (gap + 2.0 * eps))  # J'(r0) = gap/(gap + 2 eps)
+    for it in range(3):
+        if not np.abs(x).max() < _EDGE:
+            return None
+        f = x + eps * _entropy_slope(x) - r
+        if np.abs(f).max() <= tol:
+            return x
+        if it < 2:
+            x = x - f / (1.0 + eps * 2.0 / (1.0 - x * x))
+    return None
 
 
 def _solve_entropy(r_in, eps, tol, max_iter):

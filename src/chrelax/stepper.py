@@ -120,8 +120,12 @@ def step_phi(state, params, potential, scheme, grid, guess=None):
     g = mu + chi sigma - F2'(phi) by damped Newton from ``guess``
     (default: phi itself); the residual is measured in the discrete L2
     norm.  One resolvent evaluation per iterate gives the residual, the
-    Jacobian curvature and xi.  F1'_eps is defined on all of R, so any
-    finite guess will do, also one outside the domain of F1.
+    Jacobian curvature and xi, and is started from the one at phi for the
+    guess and from the one at the current Newton iterate for every trial
+    after that.  F1'_eps is defined on all of R, so any finite guess will
+    do, also one outside the domain of F1.  A line search whose trials down
+    to step length 2^-30 all fail to lower the residual raises
+    NewtonDivergence.
 
     The iteration stops at newton_tol or at the residual's roundoff floor,
     whichever is larger.  Every iterate is rounded to the nearest double,
@@ -136,24 +140,32 @@ def step_phi(state, params, potential, scheme, grid, guess=None):
     floor = float(np.finfo(float).eps) * op_scale * grid.h_norm(state.phi)
     tol = max(scheme.newton_tol, floor)
 
-    def residual(z):
-        fp, curv = potential.yosida_parts(z, yp)
+    def residual(z, near):
+        fp, curv = potential.yosida_parts(z, yp, near)
         return tau * (z - state.phi) / dt - grid.laplacian(z) + fp - g, fp, curv
 
     x = np.array(state.phi if guess is None else guess, dtype=float)
-    r, fp, curv = residual(x)
+    r, fp, curv = residual(x, (state.phi, state.xi))
     rnorm = grid.h_norm(r)
     for it in range(scheme.newton_max_iter):
         if rnorm <= tol:
             return x, fp, it
         delta = grid.solve_shifted(tau / dt + curv, 1.0, -r, scheme.cg_tol)
+        near = (x, fp)
         s = 1.0
         while True:
             xn = x + s * delta
-            rn, fpn, curvn = residual(xn)
+            rn, fpn, curvn = residual(xn, near)
             rn_norm = grid.h_norm(rn)
-            if np.isfinite(rn_norm) and (rn_norm <= rnorm or s < 2.0**-30):
+            if np.isfinite(rn_norm) and rn_norm <= rnorm:
                 break
+            if s <= 2.0**-30:
+                raise NewtonDivergence(
+                    f"phase line search stalled at step length {s:.3g}: residual "
+                    f"{rnorm:.3e} before, {rn_norm:.3e} after",
+                    residual=rnorm,
+                    iterations=it + 1,
+                )
             s *= 0.5
         x, r, fp, curv, rnorm = xn, rn, fpn, curvn, rn_norm
     if rnorm <= tol:
@@ -195,6 +207,16 @@ def step_mu_limit(state, phi_next, params, scheme, u1, grid):
     Solves (-lap + P) mu' = P (sigma + chi(1 - phi')) - h u1 - (phi' - phi)/dt
     in increment form from the previous mu.  P must be bounded away from
     zero or the operator degenerates on constants.
+
+    The phase step lags mu, and this step sets mu' from -(phi' - phi)/(dt P),
+    so on smooth modes each phase increment feeds into the next with a
+    factor of about -1/(tau P): the limit scheme is smooth only while tau P
+    stays well above 1.  On the ``alpha-ladder`` benchmark config (seed 0:
+    n = 64, dt = 1e-3, tau = 1, constant P = p0) the increments are smooth
+    at tau p0 = 2.  At tau p0 = 1, the benchmark's own setting, they form a
+    bounded sawtooth, alternating between about 8e-4 and 2e-4 late in the
+    run, and every step takes two Newton iterations.  At tau p0 = 0.5 they
+    grow until step 244 fails with NewtonDivergence (residual 1.5e13).
     """
     dt = scheme.dt
     P = params.proliferation.rate(phi_next)

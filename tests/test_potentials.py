@@ -489,3 +489,122 @@ def test_scalar_in_scalar_out():
     assert pot.resolvent(np.full(5, 1.3), yp).shape == (5,)
     a = pot.moreau(np.array([[0.1, 0.2], [0.3, 0.4]]), yp)
     assert a.shape == (2, 2)
+
+
+# -- warm-started entropy resolvent ----------------------------------------
+
+
+def cold_hint(pot, r0, yp):
+    return (r0, pot.yosida_prime(r0, yp))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_warm_entropy_resolvent_passes_the_residual_test(eps, monkeypatch):
+    pot = SplitPotential.logarithmic()
+    yp = YosidaParams(epsilon=eps)
+    rng = np.random.default_rng(31)
+    r0 = rng.uniform(-0.95, 0.95, 500)
+    r = r0 + 1e-3 * rng.standard_normal(r0.size)
+    near = cold_hint(pot, r0, yp)
+    cold = pot.resolvent(r, yp)
+    scalar_hint = cold_hint(pot, 0.3, yp)
+    scalar_cold = pot.yosida_parts(0.3001, yp)
+    x = potentials._entropy_near(r, eps, yp.newton_tol, near)
+    assert np.all(np.abs(x + eps * potentials._entropy_slope(x) - r) <= yp.newton_tol)
+    assert np.max(np.abs(x - cold)) <= 2.0 * yp.newton_tol
+
+    # the public entry points take the warm path
+    def no_cold_solve(*args):
+        raise AssertionError("the warm start fell back")
+
+    monkeypatch.setattr(potentials, "_solve_entropy", no_cold_solve)
+    np.testing.assert_array_equal(bits(pot.resolvent(r, yp, near)), bits(x))
+    prime, curv = pot.yosida_parts(r, yp, near)
+    np.testing.assert_array_equal(bits(prime), bits(pot._prime_at(r, x, yp)))
+    np.testing.assert_array_equal(bits(curv), bits(pot._curvature_at(r, x, yp)))
+    scalar = pot.yosida_parts(0.3001, yp, scalar_hint)
+    assert all(isinstance(v, float) for v in scalar)
+    assert scalar == pytest.approx(scalar_cold, rel=1e-9)
+
+
+def test_warm_start_is_the_linearised_resolvent(monkeypatch):
+    # near its hint the linearisation is within tol of the root: the
+    # start passes the residual test with no Newton update
+    pot = SplitPotential.logarithmic()
+    eps = 1e-3
+    yp = YosidaParams(epsilon=eps)
+    r0 = np.linspace(-0.99, 0.99, 199)
+    r = r0 + 1e-7 * np.cos(np.arange(r0.size))
+    near = cold_hint(pot, r0, yp)
+    evaluations = []
+    slope = potentials._entropy_slope
+
+    def counted(x):
+        evaluations.append(1)
+        return slope(x)
+
+    monkeypatch.setattr(potentials, "_entropy_slope", counted)
+    assert potentials._entropy_near(r, eps, yp.newton_tol, near) is not None
+    assert len(evaluations) == 1
+
+
+def two_newton_updates_stay_inside(x, r, eps):
+    for _ in range(3):
+        if not np.all(np.abs(x) < potentials._EDGE):
+            return False
+        f = x + eps * potentials._entropy_slope(x) - r
+        x = x - f / (1.0 + 2.0 * eps / (1.0 - x * x))
+    return True
+
+
+def test_warm_entropy_resolvent_falls_back_to_the_cold_solve():
+    pot = SplitPotential.logarithmic()
+    eps = 1e-3
+    yp = YosidaParams(epsilon=eps)
+    gedge = potentials._EDGE + eps * potentials._EDGE_SLOPE
+    rng = np.random.default_rng(37)
+    r0 = rng.uniform(-0.9, 0.9, 64)
+    r = r0 + 1e-4 * rng.standard_normal(r0.size)
+    near = cold_hint(pot, r0, yp)
+    assert potentials._entropy_near(r, eps, yp.newton_tol, near) is not None
+
+    far = np.full(4, 0.9)
+    far_near = cold_hint(pot, np.full(4, -0.9), yp)
+    x_far = far_near[0] - eps * far_near[1]
+    gap = 1.0 - x_far * x_far
+    x0 = x_far + (far - far_near[0]) * gap / (gap + 2.0 * eps)
+    # the start and both Newton updates stay inside, yet miss the tolerance
+    assert two_newton_updates_stay_inside(x0, far, eps)
+
+    cases = {
+        "tail": (np.where(np.arange(r.size) == 5, gedge, r), near),
+        "tail_low": (np.where(np.arange(r.size) == 9, -2.0, r), near),
+        "infinite_r": (np.where(np.arange(r.size) == 3, -np.inf, r), near),
+        "non_finite_start": (r, (r0, np.where(r0 > 0, np.inf, near[1]))),
+        "nan_hint": (r, (np.where(r0 > 0, np.nan, r0), near[1])),
+        "start_outside": (r, (r0, near[1] - 1.5 / eps)),
+        "no_verification": (far, far_near),
+    }
+    for name, (rr, hint) in cases.items():
+        assert potentials._entropy_near(rr, eps, yp.newton_tol, hint) is None, name
+        np.testing.assert_array_equal(
+            bits(pot.resolvent(rr, yp, hint)), bits(pot.resolvent(rr, yp)), name)
+        for got, want in zip(pot.yosida_parts(rr, yp, hint), pot.yosida_parts(rr, yp)):
+            np.testing.assert_array_equal(bits(got), bits(want), name)
+    empty = np.empty(0)
+    assert pot.resolvent(empty, yp, (empty, empty)).shape == (0,)
+
+
+@pytest.mark.parametrize("kind", ["regular", "obstacle"])
+def test_other_kinds_ignore_the_start_hint(kind):
+    pot = SplitPotential(kind)
+    yp = YosidaParams(epsilon=1e-3)
+    rng = np.random.default_rng(41)
+    r = rng.uniform(-1.5, 1.5, 200)
+    hints = [cold_hint(pot, r + 1e-3, yp), cold_hint(pot, -r, yp), (np.nan, np.inf)]
+    for hint in hints:
+        np.testing.assert_array_equal(
+            bits(pot.resolvent(r, yp, hint)), bits(pot.resolvent(r, yp)))
+        for got, want in zip(pot.yosida_parts(r, yp, near=hint),
+                             pot.yosida_parts(r, yp)):
+            np.testing.assert_array_equal(bits(got), bits(want))

@@ -133,7 +133,12 @@ def test_cosine_solve_rejects_indefinite_shift():
 
 def fingerprint_configs():
     """The fingerprinted scenarios: criterion 3's conservation run, a 2-D
-    ramp-P run and a 1-D logarithmic alpha = 0 limit run."""
+    ramp-P run, a 1-D logarithmic alpha = 0 limit run and criterion 7's
+    logarithmic alpha = 0.1 run at n = 32.
+
+    The criterion 7 entry was recorded with Jacobi-CG after the predictor
+    start of the phase Newton and before the warm-started entropy
+    resolvent; the other entries come from the seed."""
     ramp2d = default_config(**{
         "grid.dim": 2, "grid.n": [16], "time.T": 0.05, "time.dt": 1e-3,
         "model.alpha": 0.1, "model.P.kind": "ramp", "model.P.p0": 1.0,
@@ -155,8 +160,23 @@ def fingerprint_configs():
         "init.sigma0.kind": "constant", "init.sigma0.value": 0.2,
         "controls.u2.kind": "sinusoid", "controls.u2.amplitude": 0.3,
     })
+    criterion7_log = default_config(**{
+        "grid.n": [32], "time.T": 0.5, "time.dt": 1e-3,
+        "model.alpha": 0.1, "model.P.kind": "constant", "model.P.p0": 0.5,
+        "potential.kind": "logarithmic", "potential.k1": 2.0,
+        "potential.epsilon": 1e-3,
+        "init.phi0.kind": "tanh_interface", "init.phi0.lo": -0.9,
+        "init.phi0.hi": 0.9, "init.phi0.width": 0.1,
+        "init.sigma0.kind": "constant", "init.sigma0.value": 0.2,
+        "controls.u1.kind": "gaussian_pulse", "controls.u1.amplitude": 0.5,
+        "controls.u1.center_x": 0.4, "controls.u1.width": 0.15,
+        "controls.u1.t_on": 0.0, "controls.u1.t_off": 0.3,
+        "controls.u2.kind": "sinusoid", "controls.u2.amplitude": 0.3,
+        "controls.u2.omega": 2.0,
+    })
     return {
         "criterion3": _conservation_config(default_config()),
+        "criterion7_log": criterion7_log,
         "ramp2d": ramp2d,
         "limit_log": limit_log,
     }

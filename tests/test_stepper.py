@@ -9,7 +9,7 @@ ordering, the lagged smooth potential part, and the source sampling time.
 import numpy as np
 import pytest
 
-from chrelax import stepper
+from chrelax import potentials, stepper
 from chrelax import (
     Controls,
     ControlSpec,
@@ -474,3 +474,63 @@ def test_predictor_changes_the_run_only_at_newton_tolerance():
     for name in ("phi", "mu", "sigma"):
         d = g.h_norm(getattr(warm.final, name) - getattr(ref.final, name))
         assert d <= 1e-9 * g.h_norm(getattr(ref.final, name))
+
+
+def test_warm_resolvent_changes_the_run_only_at_its_tolerance():
+    # the same logarithmic run with every entropy resolvent started cold
+    args = scenario(PREDICTOR_RUNS["1d-log"])
+    calls = {"cold": 0, "warm": 0, "slope": 0}
+
+    def counted(name, f):
+        def wrapped(*a):
+            calls[name] += 1
+            return f(*a)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, f in [("cold", "_solve_entropy"), ("warm", "_entropy_near"),
+                        ("slope", "_entropy_slope")]:
+            mp.setattr(potentials, f, counted(name, getattr(potentials, f)))
+        warm = run(*args)
+    # only the initial state's xi is solved cold: every phase residual
+    # starts warm and passes its check
+    assert calls["cold"] == 1
+    # started at the current Newton iterate, a warm call makes 1.5 loop
+    # evaluations on average (2.0 from a hint at phi_n), plus one for F1'_eps
+    assert calls["slope"] <= 2.6 * calls["warm"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(potentials, "_entropy_near", lambda *a: None)
+        ref = run(*args)
+    g = args[4]
+    np.testing.assert_array_equal(warm.newton_iters, ref.newton_iters)
+    for name in ("phi", "mu", "sigma", "xi"):
+        d = g.h_norm(getattr(warm.final, name) - getattr(ref.final, name))
+        assert d <= 1e-9 * g.h_norm(getattr(ref.final, name)), name
+
+
+def test_stalled_line_search_fails_with_step_and_residuals(monkeypatch):
+    # an ascent direction: every trial raises the residual, however short
+    params, pot, controls, init, g = source_free_setup(n=16, p0=1.0)
+    solve = Grid.solve_shifted
+    monkeypatch.setattr(Grid, "solve_shifted",
+                        lambda self, *a: -solve(self, *a))
+    residuals = []
+    plain = g.h_norm
+
+    def recorded(u):
+        residuals.append(plain(u))
+        return residuals[-1]
+
+    monkeypatch.setattr(g, "h_norm", recorded)
+    with pytest.raises(NewtonDivergence, match=r"^step 1 \(t = 0.001\), "
+                       r"substep phi: phase line search stalled at step "
+                       r"length 9.31e-10") as ei:
+        run(params, pot, controls, init, g, T=0.01,
+            scheme=SchemeConfig(dt=1e-3, eps=1e-3))
+    assert ei.value.step == 1 and ei.value.substep == "phi"
+    assert ei.value.iterations == 1
+    # the residual before the step, and after the last trial (2^-30)
+    assert ei.value.residual == residuals[-32]
+    assert f"residual {residuals[-32]:.3e} before, {residuals[-1]:.3e} after" in str(
+        ei.value)
+    assert residuals[-1] > residuals[-32]
