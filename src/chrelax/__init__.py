@@ -30,6 +30,7 @@ from .errors import (
     NonFiniteState,
     OutsideSubdifferentialDomain,
     ScheduleMismatch,
+    SchemeUnstable,
 )
 from .grid import Grid
 from .model import (

@@ -117,7 +117,6 @@ def dispatch(argv):
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
 
     try:
         ns = parser.parse_args(argv)
@@ -142,11 +141,11 @@ def dispatch(argv):
         if ns.command == "simulate":
             return _simulate(cfg, outdir)
         if ns.command == "sweep-alpha":
-            report = experiments.sweep_alpha(cfg, jobs=ns.jobs)
+            report = experiments.sweep_alpha(cfg)
         elif ns.command == "sweep-eps":
-            report = experiments.sweep_eps(cfg, jobs=ns.jobs)
+            report = experiments.sweep_eps(cfg)
         elif ns.command == "contdep":
-            report = experiments.contdep(cfg, jobs=ns.jobs)
+            report = experiments.contdep(cfg)
         elif ns.command == "separation":
             report = experiments.separation(cfg)
         else:

@@ -35,6 +35,10 @@ class NonFiniteState(ChRelaxError):
     """A substep produced NaN or infinite values."""
 
 
+class SchemeUnstable(ChRelaxError):
+    """A run's iterates grow in a way the scheme cannot recover from."""
+
+
 class GridMismatch(ChRelaxError):
     """Fields from different grids (or wrong shapes) were combined."""
 

@@ -3,13 +3,16 @@
 Each study takes a parsed Config, runs the solver over a parameter ladder
 and returns a StudyReport carrying the measured table, an optional rate
 fit and named pass/fail verdicts.  Reports are pure functions of the
-config: rows are sorted by the ladder parameter (descending) and runs may
-execute concurrently without changing the output.
+config, with rows sorted by the ladder parameter (descending).
+
+The alpha and delta ladders stream: their reference run (the alpha = 0
+limit, the unperturbed run) fills a ReferenceSeries, and each rung folds
+its differences into a CompositeStream as it runs, so a study holds one
+reference stack rather than every snapshot of every rung.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +21,15 @@ from .config import build_scenario, default_config
 from .errors import InvalidParams
 from .grid import Grid
 from .model import Controls
-from .norms import alpha_error, contdep_lhs, contdep_rhs, fit_rate
+from .norms import (
+    CompositeStream,
+    ReferenceSeries,
+    alpha_terms,
+    contdep_rhs,
+    contdep_value,
+    fit_rate,
+    record_count,
+)
 from .potentials import SplitPotential, YosidaParams
 from .stepper import run
 
@@ -67,14 +78,7 @@ class SeparationReport:
     epsilon: float
 
 
-def _run_tasks(tasks, jobs):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return [f.result() for f in [ex.submit(t) for t in tasks]]
-    return [t() for t in tasks]
-
-
-def _run_scenario(sc, params=None, scheme=None, controls=None):
+def _run_scenario(sc, params=None, scheme=None, controls=None, observe=None):
     return run(
         params if params is not None else sc.params,
         sc.potential,
@@ -83,7 +87,24 @@ def _run_scenario(sc, params=None, scheme=None, controls=None):
         sc.grid,
         sc.T,
         scheme if scheme is not None else sc.scheme,
+        observe=observe,
     )
+
+
+def _schedule(sc):
+    """The scenario's record schedule: grid, dt, record_every and the
+    number of record points."""
+    nsteps = int(round(sc.T / sc.scheme.dt))
+    every = sc.scheme.record_every
+    return sc.grid, sc.scheme.dt, every, record_count(nsteps, every)
+
+
+def _stream_against(sc, ref, **changes):
+    """Run the scenario with ``changes`` against a filled reference; returns
+    the CompositeStream norms."""
+    stream = CompositeStream(ref, *_schedule(sc))
+    _run_scenario(sc, observe=stream, **changes)
+    return stream.finish()
 
 
 def _nonincreasing(values):
@@ -96,7 +117,7 @@ def _nonincreasing(values):
     return worst <= MONOTONE_SLACK, worst
 
 
-def sweep_alpha(cfg, jobs=1):
+def sweep_alpha(cfg):
     """Vanishing-inertia convergence: run an alpha ladder against the
     alpha = 0 limit and fit the decay rate of the error composite.
 
@@ -115,16 +136,12 @@ def sweep_alpha(cfg, jobs=1):
     if not alphas or any(a <= 0.0 for a in alphas):
         raise InvalidParams("study.alphas must be a nonempty positive ladder")
 
-    t_limit = _run_scenario(sc, params=replace(sc.params, alpha=0.0))
-    tasks = [
-        (lambda a=a: _run_scenario(sc, params=replace(sc.params, alpha=a)))
-        for a in alphas
-    ]
-    trajs = _run_tasks(tasks, jobs)
-
+    limit = ReferenceSeries(*_schedule(sc))
+    _run_scenario(sc, params=replace(sc.params, alpha=0.0), observe=limit)
     rows = []
-    for a, t_a in sorted(zip(alphas, trajs), key=lambda p: -p[0]):
-        e = alpha_error(t_a, t_limit)
+    for a in alphas:
+        e = alpha_terms(
+            _stream_against(sc, limit, params=replace(sc.params, alpha=a)), a)
         rows.append((a, e.mu_weighted, e.conv_mu_linf_v, e.phi_linf_h,
                      e.phi_l2_v, e.sigma_l2_h, e.conv_sigma_linf_v, e.composite))
     composites = [r[-1] for r in rows]
@@ -146,7 +163,7 @@ def sweep_alpha(cfg, jobs=1):
     )
 
 
-def sweep_eps(cfg, jobs=1):
+def sweep_eps(cfg):
     """Yosida self-consistency: halve the regularisation weight at fixed
     alpha > 0 and track the Cauchy differences d(eps) = |w_eps - w_eps/2|
     in the sup-in-time discrete L2 norm for phi, mu and sigma."""
@@ -165,11 +182,7 @@ def sweep_eps(cfg, jobs=1):
         )
 
     eps_all = sorted({e for e in ladder} | {0.5 * e for e in ladder}, reverse=True)
-    tasks = [
-        (lambda e=e: _run_scenario(sc, scheme=replace(sc.scheme, eps=e)))
-        for e in eps_all
-    ]
-    trajs = dict(zip(eps_all, _run_tasks(tasks, jobs)))
+    trajs = {e: _run_scenario(sc, scheme=replace(sc.scheme, eps=e)) for e in eps_all}
 
     def sup_diff(ta, tb, name):
         return max(
@@ -208,7 +221,7 @@ class _ScaledBump:
         return self.base.sample(t, grid) + self.delta * self.bump.sample(t, grid)
 
 
-def contdep(cfg, jobs=1):
+def contdep(cfg):
     """Continuous dependence on the controls: scale one perturbation pair
     down a delta ladder and compare the trajectory distance against the
     control distance; their ratio should stay within a fixed band."""
@@ -226,7 +239,8 @@ def contdep(cfg, jobs=1):
     if not deltas or any(d <= 0.0 for d in deltas):
         raise InvalidParams("study.deltas must be a nonempty positive ladder")
 
-    base_traj = _run_scenario(sc)
+    base = ReferenceSeries(*_schedule(sc))
+    _run_scenario(sc, observe=base)
     nsteps = int(round(sc.T / sc.scheme.dt))
 
     def perturbed(delta):
@@ -235,14 +249,9 @@ def contdep(cfg, jobs=1):
             u2=_ScaledBump(sc.controls.u2, bump2, delta),
         )
 
-    tasks = [
-        (lambda d=d: _run_scenario(sc, controls=perturbed(d))) for d in deltas
-    ]
-    trajs = _run_tasks(tasks, jobs)
-
     rows = []
-    for d, t_d in zip(deltas, trajs):
-        lhs = contdep_lhs(t_d, base_traj)
+    for d in deltas:
+        lhs = contdep_value(_stream_against(sc, base, controls=perturbed(d)))
         rhs = contdep_rhs(sc.grid, sc.scheme.dt, nsteps, perturbed(d), sc.controls)
         if rhs == 0.0:
             raise InvalidParams(

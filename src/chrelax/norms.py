@@ -9,6 +9,16 @@ left-endpoint rule
     (1 * w)(t_n) = dt * sum_{k < n} w(t_k),
 
 so it vanishes at t_0 and is exact for piecewise-constant integrands.
+
+All of these are sups and sums over time, so the study composites are
+computed in one pass.  A ReferenceSeries holds the reference run's mu, phi
+and sigma at its record points; a CompositeStream takes the other run one
+record point at a time (both plug into ``run(observe=...)``), and every
+STREAM_BLOCK points it differences the block against the reference,
+continues the running convolutions and folds the block's norms into
+running sups and sums.  A study then keeps one reference stack and a
+fixed buffer instead of every snapshot of every run.  ``alpha_error`` and
+``contdep_lhs`` feed stored trajectories through the same stream.
 """
 
 from __future__ import annotations
@@ -19,6 +29,8 @@ import numpy as np
 
 from .errors import DegenerateFit, GridMismatch, ScheduleMismatch
 
+STREAM_BLOCK = 64  # record points a CompositeStream reduces at a time
+
 
 @dataclass(frozen=True)
 class SeriesNorms:
@@ -28,16 +40,6 @@ class SeriesNorms:
     linf_v: float
     l2_h: float
     l2_v: float
-
-
-def _check_pair(t1, t2):
-    if t1.schedule_key() != t2.schedule_key():
-        raise ScheduleMismatch(
-            f"trajectories sampled differently: {t1.schedule_key()} vs "
-            f"{t2.schedule_key()}"
-        )
-    if t1.grid != t2.grid:
-        raise ScheduleMismatch("trajectories live on different grids")
 
 
 def series_norms(grid, fields, dt):
@@ -78,12 +80,153 @@ def convolved_series(fields, dt):
     return out
 
 
-def diff_series(t1, t2, name):
-    """One field's snapshot differences t1 - t2, stacked (N, ncells)."""
-    out = np.empty((len(t1.snapshots), t1.grid.ncells))
-    for row, a, b in zip(out, t1.series(name), t2.series(name)):
-        np.subtract(a, b, out=row)
-    return out
+def record_count(nsteps, record_every):
+    """Record points of a run of nsteps steps: t_0, every record_every-th
+    step and the final step."""
+    return 1 - (-nsteps // record_every)
+
+
+def _schedule_key(grid, dt, record_every, npoints):
+    return (grid.n, grid.length, dt, record_every, npoints)
+
+
+class ReferenceSeries:
+    """mu, phi and sigma of a reference run at its record points, stacked
+    (npoints, 3, ncells) and filled one record point per call, so a run can
+    stream into it through ``run(observe=...)``."""
+
+    def __init__(self, grid, dt, record_every, npoints):
+        self.grid, self.dt, self.record_every = grid, dt, record_every
+        self.rows = np.empty((npoints, 3, grid.ncells))
+        self.count = 0
+
+    def schedule_key(self):
+        return _schedule_key(self.grid, self.dt, self.record_every, len(self.rows))
+
+    def __call__(self, state):
+        if self.count == len(self.rows):
+            raise ScheduleMismatch(
+                f"reference run recorded more than its {len(self.rows)} points")
+        row = self.rows[self.count]
+        row[0], row[1], row[2] = state.mu, state.phi, state.sigma
+        self.count += 1
+
+    @classmethod
+    def of(cls, traj):
+        ref = cls(traj.grid, traj.dt, traj.record_every, len(traj.snapshots))
+        for snap in traj.snapshots:
+            ref(snap)
+        return ref
+
+
+# the series a CompositeStream reduces, in the order of its stacked block
+_STREAMED = ("mu", "dmu", "conv_dmu", "dphi", "dsigma", "conv_dsigma")
+
+
+class CompositeStream:
+    """Running space-time norms of one run against a ReferenceSeries of the
+    same schedule, for the alpha-error and continuous-dependence composites.
+
+    Called once per record point (``run(observe=stream)``), it copies mu,
+    phi and sigma into a fixed buffer of STREAM_BLOCK points.  Each full block
+    is differenced against the reference, the time convolutions of the mu
+    and sigma differences are extended by a ``cumsum`` that continues from
+    the previous block's last row (so the sums are added in the order of
+    ``convolved_series``), and ``Grid.stacked_sq_norms`` reduces the block
+    into running sups and sums.  ``finish`` reduces the last partial block
+    and checks that every reference point was met.
+    """
+
+    def __init__(self, reference, grid, dt, record_every, npoints):
+        key = _schedule_key(grid, dt, record_every, npoints)
+        if key != reference.schedule_key() or grid != reference.grid:
+            raise ScheduleMismatch(
+                f"runs sampled differently: {key} vs {reference.schedule_key()}")
+        self.reference, self.grid, self.npoints = reference, grid, npoints
+        self.dt = dt * record_every
+        self._buf = np.empty((3, STREAM_BLOCK, grid.ncells))  # mu, phi, sigma
+        self._filled = 0  # points in the buffer
+        self._start = 0  # record index of the buffer's first point
+        self._conv = np.zeros((2, grid.ncells))  # 1*dmu, 1*dsigma at the last point
+        self._last = np.zeros((2, grid.ncells))  # dmu, dsigma at the last point
+        self._h_max = np.zeros(len(_STREAMED))
+        self._v_max = np.zeros(len(_STREAMED))
+        self._h_sum = np.zeros(len(_STREAMED))
+        self._v_sum = np.zeros(len(_STREAMED))
+
+    def __call__(self, state):
+        if self._start + self._filled == self.npoints:
+            raise ScheduleMismatch(
+                f"run recorded more than the reference's {self.npoints} points")
+        k = self._filled
+        self._buf[0, k], self._buf[1, k], self._buf[2, k] = (
+            state.mu, state.phi, state.sigma)
+        self._filled += 1
+        if self._filled == self._buf.shape[1]:
+            self._reduce()
+
+    def _reduce(self):
+        k, j0 = self._filled, self._start
+        if j0 + k > self.reference.count:
+            raise ScheduleMismatch(
+                f"reference holds {self.reference.count} points, the run reached "
+                f"{j0 + k}")
+        mu = self._buf[0, :k]
+        # dmu, dphi, dsigma; diff[::2] is the pair (dmu, dsigma)
+        diff = self._buf[:, :k] - self.reference.rows[j0:j0 + k].transpose(1, 0, 2)
+        # (1*w)(t_j) = (1*w)(t_{j-1}) + dt w(t_{j-1}), one cumsum from the carry
+        acc = np.empty((2, k + 1, self.grid.ncells))
+        acc[:, 0] = self._conv
+        np.multiply(self._last, self.dt, out=acc[:, 1])
+        np.multiply(diff[::2, :k - 1], self.dt, out=acc[:, 2:])
+        np.cumsum(acc, axis=1, out=acc)
+        conv = acc[:, 1:]
+        stack = np.concatenate((mu, diff[0], conv[0], diff[1], diff[2], conv[1]))
+        h_sq, grad_sq = self.grid.stacked_sq_norms(stack)
+        h_sq = h_sq.reshape(len(_STREAMED), k)
+        v_sq = h_sq + grad_sq.reshape(len(_STREAMED), k)
+        np.maximum(self._h_max, h_sq.max(axis=1), out=self._h_max)
+        np.maximum(self._v_max, v_sq.max(axis=1), out=self._v_max)
+        first = 1 if j0 == 0 else 0  # the L2-in-time sums skip t_0
+        self._h_sum += h_sq[:, first:].sum(axis=1)
+        self._v_sum += v_sq[:, first:].sum(axis=1)
+        self._conv = conv[:, -1].copy()
+        self._last = diff[::2, -1].copy()
+        self._start, self._filled = j0 + k, 0
+
+    def finish(self):
+        """Reduce the last partial block; returns the norms of each series
+        by name (mu, dmu, conv_dmu, dphi, dsigma, conv_dsigma)."""
+        if self._filled:
+            self._reduce()
+        if self._start != self.npoints:
+            raise ScheduleMismatch(
+                f"run recorded {self._start} of the reference's {self.npoints} points")
+        return {
+            name: SeriesNorms(
+                linf_h=float(np.sqrt(self._h_max[i])),
+                linf_v=float(np.sqrt(self._v_max[i])),
+                l2_h=float(np.sqrt(self.dt * self._h_sum[i])),
+                l2_v=float(np.sqrt(self.dt * self._v_sum[i])),
+            )
+            for i, name in enumerate(_STREAMED)
+        }
+
+
+def _stream_pair(t1, t2):
+    """Norms of trajectory t1 against t2, fed through a CompositeStream."""
+    stream = CompositeStream(ReferenceSeries.of(t2), t1.grid, t1.dt,
+                             t1.record_every, len(t1.snapshots))
+    for snap in t1.snapshots:
+        stream(snap)
+    return stream.finish()
+
+
+def contdep_value(n):
+    """The continuous-dependence composite from CompositeStream norms."""
+    return (n["dmu"].linf_h + n["conv_dmu"].linf_v
+            + (n["dphi"].linf_h + n["dphi"].l2_v)
+            + (n["dsigma"].linf_h + n["dsigma"].l2_v))
 
 
 def contdep_lhs(t1, t2):
@@ -92,14 +235,7 @@ def contdep_lhs(t1, t2):
     |mu1-mu2|_{Linf H} + |1*(mu1-mu2)|_{Linf V}
       + |phi1-phi2|_{Linf H + L2 V} + |sigma1-sigma2|_{Linf H + L2 V}.
     """
-    _check_pair(t1, t2)
-    g, dt = t1.grid, t1.dt * t1.record_every
-    dmu = diff_series(t1, t2, "mu")
-    nm = series_norms(g, dmu, dt)
-    conv = series_norms(g, convolved_series(dmu, dt), dt)
-    np_ = series_norms(g, diff_series(t1, t2, "phi"), dt)
-    ns = series_norms(g, diff_series(t1, t2, "sigma"), dt)
-    return nm.linf_h + conv.linf_v + (np_.linf_h + np_.l2_v) + (ns.linf_h + ns.l2_v)
+    return contdep_value(_stream_pair(t1, t2))
 
 
 def contdep_rhs(grid, dt, nsteps, controls_a, controls_b):
@@ -135,6 +271,18 @@ class AlphaErrorTerms:
         )
 
 
+def alpha_terms(n, alpha):
+    """The vanishing-inertia error terms from CompositeStream norms."""
+    return AlphaErrorTerms(
+        mu_weighted=float(np.sqrt(alpha)) * n["mu"].linf_h,
+        conv_mu_linf_v=n["conv_dmu"].linf_v,
+        phi_linf_h=n["dphi"].linf_h,
+        phi_l2_v=n["dphi"].l2_v,
+        sigma_l2_h=n["dsigma"].l2_h,
+        conv_sigma_linf_v=n["conv_dsigma"].linf_v,
+    )
+
+
 def alpha_error(t_alpha, t_limit):
     """Vanishing-inertia error composite:
 
@@ -144,24 +292,7 @@ def alpha_error(t_alpha, t_limit):
 
     The first term weighs the relaxed potential itself, not a difference.
     """
-    _check_pair(t_alpha, t_limit)
-    g, dt = t_alpha.grid, t_alpha.dt * t_alpha.record_every
-    alpha = t_alpha.alpha
-    mu_self = series_norms(g, t_alpha.series("mu"), dt)
-    conv_mu = series_norms(
-        g, convolved_series(diff_series(t_alpha, t_limit, "mu"), dt), dt)
-    nphi = series_norms(g, diff_series(t_alpha, t_limit, "phi"), dt)
-    dsig = diff_series(t_alpha, t_limit, "sigma")
-    nsig = series_norms(g, dsig, dt)
-    conv_sig = series_norms(g, convolved_series(dsig, dt), dt)
-    return AlphaErrorTerms(
-        mu_weighted=float(np.sqrt(alpha)) * mu_self.linf_h,
-        conv_mu_linf_v=conv_mu.linf_v,
-        phi_linf_h=nphi.linf_h,
-        phi_l2_v=nphi.l2_v,
-        sigma_l2_h=nsig.l2_h,
-        conv_sigma_linf_v=conv_sig.linf_v,
-    )
+    return alpha_terms(_stream_pair(t_alpha, t_limit), t_alpha.alpha)
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChRelaxError, InvalidParams, NewtonDivergence, NonFiniteState
+from .errors import (
+    ChRelaxError,
+    InvalidParams,
+    NewtonDivergence,
+    NonFiniteState,
+    SchemeUnstable,
+)
 from .model import State, eval_control, initial_state, validate
 from .potentials import YosidaParams
+
+# consecutive alpha = 0 steps whose phase increment grows and points against
+# the previous one (cosine below -1/2) before run() raises SchemeUnstable
+UNSTABLE_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,8 @@ class Trajectory:
     """Recorded output of one run.
 
     ``snapshots`` holds the state at t = 0, every record_every-th step and
-    the final time; the mass diagnostics cover every step, and
+    the final time (only t = 0 and the final time for a run given an
+    observer); the mass diagnostics cover every step, and
     ``newton_iters[n]`` counts the phase Newton iterations of step n + 1.
     """
 
@@ -216,7 +227,9 @@ def step_mu_limit(state, phi_next, params, scheme, u1, grid):
     at tau p0 = 2.  At tau p0 = 1, the benchmark's own setting, they form a
     bounded sawtooth, alternating between about 8e-4 and 2e-4 late in the
     run, and every step takes two Newton iterations.  At tau p0 = 0.5 they
-    grow until step 244 fails with NewtonDivergence (residual 1.5e13).
+    double and flip sign at every step; ``run`` stops such a run with
+    SchemeUnstable (at step 9 there) instead of letting it grow until the
+    resolvent fails.
     """
     dt = scheme.dt
     P = params.proliferation.rate(phi_next)
@@ -254,6 +267,16 @@ def step_sigma(state, phi_next, mu_next, params, scheme, u2, grid):
     return state.sigma + dsig
 
 
+def _unstable(params, phi_next, growth):
+    tau_p = params.tau * float(np.min(params.proliferation.rate(phi_next)))
+    raise SchemeUnstable(
+        f"alpha = 0 limit scheme unstable: the phase increment grew by a factor "
+        f"{growth:.3g} with reversed direction for {UNSTABLE_STEPS} steps in a "
+        f"row at tau*min P = {tau_p:.3g} (each increment feeds back with a "
+        f"factor of about -1/(tau P))"
+    )
+
+
 def _require_finite(**fields):
     for name, u in fields.items():
         if not np.isfinite(u).all():
@@ -261,7 +284,7 @@ def _require_finite(**fields):
             raise NonFiniteState(f"{name} is non-finite in {bad} of {u.size} cells")
 
 
-def run(params, potential, controls, init, grid, T, scheme):
+def run(params, potential, controls, init, grid, T, scheme, observe=None):
     """Integrate from t = 0 to t = T; returns a Trajectory.
 
     T must be an integer number of steps.  Each substep's output is checked
@@ -269,6 +292,15 @@ def run(params, potential, controls, init, grid, T, scheme):
     substep (phi, mu, mu_limit or sigma) and the solver residual in the
     message and as ``step``/``substep`` attributes.  The run is
     deterministic: identical inputs produce bit-identical trajectories.
+
+    With ``observe``, ``observe(state)`` is called at every record point
+    (t = 0, every record_every-th step and the final step) instead of
+    keeping the state, and the Trajectory holds only the initial and the
+    final snapshot; the mass series and the final state are unchanged.
+
+    An alpha = 0 run raises SchemeUnstable once its phase increments have
+    grown and reversed direction for UNSTABLE_STEPS steps in a row (see
+    ``step_mu_limit``).
     """
     problems = validate(params, potential, init, controls, grid)
     if problems:
@@ -287,6 +319,8 @@ def run(params, potential, controls, init, grid, T, scheme):
     mass_v = np.empty(nsteps + 1)
     rec_times = [0.0]
     traj.snapshots.append(state.copy())
+    if observe is not None:
+        observe(state)
     mass_phi[0] = grid.integrate(state.phi)
     mass_sigma[0] = grid.integrate(state.sigma)
     mass_v[0] = grid.integrate(state.v)
@@ -294,6 +328,9 @@ def run(params, potential, controls, init, grid, T, scheme):
     newton_iters = np.zeros(nsteps, dtype=int)
     # the accepted phase levels before state.phi, newest first (at most two)
     history = []
+    # alpha = 0 guard: the last phase increment, its norm and the streak of
+    # growing, reversed increments
+    inc_prev, inc_norm_prev, streak = None, 0.0, 0
     for n in range(nsteps):
         t_next = (n + 1) * scheme.dt
         substep = "phi"
@@ -309,6 +346,17 @@ def run(params, potential, controls, init, grid, T, scheme):
             phi_next, xi_next, newton_iters[n] = step_phi(
                 state, params, potential, scheme, grid, guess)
             _require_finite(phi=phi_next, xi=xi_next)
+            if params.alpha == 0.0:
+                inc = phi_next - state.phi
+                inc_norm = float(np.sqrt(np.dot(inc, inc)))
+                if inc_prev is not None and inc_norm > inc_norm_prev and (
+                        np.dot(inc, inc_prev) < -0.5 * inc_norm * inc_norm_prev):
+                    streak += 1
+                else:
+                    streak = 0
+                if streak == UNSTABLE_STEPS:
+                    _unstable(params, phi_next, inc_norm / inc_norm_prev)
+                inc_prev, inc_norm_prev = inc, inc_norm
             if params.alpha > 0.0:
                 substep = "mu"
                 mu_next, v_next = step_mu(state, phi_next, params, scheme, u1, grid)
@@ -335,8 +383,14 @@ def run(params, potential, controls, init, grid, T, scheme):
         mass_sigma[n + 1] = grid.integrate(state.sigma)
         mass_v[n + 1] = grid.integrate(state.v)
         if (n + 1) % scheme.record_every == 0 or n + 1 == nsteps:
-            traj.snapshots.append(state)
-            rec_times.append(t_next)
+            if observe is None:
+                traj.snapshots.append(state)
+                rec_times.append(t_next)
+            else:
+                observe(state)
+    if observe is not None:
+        traj.snapshots.append(state)
+        rec_times.append(state.t)
 
     traj.times = np.array(rec_times)
     traj.step_times = scheme.dt * np.arange(nsteps + 1)

@@ -3,6 +3,14 @@
 import pytest
 
 
+def jacobi_solve_shifted(self, shift, scale, rhs, tol=1e-10):
+    """``Grid.solve_shifted`` by Jacobi-preconditioned CG, the solver the
+    seed shipped with."""
+    return self.solve_spd(
+        lambda w: shift * w - scale * self.laplacian(w), rhs, tol,
+        diag=shift + scale * self.laplacian_diag())
+
+
 @pytest.fixture
 def jacobi_solves(monkeypatch):
     """Route every shifted-Laplacian solve through Jacobi-preconditioned CG.
@@ -15,9 +23,4 @@ def jacobi_solves(monkeypatch):
     """
     from chrelax import Grid
 
-    def solve_shifted(self, shift, scale, rhs, tol=1e-10):
-        return self.solve_spd(
-            lambda w: shift * w - scale * self.laplacian(w), rhs, tol,
-            diag=shift + scale * self.laplacian_diag())
-
-    monkeypatch.setattr(Grid, "solve_shifted", solve_shifted)
+    monkeypatch.setattr(Grid, "solve_shifted", jacobi_solve_shifted)

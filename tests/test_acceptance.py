@@ -3,11 +3,16 @@
 Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line
 per criterion.  Each test also enforces its runtime budget, so a pass
 certifies both the numerical property and the cost envelope.
+
+The study tables of criteria 5, 6 and 8 are also compared with the ones
+pinned in ``seed_fingerprint.json`` (rows, fit slope and verdicts, relative
+1e-9 with a 1e-3 floor); ``python tests/test_solve.py --record`` records
+them with the solver each entry names.
 """
 
+import json
 import time
-
-import numpy as np
+from pathlib import Path
 
 from chrelax import contdep_lhs, default_config
 from chrelax.config import build_scenario
@@ -23,9 +28,44 @@ from chrelax.experiments import (
     yosida_battery,
 )
 
+FINGERPRINT = Path(__file__).with_name("seed_fingerprint.json")
+
 
 def verdict_map(report):
     return {v.name: v for v in report.verdicts}
+
+
+def study_fingerprint(report):
+    """The pinned part of a study report: every row, the fit slope and
+    each verdict's outcome and observed value."""
+    return {
+        "rows": [[float(v) for v in row] for row in report.rows],
+        "slope": None if report.fit is None else float(report.fit.slope),
+        "verdicts": {v.name: [bool(v.passed), float(v.observed)]
+                     for v in report.verdicts},
+    }
+
+
+def _close(got, ref):
+    # relative 1e-9; values below 1e-3 in magnitude are compared against 1e-3
+    return abs(got - ref) <= 1e-9 * max(abs(ref), 1e-3)
+
+
+def assert_matches_fingerprint(entry, report):
+    want = json.loads(FINGERPRINT.read_text())[entry]
+    got = study_fingerprint(report)
+    assert len(got["rows"]) == len(want["rows"])
+    for row, ref_row in zip(got["rows"], want["rows"]):
+        assert len(row) == len(ref_row)
+        assert all(_close(a, b) for a, b in zip(row, ref_row)), (entry, row, ref_row)
+    if want["slope"] is None:
+        assert got["slope"] is None
+    else:
+        assert _close(got["slope"], want["slope"]), (entry, got["slope"], want["slope"])
+    assert sorted(got["verdicts"]) == sorted(want["verdicts"])
+    for name, (passed, observed) in want["verdicts"].items():
+        assert got["verdicts"][name][0] == passed, (entry, name)
+        assert _close(got["verdicts"][name][1], observed), (entry, name)
 
 
 class _Budget:
@@ -79,35 +119,41 @@ def test_criterion_4_temporal_self_convergence():
     assert 0.8 <= fit.slope <= 1.2
 
 
+CRITERION_5_BASE = {
+    "grid.n": [128], "time.T": 0.5, "time.dt": 2.5e-4,
+    "model.P.kind": "constant", "model.P.p0": 1.0,
+    "init.mu0.kind": "cosine_bump", "init.mu0.amplitude": 0.2,
+    "init.mu0.mode": 2,
+    "init.mu0_prime.kind": "cosine_bump", "init.mu0_prime.amplitude": 0.1,
+    "init.phi0.kind": "cosine_bump", "init.phi0.amplitude": 0.5,
+    "init.sigma0.kind": "cosine_bump", "init.sigma0.amplitude": 0.3,
+    "controls.u1.kind": "gaussian_pulse", "controls.u1.amplitude": 0.5,
+    "controls.u1.center_x": 0.5, "controls.u1.width": 0.1,
+    "controls.u1.t_on": 0.0, "controls.u1.t_off": 0.15,
+    "controls.u2.kind": "sinusoid", "controls.u2.amplitude": 0.3,
+    "controls.u2.omega": 2.0,
+}
+
+
+def criterion_5_config(kind):
+    return default_config(**dict(CRITERION_5_BASE, **{"potential.kind": kind}))
+
+
 def test_criterion_5_alpha_sweep_rate():
-    base = {
-        "grid.n": [128], "time.T": 0.5, "time.dt": 2.5e-4,
-        "model.P.kind": "constant", "model.P.p0": 1.0,
-        "init.mu0.kind": "cosine_bump", "init.mu0.amplitude": 0.2,
-        "init.mu0.mode": 2,
-        "init.mu0_prime.kind": "cosine_bump", "init.mu0_prime.amplitude": 0.1,
-        "init.phi0.kind": "cosine_bump", "init.phi0.amplitude": 0.5,
-        "init.sigma0.kind": "cosine_bump", "init.sigma0.amplitude": 0.3,
-        "controls.u1.kind": "gaussian_pulse", "controls.u1.amplitude": 0.5,
-        "controls.u1.center_x": 0.5, "controls.u1.width": 0.1,
-        "controls.u1.t_on": 0.0, "controls.u1.t_off": 0.15,
-        "controls.u2.kind": "sinusoid", "controls.u2.amplitude": 0.3,
-        "controls.u2.omega": 2.0,
-    }
     with _Budget(300.0) as b:
         for kind in ("regular", "logarithmic"):
-            cfg = default_config(**dict(base, **{"potential.kind": kind}))
-            report = sweep_alpha(cfg)
+            report = sweep_alpha(criterion_5_config(kind))
             v = verdict_map(report)
             print(f"criterion 5 ({kind}): slope {report.fit.slope:.3f} "
                   f"(>= 0.24), monotone worst {v['composite_nonincreasing'].observed:.2e}")
             assert v["composite_nonincreasing"].passed
             assert report.fit.slope >= 0.24
+            assert_matches_fingerprint(f"criterion5_{kind}", report)
     print(f"criterion 5: {b.elapsed:.1f}s")
 
 
-def test_criterion_6_continuous_dependence():
-    cfg = default_config(**{
+def criterion_6_config():
+    return default_config(**{
         "grid.n": [64], "time.T": 0.5, "time.dt": 1e-3,
         "model.alpha": 0.1, "model.P.kind": "constant", "model.P.p0": 1.0,
         "init.phi0.kind": "cosine_bump", "init.phi0.amplitude": 0.5,
@@ -122,6 +168,10 @@ def test_criterion_6_continuous_dependence():
         "study.perturb_u2.t_on": 0.1, "study.perturb_u2.t_off": 0.4,
         "study.deltas": [1.0, 0.5, 0.25, 0.125],
     })
+
+
+def test_criterion_6_continuous_dependence():
+    cfg = criterion_6_config()
     with _Budget(120.0) as b:
         # delta = 0 twice: identical controls give identical trajectories
         sc = build_scenario(cfg)
@@ -134,6 +184,7 @@ def test_criterion_6_continuous_dependence():
           f"{v['ratio_spread'].observed:.4f} (<= 2), {b.elapsed:.1f}s")
     assert lhs_zero <= 1e-10
     assert v["ratio_spread"].passed
+    assert_matches_fingerprint("criterion6", report)
 
 
 def test_criterion_7_separation():
@@ -163,8 +214,8 @@ def test_criterion_7_separation():
     assert v["xi_sup_stable"].passed
 
 
-def test_criterion_8_eps_cauchy():
-    cfg = default_config(**{
+def criterion_8_config():
+    return default_config(**{
         "grid.n": [64], "time.T": 2.0, "time.dt": 2e-3,
         "model.alpha": 20.0, "model.P.kind": "constant", "model.P.p0": 0.0,
         "init.phi0.kind": "constant", "init.phi0.value": 1.0,
@@ -172,6 +223,10 @@ def test_criterion_8_eps_cauchy():
         "init.sigma0.amplitude": 0.2,
         "study.epsilons": [1e-1, 1e-2, 1e-3, 1e-4],
     })
+
+
+def test_criterion_8_eps_cauchy():
+    cfg = criterion_8_config()
     with _Budget(120.0) as b:
         report = sweep_eps(cfg)
     v = verdict_map(report)
@@ -183,6 +238,18 @@ def test_criterion_8_eps_cauchy():
     assert v["d_mu_nonincreasing"].passed
     assert v["d_sigma_nonincreasing"].passed
     assert d_phi[1e-3] <= 1e-2 * d_phi[1e-1]
+    assert_matches_fingerprint("criterion8", report)
+
+
+def pinned_studies():
+    """The study reports pinned in the fingerprint, by entry name."""
+    return {
+        "criterion5_regular": lambda: sweep_alpha(criterion_5_config("regular")),
+        "criterion5_logarithmic":
+            lambda: sweep_alpha(criterion_5_config("logarithmic")),
+        "criterion6": lambda: contdep(criterion_6_config()),
+        "criterion8": lambda: sweep_eps(criterion_8_config()),
+    }
 
 
 def test_criterion_9_negative_control(jacobi_solves):

@@ -39,6 +39,12 @@ def test_unknown_subcommand_prints_usage(capsys):
     assert "error:" in err and "usage:" in err
 
 
+def test_removed_jobs_flag_is_a_usage_error(capsys):
+    assert dispatch(["sweep-alpha", "--config", "x", "--jobs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "--jobs" in err and "usage:" in err
+
+
 def test_missing_config_flag(capsys):
     assert dispatch(["simulate"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -26,7 +26,6 @@ from chrelax import (
     series_norms,
 )
 from chrelax.model import Controls, ControlSpec
-from chrelax.norms import diff_series
 
 
 def constant_traj(grid, dt, rows, alpha=0.5, record_every=1):
@@ -205,15 +204,6 @@ def test_alpha_error_difference_terms_oracle():
     assert terms.conv_sigma_linf_v == pytest.approx(0.2 * T, rel=1e-13)
     assert terms.composite == pytest.approx(
         0.3 + 0.3 * math.sqrt(T) + 0.2 * math.sqrt(T) + 0.2 * T, rel=1e-13)
-
-
-def test_diff_series_by_name():
-    g = Grid(4)
-    t1 = constant_traj(g, 0.1, [(1.0, 0.0, 2.0, 3.0)] * 3)
-    t2 = constant_traj(g, 0.1, [(0.5, 0.0, 1.0, 1.0)] * 3)
-    d = diff_series(t1, t2, "sigma")
-    assert len(d) == 3
-    np.testing.assert_allclose(d[1], 2.0, rtol=0, atol=0)
 
 
 # -- stacked series against the per-snapshot loop ---------------------------

@@ -4,17 +4,25 @@ The cosine solve is checked against dense linear algebra on small grids.
 The fingerprint pins the final field norms and the mass-series endpoints
 of a few scenarios as computed by the original Jacobi-CG solver, at the
 default CG tolerance and at a converged one (1e-13); the ``jacobi_solves``
-fixture (conftest.py) reinstates that solver for comparison.  Re-record it
-(only after a deliberate change of results) with
+fixture (conftest.py) reinstates that solver for comparison.  It also pins
+the study tables of acceptance criteria 5, 6 and 8 (test_acceptance.py),
+computed with the default cosine solve.  Every entry names the solver it
+was recorded with (``jacobi`` or ``cosine``) and the commit it was recorded
+at.  Re-record entries (only after a deliberate change of results) with
 
-    PYTHONPATH=src python tests/test_solve.py --record
+    PYTHONPATH=src python tests/test_solve.py --record [ENTRY ...]
+
+which runs each entry with the solver it names (a new entry with the
+default cosine solve) and re-records every entry when none is named.
 """
 
+import contextlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -218,6 +226,18 @@ def test_seed_fingerprint(case, solver, cg_tol, request):
         assert abs(got[key] - ref) <= 1e-9 * max(abs(ref), 1e-3), (key, got[key], ref)
 
 
+def test_fingerprint_entries_name_their_solver_and_commit():
+    data = json.loads(FINGERPRINT.read_text())
+    for name, entry in data.items():
+        assert entry["solver"] in ("jacobi", "cosine"), name
+        assert entry["commit"], name
+    # the scenarios come from the Jacobi-CG seed, the study tables from the
+    # default cosine solve
+    assert {data[case]["solver"] for case in fingerprint_configs()} == {"jacobi"}
+    assert {entry["solver"] for name, entry in data.items()
+            if name not in fingerprint_configs()} == {"cosine"}
+
+
 # -- determinism across BLAS thread counts ---------------------------------------
 
 
@@ -249,13 +269,36 @@ def test_outputs_identical_across_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_solve.py --record")
-    record = {
-        case: {tol: {k: float(f"{v:.17g}") for k, v in fingerprint(
-            cfg.with_updates({"solver.cg_tol": float(tol)})).items()}
-            for tol in CG_TOLS}
-        for case, cfg in fingerprint_configs().items()}
-    FINGERPRINT.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+def record(names):
+    """Re-record the named fingerprint entries (all when none is named),
+    each with the solver it names."""
+    from conftest import jacobi_solve_shifted
+    from test_acceptance import pinned_studies, study_fingerprint
+
+    data = json.loads(FINGERPRINT.read_text())
+    scenarios, studies = fingerprint_configs(), pinned_studies()
+    unknown = set(names) - set(scenarios) - set(studies)
+    if unknown:
+        sys.exit(f"unknown fingerprint entries: {sorted(unknown)}")
+    commit = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"], cwd=Path(__file__).parent,
+        capture_output=True, text=True).stdout.strip() or "unknown"
+    for name in names or sorted(data):
+        solver = data.get(name, {}).get("solver", "cosine")
+        with (mock.patch.object(Grid, "solve_shifted", jacobi_solve_shifted)
+              if solver == "jacobi" else contextlib.nullcontext()):
+            if name in scenarios:
+                entry = {tol: fingerprint(scenarios[name].with_updates(
+                    {"solver.cg_tol": float(tol)})) for tol in CG_TOLS}
+            else:
+                entry = study_fingerprint(studies[name]())
+        data[name] = dict(entry, solver=solver, commit=commit)
+        print(f"recorded {name} with the {solver} solve")
+    FINGERPRINT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(f"wrote {FINGERPRINT}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_solve.py --record [ENTRY ...]")
+    record(sys.argv[2:])
