@@ -42,7 +42,6 @@ from .model import (
     ProliferationSpec,
     State,
     TruncationSpec,
-    eval_control,
     initial_state,
     validate,
 )

@@ -80,29 +80,32 @@ def _write_diagnostics(traj, outdir, digest):
     return path
 
 
-def _dump_snapshots(traj, outdir, digest):
-    rundir = os.path.join(outdir, digest)
+def _field_dumper(grid, dt, rundir):
+    """Observer that writes each record point's fields as CSV files."""
     os.makedirs(rundir, exist_ok=True)
-    stride = traj.record_every
-    for idx, snap in enumerate(traj.snapshots):
-        step = int(round(snap.t / traj.dt))
+
+    def dump(state):
+        step = int(round(state.t / dt))
         for name in ("mu", "v", "phi", "sigma", "xi"):
             path = os.path.join(rundir, f"{name}_{step:06d}.csv")
-            traj.grid.dump_field(getattr(snap, name), path)
-    return rundir
+            grid.dump_field(getattr(state, name), path)
+
+    return dump
 
 
 def _simulate(cfg, outdir):
     sc = build_scenario(cfg)
-    traj = run(sc.params, sc.potential, sc.controls, sc.init, sc.grid, sc.T,
-               sc.scheme)
     digest = cfg.digest()
+    rundir = os.path.join(outdir, digest)
+    dump = (_field_dumper(sc.grid, sc.scheme.dt, rundir)
+            if cfg["output.dump_fields"] else None)
+    traj = run(sc.params, sc.potential, sc.controls, sc.init, sc.grid, sc.T,
+               sc.scheme, observe=dump)
     path = _write_diagnostics(traj, outdir, digest)
     its = traj.newton_iters
     print(f"simulate: {len(its)} steps, {int(its.sum())} Newton iterations "
           f"(at most {int(its.max())} per step), diagnostics -> {path}")
     if cfg["output.dump_fields"]:
-        rundir = _dump_snapshots(traj, outdir, digest)
         print(f"simulate: field snapshots -> {rundir}")
     return 0
 

@@ -5,10 +5,13 @@ and returns a StudyReport carrying the measured table, an optional rate
 fit and named pass/fail verdicts.  Reports are pure functions of the
 config, with rows sorted by the ladder parameter (descending).
 
-The alpha and delta ladders stream: their reference run (the alpha = 0
-limit, the unperturbed run) fills a ReferenceSeries, and each rung folds
-its differences into a CompositeStream as it runs, so a study holds one
-reference stack rather than every snapshot of every rung.
+Every study streams: a run hands its record points to an observer
+(``run(observe=...)``) and keeps no series.  The ladders' reference runs
+(the alpha = 0 limit, the unperturbed run, each eps rung) fill a
+ReferenceSeries, and the run compared with it (an alpha rung, a perturbed
+run, the eps/2 run) folds its differences into a CompositeStream as it
+goes, so a study holds at most two reference stacks at a time.  The
+separation study keeps a running phase range.
 """
 
 from __future__ import annotations
@@ -107,6 +110,16 @@ def _stream_against(sc, ref, **changes):
     return stream.finish()
 
 
+def _each(observers):
+    """One observer that hands each state to every one of ``observers``."""
+
+    def observe(state):
+        for o in observers:
+            o(state)
+
+    return observe
+
+
 def _nonincreasing(values):
     worst = 0.0
     for a, b in zip(values, values[1:]):
@@ -181,21 +194,29 @@ def sweep_eps(cfg):
             notes=["single-rung ladder: differences not applicable"],
         )
 
+    # every run in descending eps: a rung's run fills its reference and
+    # comes before its eps/2 run, which streams against it
     eps_all = sorted({e for e in ladder} | {0.5 * e for e in ladder}, reverse=True)
-    trajs = {e: _run_scenario(sc, scheme=replace(sc.scheme, eps=e)) for e in eps_all}
-
-    def sup_diff(ta, tb, name):
-        return max(
-            sc.grid.h_norm(a - b)
-            for a, b in zip(ta.series(name), tb.series(name))
-        )
-
-    rows = []
-    for e in ladder:
-        ta, tb = trajs[e], trajs[0.5 * e]
-        max_abs_phi = max(float(np.max(np.abs(u))) for u in ta.series("phi"))
-        rows.append((e, sup_diff(ta, tb, "phi"), sup_diff(ta, tb, "mu"),
-                     sup_diff(ta, tb, "sigma"), max_abs_phi))
+    rung_of_half = {0.5 * e: e for e in ladder}
+    schedule = _schedule(sc)
+    refs, found = {}, {}
+    for e in eps_all:
+        observers = []
+        if e in rung_of_half:
+            stream = CompositeStream(refs[rung_of_half[e]], *schedule)
+            observers.append(stream)
+        if e in ladder:
+            refs[e] = ReferenceSeries(*schedule)
+            observers.append(refs[e])
+        _run_scenario(sc, scheme=replace(sc.scheme, eps=e),
+                      observe=_each(observers))
+        if e in rung_of_half:
+            rung = rung_of_half[e]
+            n = stream.finish()
+            phi_rows = refs.pop(rung).rows[:, 1]
+            found[rung] = (n["dphi"].linf_h, n["dmu"].linf_h, n["dsigma"].linf_h,
+                           float(np.max(np.abs(phi_rows))))
+    rows = [(e,) + found[e] for e in ladder]
 
     verdicts = []
     for j, name in ((1, "d_phi"), (2, "d_mu"), (3, "d_sigma")):
@@ -274,6 +295,19 @@ def contdep(cfg):
     )
 
 
+class _PhaseRange:
+    """Running min and max of phi and sup of |xi| over a run's record
+    points."""
+
+    def __init__(self):
+        self.r_min, self.r_max, self.xi_sup = np.inf, -np.inf, 0.0
+
+    def __call__(self, state):
+        self.r_min = min(self.r_min, float(np.min(state.phi)))
+        self.r_max = max(self.r_max, float(np.max(state.phi)))
+        self.xi_sup = max(self.xi_sup, float(np.max(np.abs(state.xi))))
+
+
 def separation(cfg):
     """Strict separation of the logarithmic phase field from +-1.
 
@@ -291,13 +325,11 @@ def separation(cfg):
         )
 
     def measure(eps):
-        t = _run_scenario(sc, scheme=replace(sc.scheme, eps=eps))
-        r_min = min(float(np.min(u)) for u in t.series("phi"))
-        r_max = max(float(np.max(u)) for u in t.series("phi"))
-        xi_sup = max(float(np.max(np.abs(u))) for u in t.series("xi"))
+        seen = _PhaseRange()
+        _run_scenario(sc, scheme=replace(sc.scheme, eps=eps), observe=seen)
         return SeparationReport(
-            r_min=r_min, r_max=r_max, xi_sup=xi_sup,
-            margin=min(1.0 + r_min, 1.0 - r_max), epsilon=eps,
+            r_min=seen.r_min, r_max=seen.r_max, xi_sup=seen.xi_sup,
+            margin=min(1.0 + seen.r_min, 1.0 - seen.r_max), epsilon=eps,
         )
 
     eps = sc.scheme.eps

@@ -194,24 +194,17 @@ class Grid:
 
     # -- linear solves ------------------------------------------------------
 
-    def solve_spd(self, apply, rhs, tol=1e-10, max_iter=None, diag=None,
-                  precond=None):
+    def solve_spd(self, apply, rhs, tol=1e-10, max_iter=None, precond=None):
         """Preconditioned conjugate gradients for an SPD operator.
 
         ``apply`` maps a field to a field and must be symmetric positive
         definite in the discrete inner product.  Stops when the residual
         has dropped below ``tol`` relative to ``rhs``.  ``precond`` maps a
-        residual to an approximate solution (an SPD approximate inverse);
-        ``diag`` is the Jacobi shorthand for ``precond = r / diag``.
+        residual to an approximate solution (an SPD approximate inverse).
         Raises CgNoConvergence when the budget (default 10 * ncells + 50
         iterations) runs out.
         """
         self.check(rhs)
-        if diag is not None:
-
-            def precond(r):
-                return r / diag
-
         if max_iter is None:
             max_iter = 10 * self.ncells + 50
         bnorm = math.sqrt(float(rhs @ rhs))
@@ -248,17 +241,6 @@ class Grid:
             residual=math.sqrt(rr) / bnorm,
             iterations=max_iter,
         )
-
-    def laplacian_diag(self):
-        """Diagonal of -laplacian, for Jacobi preconditioning."""
-        diag = np.zeros(self.n)
-        for ax, h in enumerate(self.h):
-            d = np.full(self.n[ax], 2.0)
-            d[0] = d[-1] = 1.0  # mirror ghosts drop one neighbour
-            shape = [1] * self.dim
-            shape[ax] = self.n[ax]
-            diag += d.reshape(shape) / h**2
-        return diag.reshape(-1)
 
     def _cosine_tables(self):
         """The cosine solve's tables, built once: the orthonormal DCT-II

@@ -46,10 +46,6 @@ class ProliferationSpec:
         return self.p0 if self.kind == "constant" else self(phi)
 
     @property
-    def lipschitz(self):
-        return 0.0 if self.kind == "constant" else 0.5 * self.p0
-
-    @property
     def lower_bound(self):
         """Infimum of P over all phi."""
         return self.p0 if self.kind == "constant" else 0.0
@@ -147,11 +143,6 @@ class ControlSpec:
             profile.flags.writeable = False
             self._profiles[grid] = profile
         return profile
-
-
-def eval_control(spec, t, grid):
-    """Sample a control (anything with a ``sample`` method) at time t."""
-    return spec.sample(t, grid)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,13 @@ and sigma at its record points; a CompositeStream takes the other run one
 record point at a time (both plug into ``run(observe=...)``), and every
 STREAM_BLOCK points it differences the block against the reference,
 continues the running convolutions and folds the block's norms into
-running sups and sums.  A study then keeps one reference stack and a
-fixed buffer instead of every snapshot of every run.  ``alpha_error`` and
-``contdep_lhs`` feed stored trajectories through the same stream.
+running sups and sums.  A study then keeps one or two reference stacks and a
+fixed buffer instead of every snapshot of every run.
+
+``alpha_error`` and ``contdep_lhs`` feed two trajectories that hold their
+whole record series through the same stream.  ``run`` keeps only the
+first and the last state, so its result qualifies only when those are its
+record points; anything else raises ScheduleMismatch.
 """
 
 from __future__ import annotations
@@ -214,7 +218,14 @@ class CompositeStream:
 
 
 def _stream_pair(t1, t2):
-    """Norms of trajectory t1 against t2, fed through a CompositeStream."""
+    """Norms of trajectory t1 against t2, fed through a CompositeStream;
+    each must hold a snapshot at every point of its record schedule."""
+    for t in (t1, t2):
+        want = record_count(round(t.final.t / t.dt), t.record_every)
+        if len(t.snapshots) != want:
+            raise ScheduleMismatch(
+                f"trajectory holds {len(t.snapshots)} snapshots, its record "
+                f"schedule has {want} points")
     stream = CompositeStream(ReferenceSeries.of(t2), t1.grid, t1.dt,
                              t1.record_every, len(t1.snapshots))
     for snap in t1.snapshots:

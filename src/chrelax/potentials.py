@@ -117,7 +117,7 @@ class SplitPotential:
     def obstacle(k2=1.0):
         return SplitPotential("obstacle", k2=float(k2))
 
-    # -- domains and constants ----------------------------------------
+    # -- domain ------------------------------------------------------
 
     @property
     def domain(self):
@@ -125,24 +125,6 @@ class SplitPotential:
         if self.kind == "regular":
             return (-np.inf, np.inf)
         return (-1.0, 1.0)
-
-    @property
-    def f2_lipschitz(self):
-        """Global Lipschitz constant of F2'."""
-        if self.kind == "regular":
-            return 1.0
-        if self.kind == "logarithmic":
-            return 2.0 * self.k1
-        return 2.0 * self.k2
-
-    @property
-    def growth_coefficients(self):
-        """(c1, c2) with |F2(r)| <= c1 + c2 r^2 for all r."""
-        if self.kind == "regular":
-            return (0.25, 0.5)
-        if self.kind == "logarithmic":
-            return (0.0, self.k1)
-        return (self.k2, self.k2)
 
     # -- plain values --------------------------------------------------
 

@@ -57,7 +57,7 @@ from .errors import (
     NonFiniteState,
     SchemeUnstable,
 )
-from .model import State, eval_control, initial_state, validate
+from .model import State, initial_state, validate
 from .potentials import YosidaParams
 
 # consecutive alpha = 0 steps whose phase increment grows and points against
@@ -91,19 +91,18 @@ class SchemeConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded output of one run.
+    """Output of one run.
 
-    ``snapshots`` holds the state at t = 0, every record_every-th step and
-    the final time (only t = 0 and the final time for a run given an
-    observer); the mass diagnostics cover every step, and
-    ``newton_iters[n]`` counts the phase Newton iterations of step n + 1.
+    ``snapshots`` holds the initial and the final state; the states at
+    the record points reach the caller only through ``run(observe=...)``.
+    The mass diagnostics cover every step, and ``newton_iters[n]`` counts
+    the phase Newton iterations of step n + 1.
     """
 
     grid: object
     dt: float
     record_every: int
     alpha: float
-    times: np.ndarray = None
     snapshots: list = field(default_factory=list)
     step_times: np.ndarray = None
     mass_phi: np.ndarray = None
@@ -111,17 +110,9 @@ class Trajectory:
     mass_v: np.ndarray = None
     newton_iters: np.ndarray = None  # phase Newton iterations of each step
 
-    def series(self, name):
-        """List of one field's snapshots through time."""
-        return [getattr(s, name) for s in self.snapshots]
-
     @property
     def final(self):
         return self.snapshots[-1]
-
-    def schedule_key(self):
-        return (self.grid.n, self.grid.length, self.dt, self.record_every,
-                len(self.snapshots))
 
 
 def step_phi(state, params, potential, scheme, grid, guess=None):
@@ -293,10 +284,10 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
     message and as ``step``/``substep`` attributes.  The run is
     deterministic: identical inputs produce bit-identical trajectories.
 
-    With ``observe``, ``observe(state)`` is called at every record point
-    (t = 0, every record_every-th step and the final step) instead of
-    keeping the state, and the Trajectory holds only the initial and the
-    final snapshot; the mass series and the final state are unchanged.
+    The Trajectory keeps only the initial and the final state.  A caller
+    that needs the record points passes ``observe``: ``observe(state)``
+    is called at t = 0, at every record_every-th step and at the final
+    step, and must not modify the state.
 
     An alpha = 0 run raises SchemeUnstable once its phase increments have
     grown and reversed direction for UNSTABLE_STEPS steps in a row (see
@@ -317,7 +308,6 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
     mass_phi = np.empty(nsteps + 1)
     mass_sigma = np.empty(nsteps + 1)
     mass_v = np.empty(nsteps + 1)
-    rec_times = [0.0]
     traj.snapshots.append(state.copy())
     if observe is not None:
         observe(state)
@@ -341,8 +331,8 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
         else:
             guess = 3.0 * (state.phi - history[0]) + history[1]
         try:
-            u1 = eval_control(controls.u1, t_next, grid)
-            u2 = eval_control(controls.u2, t_next, grid)
+            u1 = controls.u1.sample(t_next, grid)
+            u2 = controls.u2.sample(t_next, grid)
             phi_next, xi_next, newton_iters[n] = step_phi(
                 state, params, potential, scheme, grid, guess)
             _require_finite(phi=phi_next, xi=xi_next)
@@ -382,17 +372,11 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
         mass_phi[n + 1] = grid.integrate(state.phi)
         mass_sigma[n + 1] = grid.integrate(state.sigma)
         mass_v[n + 1] = grid.integrate(state.v)
-        if (n + 1) % scheme.record_every == 0 or n + 1 == nsteps:
-            if observe is None:
-                traj.snapshots.append(state)
-                rec_times.append(t_next)
-            else:
-                observe(state)
-    if observe is not None:
-        traj.snapshots.append(state)
-        rec_times.append(state.t)
+        if observe is not None and (
+                (n + 1) % scheme.record_every == 0 or n + 1 == nsteps):
+            observe(state)
 
-    traj.times = np.array(rec_times)
+    traj.snapshots.append(state)
     traj.step_times = scheme.dt * np.arange(nsteps + 1)
     traj.mass_phi = mass_phi
     traj.mass_sigma = mass_sigma

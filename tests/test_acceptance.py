@@ -14,10 +14,12 @@ import json
 import time
 from pathlib import Path
 
-from chrelax import contdep_lhs, default_config
+from chrelax import default_config
 from chrelax.config import build_scenario
 from chrelax.experiments import (
     _run_scenario,
+    _schedule,
+    _stream_against,
     contdep,
     conservation_drift,
     dt_order,
@@ -27,6 +29,7 @@ from chrelax.experiments import (
     sweep_eps,
     yosida_battery,
 )
+from chrelax.norms import ReferenceSeries, contdep_value
 
 FINGERPRINT = Path(__file__).with_name("seed_fingerprint.json")
 
@@ -175,7 +178,9 @@ def test_criterion_6_continuous_dependence():
     with _Budget(120.0) as b:
         # delta = 0 twice: identical controls give identical trajectories
         sc = build_scenario(cfg)
-        lhs_zero = contdep_lhs(_run_scenario(sc), _run_scenario(sc))
+        first = ReferenceSeries(*_schedule(sc))
+        _run_scenario(sc, observe=first)
+        lhs_zero = contdep_value(_stream_against(sc, first))
         report = contdep(cfg)
     v = verdict_map(report)
     ratios = [r[3] for r in report.rows]

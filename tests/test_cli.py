@@ -95,8 +95,8 @@ def test_simulate_summary_reports_newton_iterations(tmp_path, capsys, monkeypatc
     from chrelax import cli
     runs, plain = [], cli.run
 
-    def recorded(*args):
-        runs.append(plain(*args))
+    def recorded(*args, **kwargs):
+        runs.append(plain(*args, **kwargs))
         return runs[-1]
 
     monkeypatch.setattr(cli, "run", recorded)

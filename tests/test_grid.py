@@ -14,6 +14,7 @@ import pytest
 
 from chrelax import CgNoConvergence, Grid, GridMismatch, InvalidParams
 from chrelax.grid import CSV_BLOCK_ROWS
+from conftest import laplacian_diag
 
 
 def dense_laplacian(grid):
@@ -172,7 +173,7 @@ def test_laplacian_matches_diff_stencil_bitwise(n, length):
 def test_laplacian_diag_matches_dense():
     for g in (Grid(10), Grid((4, 6), length=(1.0, 2.0))):
         np.testing.assert_allclose(
-            g.laplacian_diag(), -np.diag(dense_laplacian(g)), rtol=0, atol=1e-13)
+            laplacian_diag(g), -np.diag(dense_laplacian(g)), rtol=0, atol=1e-13)
 
 
 # -- conjugate gradients -------------------------------------------------
@@ -190,8 +191,8 @@ def test_cg_matches_dense_lu():
         want = np.linalg.solve(A, b)
         got = g.solve_spd(helmholtz(g), b, tol=1e-12)
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10)
-        pre = g.solve_spd(
-            helmholtz(g), b, tol=1e-12, diag=1.0 + g.laplacian_diag())
+        diag = 1.0 + laplacian_diag(g)
+        pre = g.solve_spd(helmholtz(g), b, tol=1e-12, precond=lambda r: r / diag)
         np.testing.assert_allclose(pre, want, rtol=1e-8, atol=1e-10)
 
 
@@ -216,7 +217,8 @@ def test_cg_residual_meets_tolerance():
     rng = np.random.default_rng(21)
     b = rng.standard_normal(g.ncells)
     tol = 1e-10
-    x = g.solve_spd(helmholtz(g), b, tol=tol, diag=1.0 + g.laplacian_diag())
+    diag = 1.0 + laplacian_diag(g)
+    x = g.solve_spd(helmholtz(g), b, tol=tol, precond=lambda r: r / diag)
     resid = np.linalg.norm(b - helmholtz(g)(x)) / np.linalg.norm(b)
     assert resid <= tol
 

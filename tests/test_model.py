@@ -17,7 +17,6 @@ from chrelax import (
     SplitPotential,
     TruncationSpec,
     YosidaParams,
-    eval_control,
     initial_state,
     validate,
 )
@@ -39,11 +38,9 @@ def test_proliferation_values_and_bounds():
     phi = np.array([-2.0, -1.0, 0.0, 1.0, 3.0])
     const = ProliferationSpec("constant", p0=2.0)
     np.testing.assert_array_equal(const(phi), np.full(5, 2.0))
-    assert const.lipschitz == 0.0
     assert const.lower_bound == 2.0
     ramp = ProliferationSpec("ramp", p0=2.0)
     np.testing.assert_allclose(ramp(phi), [0.0, 0.0, 1.0, 2.0, 2.0], atol=0)
-    assert ramp.lipschitz == 1.0
     assert ramp.lower_bound == 0.0
     # switched-off growth is a legal constant but not a legal ramp scale
     assert ProliferationSpec("constant", p0=0.0).lower_bound == 0.0
@@ -79,8 +76,8 @@ def test_truncation_values():
 def test_control_closed_forms():
     g = Grid(4)
     x = g.coordinates()[0]
-    assert np.all(eval_control(ControlSpec("zero"), 0.3, g) == 0.0)
-    assert np.all(eval_control(ControlSpec("constant", value=-1.5), 2.0, g) == -1.5)
+    assert np.all(ControlSpec("zero").sample(0.3, g) == 0.0)
+    assert np.all(ControlSpec("constant", value=-1.5).sample(2.0, g) == -1.5)
     sin = ControlSpec("sinusoid", amplitude=0.7, mode=2, omega=3.0)
     want = 0.7 * math.cos(3.0 * 0.4) * np.cos(2 * np.pi * x)
     np.testing.assert_allclose(sin.sample(0.4, g), want, rtol=0, atol=1e-15)

@@ -75,12 +75,6 @@ def test_domains_and_constants():
     assert reg.domain == (-math.inf, math.inf)
     assert log.domain == (-1.0, 1.0)
     assert obs.domain == (-1.0, 1.0)
-    assert reg.f2_lipschitz == 1.0
-    assert log.f2_lipschitz == 4.0
-    assert obs.f2_lipschitz == 3.0
-    assert reg.growth_coefficients == (0.25, 0.5)
-    assert log.growth_coefficients == (0.0, 2.0)
-    assert obs.growth_coefficients == (1.5, 1.5)
 
 
 def test_smooth_parts_closed_form():

@@ -268,21 +268,25 @@ def test_run_is_deterministic():
 
 def test_snapshot_schedule():
     params, pot, controls, init, g = source_free_setup(n=16, p0=1.0)
+    states = []
     traj = run(params, pot, controls, init, g, T=0.01,
-               scheme=SchemeConfig(dt=1e-3, eps=1e-3, record_every=3))
+               scheme=SchemeConfig(dt=1e-3, eps=1e-3, record_every=3),
+               observe=states.append)
     np.testing.assert_allclose(
-        traj.times, [0.0, 3e-3, 6e-3, 9e-3, 1e-2], rtol=0, atol=1e-15)
-    assert len(traj.snapshots) == 5
-    assert traj.final is traj.snapshots[-1]
+        [s.t for s in states], [0.0, 3e-3, 6e-3, 9e-3, 1e-2], rtol=0, atol=1e-15)
+    # the run keeps the first and the last state only
+    assert len(traj.snapshots) == 2
+    assert traj.final is traj.snapshots[-1] is states[-1]
     assert traj.final.t == pytest.approx(0.01)
-    assert len(traj.series("phi")) == 5
     # diagnostics always cover every step
     assert traj.mass_phi.shape == (11,)
     np.testing.assert_allclose(traj.step_times, 1e-3 * np.arange(11), atol=0)
+    sparse_states = []
     sparse = run(params, pot, controls, init, g, T=0.01,
-                 scheme=SchemeConfig(dt=1e-3, eps=1e-3, record_every=99))
+                 scheme=SchemeConfig(dt=1e-3, eps=1e-3, record_every=99),
+                 observe=sparse_states.append)
     assert len(sparse.snapshots) == 2
-    assert sparse.schedule_key() != traj.schedule_key()
+    assert [s.t for s in sparse_states] == pytest.approx([0.0, 0.01])
 
 
 def test_run_rejects_bad_horizon_and_setup():
@@ -343,9 +347,11 @@ def test_constrained_phase_stays_near_admissible_range(kind):
         sigma0=FieldSpec("constant", value=0.5))
     params = ModelParams(alpha=0.1,
                          proliferation=ProliferationSpec("constant", p0=1.0))
-    traj = run(params, SplitPotential(kind), Controls(), init, Grid(32),
-               T=0.05, scheme=SchemeConfig(dt=1e-3, eps=eps))
-    worst = max(float(np.max(np.abs(p))) for p in traj.series("phi"))
+    states = []
+    run(params, SplitPotential(kind), Controls(), init, Grid(32),
+        T=0.05, scheme=SchemeConfig(dt=1e-3, eps=eps), observe=states.append)
+    assert len(states) == 51
+    worst = max(float(np.max(np.abs(s.phi))) for s in states)
     # the relaxed constraint can overshoot the unit interval only at O(eps)
     assert worst <= 1.0 + 10 * eps
 
@@ -449,9 +455,10 @@ def test_predictor_extrapolates_the_accepted_phases(monkeypatch):
         return plain(state, params, potential, scheme, grid, guess)
 
     monkeypatch.setattr(stepper, "step_phi", recorded)
-    traj = run(params, pot, controls, init, g, T=0.004,
-               scheme=SchemeConfig(dt=1e-3, eps=1e-3))
-    p0, p1, p2, p3 = traj.series("phi")[:4]
+    states = []
+    run(params, pot, controls, init, g, T=0.004,
+        scheme=SchemeConfig(dt=1e-3, eps=1e-3), observe=states.append)
+    p0, p1, p2, p3 = [s.phi for s in states[:4]]
     assert guesses[0] is None
     np.testing.assert_array_equal(guesses[1], 2.0 * p1 - p0)
     np.testing.assert_array_equal(guesses[2], 3.0 * (p2 - p1) + p0)

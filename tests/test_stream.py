@@ -23,13 +23,14 @@ from chrelax import (
     build_scenario,
     contdep_lhs,
     default_config,
+    initial_state,
     parse_config,
     run,
     series_norms,
 )
 from chrelax import norms as norms_module
 from chrelax import stepper
-from chrelax.experiments import sweep_alpha
+from chrelax.experiments import separation, sweep_alpha, sweep_eps
 from chrelax.norms import (
     CompositeStream,
     ReferenceSeries,
@@ -43,8 +44,12 @@ from chrelax.norms import (
 # -- reference copies of the stacked composites ----------------------------
 
 
+def series(traj, name):
+    return [getattr(s, name) for s in traj.snapshots]
+
+
 def stacked_diff(t1, t2, name):
-    return np.array([a - b for a, b in zip(t1.series(name), t2.series(name))])
+    return np.array([a - b for a, b in zip(series(t1, name), series(t2, name))])
 
 
 def stacked_contdep_lhs(t1, t2):
@@ -59,7 +64,7 @@ def stacked_contdep_lhs(t1, t2):
 
 def stacked_alpha_error(t_alpha, t_limit):
     g, dt = t_alpha.grid, t_alpha.dt * t_alpha.record_every
-    mu_self = series_norms(g, t_alpha.series("mu"), dt)
+    mu_self = series_norms(g, series(t_alpha, "mu"), dt)
     conv_mu = series_norms(
         g, convolved_series(stacked_diff(t_alpha, t_limit, "mu"), dt), dt)
     nphi = series_norms(g, stacked_diff(t_alpha, t_limit, "phi"), dt)
@@ -81,7 +86,6 @@ def random_traj(grid, rng, npoints, alpha=0.3, dt=0.01, record_every=1):
         traj.snapshots.append(State(
             *(rng.standard_normal(grid.ncells) for _ in range(5)),
             t=k * dt * record_every))
-    traj.times = dt * record_every * np.arange(npoints)
     return traj
 
 
@@ -153,26 +157,38 @@ def small_scenario(**updates):
     return sc.params, sc.potential, sc.controls, sc.init, sc.grid, sc.T, sc.scheme
 
 
+def recorded_run(*args):
+    """A run whose trajectory holds the state at every record point."""
+    states = []
+    traj = run(*args, observe=states.append)
+    traj.snapshots = states
+    return traj
+
+
 def test_observe_sees_every_record_point_and_keeps_two_snapshots():
     args = small_scenario()
-    full = run(*args)
+    params, pot, controls, init, g, T, scheme = args
+    plain = run(*args)
     seen = []
     lean = run(*args, observe=seen.append)
     # nsteps = 10 is not a multiple of record_every = 3: t = 0, 3, 6, 9, 10
     assert [s.t for s in seen] == pytest.approx([0.0, 3e-3, 6e-3, 9e-3, 1e-2])
-    assert len(seen) == len(full.snapshots) == 5
-    for a, b in zip(seen, full.snapshots):
+    # the state seen at t is the final state of the same run stopped at t
+    stopped = [initial_state(init, pot, scheme.yosida, g)] + [
+        run(params, pot, controls, init, g, s.t, scheme).final for s in seen[1:]]
+    for a, b in zip(seen, stopped):
         for name in ("mu", "v", "phi", "sigma", "xi"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    assert len(lean.snapshots) == 2
-    np.testing.assert_array_equal(lean.times, [0.0, full.times[-1]])
+    # observing changes nothing of the run
+    assert len(lean.snapshots) == len(plain.snapshots) == 2
+    assert lean.final is seen[-1]
     for name in ("mu", "v", "phi", "sigma", "xi"):
         np.testing.assert_array_equal(getattr(lean.final, name),
-                                      getattr(full.final, name))
+                                      getattr(plain.final, name))
         np.testing.assert_array_equal(getattr(lean.snapshots[0], name),
-                                      getattr(full.snapshots[0], name))
+                                      getattr(plain.snapshots[0], name))
     for name in ("mass_phi", "mass_sigma", "mass_v", "step_times", "newton_iters"):
-        np.testing.assert_array_equal(getattr(lean, name), getattr(full, name))
+        np.testing.assert_array_equal(getattr(lean, name), getattr(plain, name))
 
 
 @pytest.mark.parametrize("record_every", [1, 3])
@@ -181,8 +197,8 @@ def test_streamed_runs_match_the_stacked_composites(record_every, monkeypatch):
     params, pot, controls, init, g, T, scheme = small_scenario(
         **{"time.record_every": record_every})
     limit_params = replace(params, alpha=0.0)
-    t_limit = run(limit_params, pot, controls, init, g, T, scheme)
-    t_alpha = run(params, pot, controls, init, g, T, scheme)
+    t_limit = recorded_run(limit_params, pot, controls, init, g, T, scheme)
+    t_alpha = recorded_run(params, pot, controls, init, g, T, scheme)
     npoints = len(t_limit.snapshots)
     assert npoints == record_count(10, record_every)
     ref = ReferenceSeries(g, scheme.dt, record_every, npoints)
@@ -242,6 +258,29 @@ def test_stream_rejects_runs_that_miss_the_reference_points(monkeypatch):
         alpha_error(t, random_traj(g, rng, 5, record_every=2))
 
 
+def test_trajectory_composites_reject_runs_without_their_record_series():
+    # a run keeps its first and last state: with 5 record points the pair
+    # would be compared at t = 0 and t = T only
+    params, pot, controls, init, g, T, scheme = small_scenario()
+    limit = replace(params, alpha=0.0)
+    t_alpha = run(params, pot, controls, init, g, T, scheme, observe=lambda s: None)
+    t_limit = run(limit, pot, controls, init, g, T, scheme, observe=lambda s: None)
+    with pytest.raises(ScheduleMismatch, match="holds 2 snapshots.* has 5 points"):
+        alpha_error(t_alpha, t_limit)
+    with pytest.raises(ScheduleMismatch, match="holds 2 snapshots.* has 5 points"):
+        contdep_lhs(t_alpha, t_limit)
+    # with record_every >= nsteps the first and last state are the schedule
+    sparse = replace(scheme, record_every=10)
+    t_alpha = run(params, pot, controls, init, g, T, sparse)
+    t_limit = run(limit, pot, controls, init, g, T, sparse)
+    assert contdep_lhs(t_alpha, t_limit) > 0.0
+    assert alpha_error(t_alpha, t_limit).composite > 0.0
+    # the second trajectory is checked too: twice the horizon has 3 points
+    t_long = run(limit, pot, controls, init, g, 2 * T, sparse)
+    with pytest.raises(ScheduleMismatch, match="holds 2 snapshots.* has 3 points"):
+        contdep_lhs(t_alpha, t_long)
+
+
 # -- memory -----------------------------------------------------------------------
 
 
@@ -266,6 +305,73 @@ def test_sweep_alpha_memory_does_not_grow_with_snapshots():
         tracemalloc.stop()
     assert len(report.rows) == 3
     assert peak <= 1.0e6, f"tracemalloc peak {peak / 1e6:.3f} MB"
+
+
+def test_separation_reduces_every_record_point():
+    # the running range against min/max over the recorded states of both runs
+    cfg = parse_config(SMALL).with_updates({
+        "potential.kind": "logarithmic", "potential.k1": 2.0,
+        "potential.epsilon": 1e-2, "init.phi0.kind": "tanh_interface",
+        "init.phi0.lo": -0.9, "init.phi0.hi": 0.9, "init.phi0.width": 0.1})
+    sc = build_scenario(cfg)
+    want = []
+    for eps in (1e-2, 5e-3):
+        states = []
+        run(sc.params, sc.potential, sc.controls, sc.init, sc.grid, sc.T,
+            replace(sc.scheme, eps=eps), observe=states.append)
+        assert len(states) == 5
+        r_min = min(float(np.min(s.phi)) for s in states)
+        r_max = max(float(np.max(s.phi)) for s in states)
+        xi_sup = max(float(np.max(np.abs(s.xi))) for s in states)
+        want.append((r_min, r_max, xi_sup, min(1.0 + r_min, 1.0 - r_max), eps))
+    assert separation(cfg).rows == want
+
+
+def traced_peak(study, cfg):
+    """tracemalloc peak of a second call, after the first has built the
+    grid's cached tables."""
+    study(cfg)
+    tracemalloc.start()
+    try:
+        report = study(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return report, peak
+
+
+def test_sweep_eps_memory_holds_two_reference_stacks():
+    # four runs of 400 steps at n = 32: keeping every snapshot took a
+    # tracemalloc peak of 3.32 MB; streamed, the study peaks at 1.12 MB, of
+    # which the two live reference stacks (401 x 3 x 32 doubles) are 0.62 MB
+    cfg = default_config(**{
+        "grid.n": [32], "time.T": 0.4, "time.dt": 1e-3,
+        "model.alpha": 0.5, "model.P.kind": "constant", "model.P.p0": 1.0,
+        "init.phi0.kind": "cosine_bump", "init.phi0.amplitude": 0.5,
+        "init.mu0.kind": "cosine_bump", "init.mu0.amplitude": 0.2,
+        "init.sigma0.kind": "cosine_bump", "init.sigma0.amplitude": 0.3,
+        "study.epsilons": [1e-2, 1e-3],
+    })
+    report, peak = traced_peak(sweep_eps, cfg)
+    assert len(report.rows) == 2
+    assert peak <= 1.4e6, f"tracemalloc peak {peak / 1e6:.3f} MB"
+
+
+def test_separation_memory_does_not_grow_with_snapshots():
+    # two runs of 400 steps at n = 32: keeping every snapshot of a run took
+    # a tracemalloc peak of 0.85 MB; the running phase range peaks at 0.06 MB
+    cfg = default_config(**{
+        "grid.n": [32], "time.T": 0.4, "time.dt": 1e-3,
+        "model.alpha": 0.1, "model.P.kind": "constant", "model.P.p0": 0.5,
+        "potential.kind": "logarithmic", "potential.k1": 2.0,
+        "potential.epsilon": 1e-3,
+        "init.phi0.kind": "tanh_interface", "init.phi0.lo": -0.9,
+        "init.phi0.hi": 0.9, "init.phi0.width": 0.1,
+        "init.sigma0.kind": "constant", "init.sigma0.value": 0.2,
+    })
+    report, peak = traced_peak(separation, cfg)
+    assert len(report.rows) == 2
+    assert peak <= 0.2e6, f"tracemalloc peak {peak / 1e6:.3f} MB"
 
 
 # -- the alpha = 0 stability guard ---------------------------------------------------
