@@ -52,10 +52,7 @@ from .norms import (
     alpha_error,
     contdep_lhs,
     contdep_rhs,
-    convolve_one,
-    convolved_series,
     fit_rate,
-    series_norms,
 )
 from .potentials import SplitPotential, YosidaParams
 from .stepper import (

@@ -66,7 +66,6 @@ def write_report(report, outdir):
 def _write_diagnostics(traj, outdir, digest):
     # the rows csv.writer would write (CRLF, nothing to quote), formatted
     # one block of rows per call
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"diagnostics_{digest}.csv")
     table = np.column_stack(
         (traj.step_times, traj.mass_phi, traj.mass_sigma, traj.mass_v))
@@ -119,7 +118,8 @@ def dispatch(argv):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=0)
+        if name == "check":  # the only subcommand that draws random points
+            p.add_argument("--seed", type=int, default=0)
 
     try:
         ns = parser.parse_args(argv)
@@ -141,6 +141,7 @@ def dispatch(argv):
 
     outdir = ns.out if ns.out is not None else cfg["output.dir"]
     try:
+        os.makedirs(outdir, exist_ok=True)
         if ns.command == "simulate":
             return _simulate(cfg, outdir)
         if ns.command == "sweep-alpha":
@@ -153,11 +154,15 @@ def dispatch(argv):
             report = experiments.separation(cfg)
         else:
             report = experiments.invariant_suite(cfg, seed=ns.seed)
+        paths = write_report(report, outdir)
     except ChRelaxError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except OSError as e:
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return 1
 
-    for path in write_report(report, outdir):
+    for path in paths:
         print(f"{report.study}: wrote {path}")
     for note in report.notes:
         print(f"{report.study}: note: {note}")

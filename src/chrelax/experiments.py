@@ -10,8 +10,8 @@ Every study streams: a run hands its record points to an observer
 (the alpha = 0 limit, the unperturbed run, each eps rung) fill a
 ReferenceSeries, and the run compared with it (an alpha rung, a perturbed
 run, the eps/2 run) folds its differences into a CompositeStream as it
-goes, so a study holds at most two reference stacks at a time.  The
-separation study keeps a running phase range.
+goes, so a study holds one reference stack at a time.  The separation
+study keeps a running phase range.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from .model import Controls
 from .norms import (
     CompositeStream,
     ReferenceSeries,
-    alpha_terms,
+    alpha_error,
+    contdep_lhs,
     contdep_rhs,
-    contdep_value,
     fit_rate,
     record_count,
 )
@@ -94,30 +94,19 @@ def _run_scenario(sc, params=None, scheme=None, controls=None, observe=None):
     )
 
 
-def _schedule(sc):
-    """The scenario's record schedule: grid, dt, record_every and the
-    number of record points."""
+def _reference(sc):
+    """An empty ReferenceSeries on the scenario's record schedule."""
     nsteps = int(round(sc.T / sc.scheme.dt))
     every = sc.scheme.record_every
-    return sc.grid, sc.scheme.dt, every, record_count(nsteps, every)
+    return ReferenceSeries(sc.grid, sc.scheme.dt, every, record_count(nsteps, every))
 
 
 def _stream_against(sc, ref, **changes):
     """Run the scenario with ``changes`` against a filled reference; returns
     the CompositeStream norms."""
-    stream = CompositeStream(ref, *_schedule(sc))
+    stream = CompositeStream(ref)
     _run_scenario(sc, observe=stream, **changes)
     return stream.finish()
-
-
-def _each(observers):
-    """One observer that hands each state to every one of ``observers``."""
-
-    def observe(state):
-        for o in observers:
-            o(state)
-
-    return observe
 
 
 def _nonincreasing(values):
@@ -149,11 +138,11 @@ def sweep_alpha(cfg):
     if not alphas or any(a <= 0.0 for a in alphas):
         raise InvalidParams("study.alphas must be a nonempty positive ladder")
 
-    limit = ReferenceSeries(*_schedule(sc))
+    limit = _reference(sc)
     _run_scenario(sc, params=replace(sc.params, alpha=0.0), observe=limit)
     rows = []
     for a in alphas:
-        e = alpha_terms(
+        e = alpha_error(
             _stream_against(sc, limit, params=replace(sc.params, alpha=a)), a)
         rows.append((a, e.mu_weighted, e.conv_mu_linf_v, e.phi_linf_h,
                      e.phi_l2_v, e.sigma_l2_h, e.conv_sigma_linf_v, e.composite))
@@ -194,29 +183,15 @@ def sweep_eps(cfg):
             notes=["single-rung ladder: differences not applicable"],
         )
 
-    # every run in descending eps: a rung's run fills its reference and
-    # comes before its eps/2 run, which streams against it
-    eps_all = sorted({e for e in ladder} | {0.5 * e for e in ladder}, reverse=True)
-    rung_of_half = {0.5 * e: e for e in ladder}
-    schedule = _schedule(sc)
-    refs, found = {}, {}
-    for e in eps_all:
-        observers = []
-        if e in rung_of_half:
-            stream = CompositeStream(refs[rung_of_half[e]], *schedule)
-            observers.append(stream)
-        if e in ladder:
-            refs[e] = ReferenceSeries(*schedule)
-            observers.append(refs[e])
-        _run_scenario(sc, scheme=replace(sc.scheme, eps=e),
-                      observe=_each(observers))
-        if e in rung_of_half:
-            rung = rung_of_half[e]
-            n = stream.finish()
-            phi_rows = refs.pop(rung).rows[:, 1]
-            found[rung] = (n["dphi"].linf_h, n["dmu"].linf_h, n["dsigma"].linf_h,
-                           float(np.max(np.abs(phi_rows))))
-    rows = [(e,) + found[e] for e in ladder]
+    def cauchy_row(e):
+        # the rung's run fills its reference; its eps/2 run streams against it
+        ref = _reference(sc)
+        _run_scenario(sc, scheme=replace(sc.scheme, eps=e), observe=ref)
+        n = _stream_against(sc, ref, scheme=replace(sc.scheme, eps=0.5 * e))
+        return (e, n["dphi"].linf_h, n["dmu"].linf_h, n["dsigma"].linf_h,
+                float(np.max(np.abs(ref.rows[:, 1]))))
+
+    rows = [cauchy_row(e) for e in ladder]
 
     verdicts = []
     for j, name in ((1, "d_phi"), (2, "d_mu"), (3, "d_sigma")):
@@ -260,7 +235,7 @@ def contdep(cfg):
     if not deltas or any(d <= 0.0 for d in deltas):
         raise InvalidParams("study.deltas must be a nonempty positive ladder")
 
-    base = ReferenceSeries(*_schedule(sc))
+    base = _reference(sc)
     _run_scenario(sc, observe=base)
     nsteps = int(round(sc.T / sc.scheme.dt))
 
@@ -272,7 +247,7 @@ def contdep(cfg):
 
     rows = []
     for d in deltas:
-        lhs = contdep_value(_stream_against(sc, base, controls=perturbed(d)))
+        lhs = contdep_lhs(_stream_against(sc, base, controls=perturbed(d)))
         rhs = contdep_rhs(sc.grid, sc.scheme.dt, nsteps, perturbed(d), sc.controls)
         if rhs == 0.0:
             raise InvalidParams(

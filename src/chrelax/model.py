@@ -103,8 +103,8 @@ class ControlSpec:
     t_off: float = np.inf
     mode: int = 1
     omega: float = 0.0
-    # spatial profile per grid, built on the first sample on that grid (two
-    # threads sampling first at once both build it, with the same values)
+    # spatial profile per grid, built on the first sample on that grid; a
+    # cache of values the fields above fix, so equality and repr ignore it
     _profiles: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 

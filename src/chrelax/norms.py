@@ -1,12 +1,12 @@
-"""Discrete space-time norms, time convolution and rate fitting.
+"""Discrete space-time norms of the study composites, and rate fitting.
 
-Trajectories are sampled on a uniform step grid; L-infinity-in-time norms
-take the max over every recorded snapshot, L2-in-time norms use the
-right-endpoint rectangle rule sqrt(sum_n dt |w(t_n)|^2) over steps
-n = 1..N, and the time convolution against the constant 1 uses the
-left-endpoint rule
+A run is sampled at its record points t_j, j = 0..N, dt apart (dt the
+time step times record_every).  L-infinity-in-time norms take the max
+over every record point, L2-in-time norms use the right-endpoint
+rectangle rule sqrt(sum_j dt |w(t_j)|^2) over j = 1..N, and the time
+convolution against the constant 1 uses the left-endpoint rule
 
-    (1 * w)(t_n) = dt * sum_{k < n} w(t_k),
+    (1 * w)(t_j) = dt * sum_{k < j} w(t_k),
 
 so it vanishes at t_0 and is exact for piecewise-constant integrands.
 
@@ -16,13 +16,9 @@ and sigma at its record points; a CompositeStream takes the other run one
 record point at a time (both plug into ``run(observe=...)``), and every
 STREAM_BLOCK points it differences the block against the reference,
 continues the running convolutions and folds the block's norms into
-running sups and sums.  A study then keeps one or two reference stacks and a
-fixed buffer instead of every snapshot of every run.
-
-``alpha_error`` and ``contdep_lhs`` feed two trajectories that hold their
-whole record series through the same stream.  ``run`` keeps only the
-first and the last state, so its result qualifies only when those are its
-record points; anything else raises ScheduleMismatch.
+running sups and sums.  ``alpha_error`` and ``contdep_lhs`` assemble the
+composites from the norms it finishes with, so a study keeps a reference
+stack and a fixed buffer instead of every snapshot of every run.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFit, GridMismatch, ScheduleMismatch
+from .errors import DegenerateFit, ScheduleMismatch
 
 STREAM_BLOCK = 64  # record points a CompositeStream reduces at a time
 
@@ -46,66 +42,23 @@ class SeriesNorms:
     l2_v: float
 
 
-def series_norms(grid, fields, dt):
-    """Norms of a snapshot series (t_0 included in the sup norms).
-
-    ``fields`` is a list of snapshots or their (N, ncells) stack; every
-    norm is a reduction over the stack's cell axis.
-    """
-    try:
-        rows = np.asarray(fields, dtype=float)
-    except ValueError as e:  # snapshots of different lengths
-        raise GridMismatch(f"cannot stack the snapshots: {e}") from None
-    h_sq, grad_sq = grid.stacked_sq_norms(rows)
-    v_sq = h_sq + grad_sq
-    return SeriesNorms(
-        linf_h=float(np.sqrt(np.max(h_sq))),
-        linf_v=float(np.sqrt(np.max(v_sq))),
-        l2_h=float(np.sqrt(dt * np.sum(h_sq[1:]))),
-        l2_v=float(np.sqrt(dt * np.sum(v_sq[1:]))),
-    )
-
-
-def convolve_one(fields, dt, n):
-    """(1 * w)(t_n) = dt * sum of the first n snapshots."""
-    if n == 0:
-        return np.zeros_like(fields[0])
-    return dt * np.sum(fields[:n], axis=0)
-
-
-def convolved_series(fields, dt):
-    """All partial convolutions (1 * w)(t_n), n = 0..N, as one (N+1, ncells)
-    stack: a running sum down the time axis."""
-    w = np.asarray(fields, dtype=float)
-    out = np.empty_like(w)
-    out[0] = 0.0
-    np.multiply(w[:-1], dt, out=out[1:])
-    np.cumsum(out[1:], axis=0, out=out[1:])
-    return out
-
-
 def record_count(nsteps, record_every):
     """Record points of a run of nsteps steps: t_0, every record_every-th
     step and the final step."""
     return 1 - (-nsteps // record_every)
 
 
-def _schedule_key(grid, dt, record_every, npoints):
-    return (grid.n, grid.length, dt, record_every, npoints)
-
-
 class ReferenceSeries:
-    """mu, phi and sigma of a reference run at its record points, stacked
-    (npoints, 3, ncells) and filled one record point per call, so a run can
-    stream into it through ``run(observe=...)``."""
+    """mu, phi and sigma of a reference run at its npoints record points,
+    record_every steps of dt apart, stacked (npoints, 3, ncells) and filled
+    one record point per call, so a run can stream into it through
+    ``run(observe=...)``.  It is the schedule a CompositeStream runs on."""
 
     def __init__(self, grid, dt, record_every, npoints):
-        self.grid, self.dt, self.record_every = grid, dt, record_every
+        self.grid = grid
+        self.dt = dt * record_every  # time between record points
         self.rows = np.empty((npoints, 3, grid.ncells))
         self.count = 0
-
-    def schedule_key(self):
-        return _schedule_key(self.grid, self.dt, self.record_every, len(self.rows))
 
     def __call__(self, state):
         if self.count == len(self.rows):
@@ -115,39 +68,32 @@ class ReferenceSeries:
         row[0], row[1], row[2] = state.mu, state.phi, state.sigma
         self.count += 1
 
-    @classmethod
-    def of(cls, traj):
-        ref = cls(traj.grid, traj.dt, traj.record_every, len(traj.snapshots))
-        for snap in traj.snapshots:
-            ref(snap)
-        return ref
-
 
 # the series a CompositeStream reduces, in the order of its stacked block
 _STREAMED = ("mu", "dmu", "conv_dmu", "dphi", "dsigma", "conv_dsigma")
 
 
 class CompositeStream:
-    """Running space-time norms of one run against a ReferenceSeries of the
-    same schedule, for the alpha-error and continuous-dependence composites.
+    """Running space-time norms of one run against a ReferenceSeries, on the
+    reference's grid and record schedule, for the alpha-error and
+    continuous-dependence composites.
 
     Called once per record point (``run(observe=stream)``), it copies mu,
     phi and sigma into a fixed buffer of STREAM_BLOCK points.  Each full block
     is differenced against the reference, the time convolutions of the mu
     and sigma differences are extended by a ``cumsum`` that continues from
     the previous block's last row (so the sums are added in the order of
-    ``convolved_series``), and ``Grid.stacked_sq_norms`` reduces the block
-    into running sups and sums.  ``finish`` reduces the last partial block
-    and checks that every reference point was met.
+    one running sum down the whole series), and ``Grid.stacked_sq_norms``
+    reduces the block into running sups and sums.  A run that records more
+    points than the reference raises ScheduleMismatch at once; ``finish``
+    reduces the last partial block and raises it for a run that recorded
+    fewer.
     """
 
-    def __init__(self, reference, grid, dt, record_every, npoints):
-        key = _schedule_key(grid, dt, record_every, npoints)
-        if key != reference.schedule_key() or grid != reference.grid:
-            raise ScheduleMismatch(
-                f"runs sampled differently: {key} vs {reference.schedule_key()}")
-        self.reference, self.grid, self.npoints = reference, grid, npoints
-        self.dt = dt * record_every
+    def __init__(self, reference):
+        grid = reference.grid
+        self.reference, self.grid, self.dt = reference, grid, reference.dt
+        self.npoints = len(reference.rows)
         self._buf = np.empty((3, STREAM_BLOCK, grid.ncells))  # mu, phi, sigma
         self._filled = 0  # points in the buffer
         self._start = 0  # record index of the buffer's first point
@@ -217,36 +163,16 @@ class CompositeStream:
         }
 
 
-def _stream_pair(t1, t2):
-    """Norms of trajectory t1 against t2, fed through a CompositeStream;
-    each must hold a snapshot at every point of its record schedule."""
-    for t in (t1, t2):
-        want = record_count(round(t.final.t / t.dt), t.record_every)
-        if len(t.snapshots) != want:
-            raise ScheduleMismatch(
-                f"trajectory holds {len(t.snapshots)} snapshots, its record "
-                f"schedule has {want} points")
-    stream = CompositeStream(ReferenceSeries.of(t2), t1.grid, t1.dt,
-                             t1.record_every, len(t1.snapshots))
-    for snap in t1.snapshots:
-        stream(snap)
-    return stream.finish()
-
-
-def contdep_value(n):
-    """The continuous-dependence composite from CompositeStream norms."""
-    return (n["dmu"].linf_h + n["conv_dmu"].linf_v
-            + (n["dphi"].linf_h + n["dphi"].l2_v)
-            + (n["dsigma"].linf_h + n["dsigma"].l2_v))
-
-
-def contdep_lhs(t1, t2):
-    """Composite distance between two trajectories of the same schedule:
+def contdep_lhs(n):
+    """Continuous-dependence distance from the CompositeStream norms ``n``
+    of one run against another:
 
     |mu1-mu2|_{Linf H} + |1*(mu1-mu2)|_{Linf V}
       + |phi1-phi2|_{Linf H + L2 V} + |sigma1-sigma2|_{Linf H + L2 V}.
     """
-    return contdep_value(_stream_pair(t1, t2))
+    return (n["dmu"].linf_h + n["conv_dmu"].linf_v
+            + (n["dphi"].linf_h + n["dphi"].l2_v)
+            + (n["dsigma"].linf_h + n["dsigma"].l2_v))
 
 
 def contdep_rhs(grid, dt, nsteps, controls_a, controls_b):
@@ -282,8 +208,16 @@ class AlphaErrorTerms:
         )
 
 
-def alpha_terms(n, alpha):
-    """The vanishing-inertia error terms from CompositeStream norms."""
+def alpha_error(n, alpha):
+    """Vanishing-inertia error terms from the CompositeStream norms ``n`` of
+    a relaxed run (inertia alpha) against its parabolic limit:
+
+    sqrt(alpha) |mu_a|_{Linf H} + |1*(mu_a - mu)|_{Linf V}
+      + |phi_a - phi|_{Linf H + L2 V} + |sigma_a - sigma|_{L2 H}
+      + |1*(sigma_a - sigma)|_{Linf V}.
+
+    The first term weighs the relaxed potential itself, not a difference.
+    """
     return AlphaErrorTerms(
         mu_weighted=float(np.sqrt(alpha)) * n["mu"].linf_h,
         conv_mu_linf_v=n["conv_dmu"].linf_v,
@@ -292,18 +226,6 @@ def alpha_terms(n, alpha):
         sigma_l2_h=n["dsigma"].l2_h,
         conv_sigma_linf_v=n["conv_dsigma"].linf_v,
     )
-
-
-def alpha_error(t_alpha, t_limit):
-    """Vanishing-inertia error composite:
-
-    sqrt(alpha) |mu_a|_{Linf H} + |1*(mu_a - mu)|_{Linf V}
-      + |phi_a - phi|_{Linf H + L2 V} + |sigma_a - sigma|_{L2 H}
-      + |1*(sigma_a - sigma)|_{Linf V}.
-
-    The first term weighs the relaxed potential itself, not a difference.
-    """
-    return alpha_terms(_stream_pair(t_alpha, t_limit), t_alpha.alpha)
 
 
 @dataclass(frozen=True)

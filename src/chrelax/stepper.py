@@ -99,10 +99,6 @@ class Trajectory:
     the phase Newton iterations of step n + 1.
     """
 
-    grid: object
-    dt: float
-    record_every: int
-    alpha: float
     snapshots: list = field(default_factory=list)
     step_times: np.ndarray = None
     mass_phi: np.ndarray = None
@@ -303,8 +299,7 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
         )
 
     state = initial_state(init, potential, scheme.yosida, grid)
-    traj = Trajectory(grid=grid, dt=scheme.dt, record_every=scheme.record_every,
-                      alpha=params.alpha)
+    traj = Trajectory()
     mass_phi = np.empty(nsteps + 1)
     mass_sigma = np.empty(nsteps + 1)
     mass_v = np.empty(nsteps + 1)

@@ -17,8 +17,8 @@ from pathlib import Path
 from chrelax import default_config
 from chrelax.config import build_scenario
 from chrelax.experiments import (
+    _reference,
     _run_scenario,
-    _schedule,
     _stream_against,
     contdep,
     conservation_drift,
@@ -29,7 +29,7 @@ from chrelax.experiments import (
     sweep_eps,
     yosida_battery,
 )
-from chrelax.norms import ReferenceSeries, contdep_value
+from chrelax.norms import contdep_lhs
 
 FINGERPRINT = Path(__file__).with_name("seed_fingerprint.json")
 
@@ -178,9 +178,9 @@ def test_criterion_6_continuous_dependence():
     with _Budget(120.0) as b:
         # delta = 0 twice: identical controls give identical trajectories
         sc = build_scenario(cfg)
-        first = ReferenceSeries(*_schedule(sc))
+        first = _reference(sc)
         _run_scenario(sc, observe=first)
-        lhs_zero = contdep_value(_stream_against(sc, first))
+        lhs_zero = contdep_lhs(_stream_against(sc, first))
         report = contdep(cfg)
     v = verdict_map(report)
     ratios = [r[3] for r in report.rows]

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chrelax import Grid, RateFit
+from chrelax import Grid, RateFit, cli, experiments, parse_config
 from chrelax.cli import _write_diagnostics, dispatch, write_report
 from chrelax.experiments import StudyReport, Verdict
 from chrelax.grid import CSV_BLOCK_ROWS
@@ -65,12 +65,66 @@ def test_config_issues_print_path_and_line(tmp_path, capsys):
     assert "MissingRequired" in err
 
 
-def test_runtime_error_exits_one(tmp_path, capsys):
+def test_runtime_error_exits_one(tmp_path, capsys, monkeypatch):
     # the alpha sweep refuses a non-constant proliferation rate
+    monkeypatch.chdir(tmp_path)  # the default output.dir is made before the run
     path = write_cfg(tmp_path, TINY + "model.P.kind = ramp\n")
     assert dispatch(["sweep-alpha", "--config", path]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "constant" in err
+
+
+def test_seed_is_an_option_of_check_only(tmp_path, capsys, monkeypatch):
+    path = write_cfg(tmp_path, TINY)
+    assert dispatch(["simulate", "--config", path, "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err and "usage:" in err
+    seeds = []
+
+    def suite(cfg, seed):
+        seeds.append(seed)
+        return StudyReport(study="check", digest="d", columns=["check"], rows=[])
+
+    monkeypatch.setattr(experiments, "invariant_suite", suite)
+    out = str(tmp_path / "results")
+    assert dispatch(["check", "--config", path, "--out", out, "--seed", "1"]) == 0
+    assert seeds == [1]
+
+
+def test_unwritable_out_is_an_error_before_the_run(tmp_path, capsys, monkeypatch):
+    (tmp_path / "afile").write_text("")
+    path = write_cfg(tmp_path, TINY)
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+    out = str(tmp_path / "afile" / "sub")
+    assert dispatch(["simulate", "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and out in err
+    assert runs == []
+
+
+def test_unwritable_study_output_is_an_error(tmp_path, capsys, monkeypatch):
+    (tmp_path / "afile").write_text("")
+    text = TINY + f"model.alpha = 0.1\noutput.dir = {tmp_path / 'afile' / 'sub'}\n"
+    path = write_cfg(tmp_path, text)
+    studies = []
+    plain = experiments.sweep_eps
+
+    def sweep_eps(cfg):
+        studies.append(cfg)
+        return plain(cfg)
+
+    monkeypatch.setattr(experiments, "sweep_eps", sweep_eps)
+    # output.dir under a regular file: refused before the study runs
+    assert dispatch(["sweep-eps", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    assert studies == []
+    # a directory where the table goes: refused once the study is done
+    out = tmp_path / "results"
+    (out / f"sweep-eps_{parse_config(text).digest()}.csv").mkdir(parents=True)
+    assert dispatch(["sweep-eps", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    assert len(studies) == 1
 
 
 # -- simulate ------------------------------------------------------------------

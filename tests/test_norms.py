@@ -2,7 +2,10 @@
 
 Oracles are hand-computed on spatially constant snapshot series, where every
 norm reduces to arithmetic on the scalar values: on the unit box the discrete
-L2 norm of a constant c is |c| and gradients vanish.
+L2 norm of a constant c is |c| and gradients vanish.  The composites are
+computed the way the studies compute them: a CompositeStream fed against a
+ReferenceSeries.  The stacked norms and convolutions are the reference
+copies in ``tests/test_stream.py``.
 """
 
 import math
@@ -16,27 +19,36 @@ from chrelax import (
     GridMismatch,
     ScheduleMismatch,
     State,
-    Trajectory,
-    alpha_error,
-    contdep_lhs,
     contdep_rhs,
-    convolve_one,
-    convolved_series,
     fit_rate,
-    series_norms,
 )
 from chrelax.model import Controls, ControlSpec
+from chrelax.norms import CompositeStream, ReferenceSeries, alpha_error, contdep_lhs
+from test_stream import convolve_one, convolved_series, series_norms
 
 
-def constant_traj(grid, dt, rows, alpha=0.5, record_every=1):
-    """Trajectory whose k-th snapshot holds the constants rows[k] =
-    (mu, v, phi, sigma)."""
-    traj = Trajectory(grid=grid, dt=dt, record_every=record_every, alpha=alpha)
-    for k, (mu, v, phi, sigma) in enumerate(rows):
-        traj.snapshots.append(State(
-            mu=grid.field(mu), v=grid.field(v), phi=grid.field(phi),
-            sigma=grid.field(sigma), xi=grid.field(), t=k * dt * record_every))
-    return traj
+def constant_states(grid, rows):
+    """States whose k-th one holds the constants rows[k] = (mu, v, phi, sigma)."""
+    return [State(mu=grid.field(mu), v=grid.field(v), phi=grid.field(phi),
+                  sigma=grid.field(sigma), xi=grid.field(), t=0.0)
+            for mu, v, phi, sigma in rows]
+
+
+def stream_norms(grid, dt, rows, ref_rows, record_every=1):
+    """CompositeStream norms of the series ``rows`` against ``ref_rows``,
+    record points record_every steps of dt apart."""
+    return stream_states(grid, dt, constant_states(grid, rows),
+                         constant_states(grid, ref_rows), record_every)
+
+
+def stream_states(grid, dt, states, ref_states, record_every=1):
+    ref = ReferenceSeries(grid, dt, record_every, len(ref_states))
+    for s in ref_states:
+        ref(s)
+    stream = CompositeStream(ref)
+    for s in states:
+        stream(s)
+    return stream.finish()
 
 
 # -- series norms ---------------------------------------------------------
@@ -110,15 +122,13 @@ def test_convolution_linearity():
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-14)
 
 
-# -- trajectory composites --------------------------------------------------
+# -- composites ----------------------------------------------------------------
 
 
 def test_contdep_lhs_identical_runs_is_zero():
     g = Grid(8)
     rows = [(0.3, 0.0, -0.2, 0.5)] * 4
-    t1 = constant_traj(g, 0.1, rows)
-    t2 = constant_traj(g, 0.1, rows)
-    assert contdep_lhs(t1, t2) == 0.0
+    assert contdep_lhs(stream_norms(g, 0.1, rows, rows)) == 0.0
 
 
 def test_contdep_lhs_constant_offset_oracle():
@@ -127,31 +137,30 @@ def test_contdep_lhs_constant_offset_oracle():
     T = dt * (nsnap - 1)
     base = [(0.0, 0.0, 0.0, 0.0)] * nsnap
     mu_off = [(0.4, 0.0, 0.0, 0.0)] * nsnap
-    t1 = constant_traj(g, dt, mu_off)
-    t2 = constant_traj(g, dt, base)
     # |dmu|_{Linf H} = 0.4 and |1*dmu|_{Linf V} = 0.4 T; other terms vanish
     want = 0.4 + 0.4 * T
-    assert contdep_lhs(t1, t2) == pytest.approx(want, rel=1e-13)
-    assert contdep_lhs(t2, t1) == pytest.approx(want, rel=1e-13)
+    assert contdep_lhs(stream_norms(g, dt, mu_off, base)) == pytest.approx(
+        want, rel=1e-13)
+    assert contdep_lhs(stream_norms(g, dt, base, mu_off)) == pytest.approx(
+        want, rel=1e-13)
     phi_off = [(0.0, 0.0, 0.25, 0.0)] * nsnap
-    t3 = constant_traj(g, dt, phi_off)
     # |dphi|_{Linf H} + |dphi|_{L2 V} = 0.25 + 0.25 sqrt(T)
-    assert contdep_lhs(t3, t2) == pytest.approx(
+    assert contdep_lhs(stream_norms(g, dt, phi_off, base)) == pytest.approx(
         0.25 + 0.25 * math.sqrt(T), rel=1e-13)
+    # recording every second step doubles the time between record points
+    assert contdep_lhs(stream_norms(g, dt, mu_off, base, record_every=2)) == (
+        pytest.approx(0.4 + 0.8 * T, rel=1e-13))
 
 
 def test_contdep_lhs_rejects_mismatched_schedules():
+    # the stream runs on the reference's schedule: a run with fewer or more
+    # record points than the reference is refused
     g = Grid(8)
     rows = [(0.0, 0.0, 0.0, 0.0)] * 4
-    t1 = constant_traj(g, 0.1, rows)
-    with pytest.raises(ScheduleMismatch):
-        contdep_lhs(t1, constant_traj(g, 0.2, rows))
-    with pytest.raises(ScheduleMismatch):
-        contdep_lhs(t1, constant_traj(g, 0.1, rows[:3]))
-    with pytest.raises(ScheduleMismatch):
-        contdep_lhs(t1, constant_traj(g, 0.1, rows, record_every=2))
-    with pytest.raises(ScheduleMismatch):
-        contdep_lhs(t1, constant_traj(Grid(4), 0.1, rows))
+    with pytest.raises(ScheduleMismatch, match="3 of the reference's 4"):
+        stream_norms(g, 0.1, rows[:3], rows)
+    with pytest.raises(ScheduleMismatch, match="more than the reference's 3"):
+        stream_norms(g, 0.1, rows, rows[:3])
 
 
 def test_contdep_rhs_constant_controls():
@@ -172,10 +181,9 @@ def test_contdep_rhs_constant_controls():
 def test_alpha_error_self_term_only():
     g = Grid(8)
     rows = [(0.6, 0.0, -0.1, 0.2)] * 5
-    t_alpha = constant_traj(g, 0.1, rows, alpha=0.25)
-    t_limit = constant_traj(g, 0.1, rows, alpha=0.0)
-    terms = alpha_error(t_alpha, t_limit)
-    # identical trajectories: every difference term vanishes and only
+    norms = stream_norms(g, 0.1, rows, rows)
+    terms = alpha_error(norms, 0.25)
+    # identical series: every difference term vanishes and only
     # sqrt(alpha) |mu|_{Linf H} = 0.5 * 0.6 survives
     assert terms.conv_mu_linf_v == 0.0
     assert terms.phi_linf_h == 0.0 and terms.phi_l2_v == 0.0
@@ -183,8 +191,7 @@ def test_alpha_error_self_term_only():
     assert terms.mu_weighted == pytest.approx(0.3, rel=1e-13)
     assert terms.composite == pytest.approx(0.3, rel=1e-13)
     # the weight scales like sqrt(alpha)
-    t_double = constant_traj(g, 0.1, rows, alpha=0.5)
-    ratio = alpha_error(t_double, t_limit).composite / terms.composite
+    ratio = alpha_error(norms, 0.5).composite / terms.composite
     assert ratio == pytest.approx(math.sqrt(2.0), rel=1e-13)
 
 
@@ -192,9 +199,9 @@ def test_alpha_error_difference_terms_oracle():
     g = Grid(8)
     dt, nsnap = 0.1, 6
     T = dt * (nsnap - 1)
-    t_alpha = constant_traj(g, dt, [(0.0, 0.0, 0.3, -0.2)] * nsnap, alpha=0.04)
-    t_limit = constant_traj(g, dt, [(0.0, 0.0, 0.0, 0.0)] * nsnap, alpha=0.0)
-    terms = alpha_error(t_alpha, t_limit)
+    terms = alpha_error(stream_norms(
+        g, dt, [(0.0, 0.0, 0.3, -0.2)] * nsnap, [(0.0, 0.0, 0.0, 0.0)] * nsnap),
+        0.04)
     assert terms.mu_weighted == 0.0
     assert terms.phi_linf_h == pytest.approx(0.3, rel=1e-13)
     assert terms.phi_l2_v == pytest.approx(0.3 * math.sqrt(T), rel=1e-13)
@@ -226,25 +233,22 @@ def loop_convolved(fields, dt):
     return out
 
 
-def series(traj, name):
-    return [getattr(s, name) for s in traj.snapshots]
+def series(states, name):
+    return [getattr(s, name) for s in states]
 
 
-def random_traj(grid, rng, n, alpha=0.3, dt=0.01):
-    traj = Trajectory(grid=grid, dt=dt, record_every=1, alpha=alpha)
-    for k in range(n):
-        traj.snapshots.append(State(
-            *(rng.standard_normal(grid.ncells) for _ in range(5)), t=k * dt))
-    return traj
+def random_states(grid, rng, n):
+    return [State(*(rng.standard_normal(grid.ncells) for _ in range(5)), t=0.0)
+            for _ in range(n)]
 
 
 @pytest.mark.parametrize("grid", [Grid(16), Grid(7, length=2.0),
                                   Grid((5, 6), length=(1.0, 0.4))])
 def test_stacked_norms_match_per_snapshot_loop(grid):
     rng = np.random.default_rng(37)
-    t1, t2 = random_traj(grid, rng, 9), random_traj(grid, rng, 9)
-    dt = t1.dt
-    fields = series(t1, "phi")
+    s1, s2 = random_states(grid, rng, 9), random_states(grid, rng, 9)
+    dt, alpha = 0.01, 0.3
+    fields = series(s1, "phi")
     got = series_norms(grid, fields, dt)
     want = loop_series_norms(grid, fields, dt)
     np.testing.assert_allclose(
@@ -254,20 +258,21 @@ def test_stacked_norms_match_per_snapshot_loop(grid):
         convolved_series(fields, dt), np.array(loop_convolved(fields, dt)))
 
     def diffs(name):
-        return [a - b for a, b in zip(series(t1, name), series(t2, name))]
+        return [a - b for a, b in zip(series(s1, name), series(s2, name))]
 
     dmu, dphi, dsig = diffs("mu"), diffs("phi"), diffs("sigma")
     nm, nphi, nsig = (loop_series_norms(grid, d, dt) for d in (dmu, dphi, dsig))
     conv_mu = loop_series_norms(grid, loop_convolved(dmu, dt), dt)
     conv_sig = loop_series_norms(grid, loop_convolved(dsig, dt), dt)
+    norms = stream_states(grid, dt, s1, s2)
     want_lhs = nm[0] + conv_mu[1] + nphi[0] + nphi[3] + nsig[0] + nsig[3]
-    assert contdep_lhs(t1, t2) == pytest.approx(want_lhs, rel=1e-12, abs=0)
-    mu_self = loop_series_norms(grid, series(t1, "mu"), dt)
-    terms = alpha_error(t1, t2)
+    assert contdep_lhs(norms) == pytest.approx(want_lhs, rel=1e-12, abs=0)
+    mu_self = loop_series_norms(grid, series(s1, "mu"), dt)
+    terms = alpha_error(norms, alpha)
     np.testing.assert_allclose(
         [terms.mu_weighted, terms.conv_mu_linf_v, terms.phi_linf_h,
          terms.phi_l2_v, terms.sigma_l2_h, terms.conv_sigma_linf_v],
-        [math.sqrt(t1.alpha) * mu_self[0], conv_mu[1], nphi[0], nphi[3],
+        [math.sqrt(alpha) * mu_self[0], conv_mu[1], nphi[0], nphi[3],
          nsig[2], conv_sig[1]], rtol=1e-12, atol=0)
 
 

@@ -1,9 +1,11 @@
 """Tests for the streamed study composites and ``run(observe=...)``.
 
-The stacked composites that kept every snapshot are kept here as reference
-copies: ``CompositeStream`` (fed by ``alpha_error``/``contdep_lhs`` or by
-a run's observer) must match them to 1e-12 relative, on
-block boundaries and on record schedules whose last interval is short.
+The stacked forms of the space-time norms, which hold a whole series at
+once, live here as reference copies (``tests/test_norms.py`` checks them
+against hand-computed oracles).  A ``CompositeStream`` fed against a
+``ReferenceSeries``, by hand or by a run's observer, must match the
+stacked composites to 1e-12 relative, on block boundaries and on record
+schedules whose last interval is short.
 """
 
 import math
@@ -15,18 +17,16 @@ import pytest
 
 from chrelax import (
     Grid,
+    GridMismatch,
     ScheduleMismatch,
     SchemeUnstable,
+    SeriesNorms,
     State,
-    Trajectory,
-    alpha_error,
     build_scenario,
-    contdep_lhs,
     default_config,
     initial_state,
     parse_config,
     run,
-    series_norms,
 )
 from chrelax import norms as norms_module
 from chrelax import stepper
@@ -34,44 +34,81 @@ from chrelax.experiments import separation, sweep_alpha, sweep_eps
 from chrelax.norms import (
     CompositeStream,
     ReferenceSeries,
-    alpha_terms,
-    STREAM_BLOCK,
-    contdep_value,
-    convolved_series,
+    alpha_error,
+    contdep_lhs,
     record_count,
 )
 
-# -- reference copies of the stacked composites ----------------------------
+# -- the stacked forms, kept as reference copies -----------------------------
 
 
-def series(traj, name):
-    return [getattr(s, name) for s in traj.snapshots]
+def series_norms(grid, fields, dt):
+    """Norms of a snapshot series (t_0 included in the sup norms).
+
+    ``fields`` is a list of snapshots or their (N, ncells) stack; every
+    norm is a reduction over the stack's cell axis.
+    """
+    try:
+        rows = np.asarray(fields, dtype=float)
+    except ValueError as e:  # snapshots of different lengths
+        raise GridMismatch(f"cannot stack the snapshots: {e}") from None
+    h_sq, grad_sq = grid.stacked_sq_norms(rows)
+    v_sq = h_sq + grad_sq
+    return SeriesNorms(
+        linf_h=float(np.sqrt(np.max(h_sq))),
+        linf_v=float(np.sqrt(np.max(v_sq))),
+        l2_h=float(np.sqrt(dt * np.sum(h_sq[1:]))),
+        l2_v=float(np.sqrt(dt * np.sum(v_sq[1:]))),
+    )
 
 
-def stacked_diff(t1, t2, name):
-    return np.array([a - b for a, b in zip(series(t1, name), series(t2, name))])
+def convolve_one(fields, dt, n):
+    """(1 * w)(t_n) = dt * sum of the first n snapshots."""
+    if n == 0:
+        return np.zeros_like(fields[0])
+    return dt * np.sum(fields[:n], axis=0)
 
 
-def stacked_contdep_lhs(t1, t2):
-    g, dt = t1.grid, t1.dt * t1.record_every
-    dmu = stacked_diff(t1, t2, "mu")
-    nm = series_norms(g, dmu, dt)
-    conv = series_norms(g, convolved_series(dmu, dt), dt)
-    np_ = series_norms(g, stacked_diff(t1, t2, "phi"), dt)
-    ns = series_norms(g, stacked_diff(t1, t2, "sigma"), dt)
+def convolved_series(fields, dt):
+    """All partial convolutions (1 * w)(t_n), n = 0..N, as one (N+1, ncells)
+    stack: a running sum down the time axis."""
+    w = np.asarray(fields, dtype=float)
+    out = np.empty_like(w)
+    out[0] = 0.0
+    np.multiply(w[:-1], dt, out=out[1:])
+    np.cumsum(out[1:], axis=0, out=out[1:])
+    return out
+
+
+def series(states, name):
+    return [getattr(s, name) for s in states]
+
+
+def stacked_diff(s1, s2, name):
+    return np.array([a - b for a, b in zip(series(s1, name), series(s2, name))])
+
+
+def stacked_contdep_lhs(grid, dt, s1, s2):
+    """The continuous-dependence distance of the state series s1 against
+    s2, record points dt apart."""
+    dmu = stacked_diff(s1, s2, "mu")
+    nm = series_norms(grid, dmu, dt)
+    conv = series_norms(grid, convolved_series(dmu, dt), dt)
+    np_ = series_norms(grid, stacked_diff(s1, s2, "phi"), dt)
+    ns = series_norms(grid, stacked_diff(s1, s2, "sigma"), dt)
     return nm.linf_h + conv.linf_v + (np_.linf_h + np_.l2_v) + (ns.linf_h + ns.l2_v)
 
 
-def stacked_alpha_error(t_alpha, t_limit):
-    g, dt = t_alpha.grid, t_alpha.dt * t_alpha.record_every
-    mu_self = series_norms(g, series(t_alpha, "mu"), dt)
+def stacked_alpha_error(grid, dt, s_alpha, s_limit, alpha):
+    """The six vanishing-inertia error terms of s_alpha against s_limit."""
+    mu_self = series_norms(grid, series(s_alpha, "mu"), dt)
     conv_mu = series_norms(
-        g, convolved_series(stacked_diff(t_alpha, t_limit, "mu"), dt), dt)
-    nphi = series_norms(g, stacked_diff(t_alpha, t_limit, "phi"), dt)
-    dsig = stacked_diff(t_alpha, t_limit, "sigma")
-    nsig = series_norms(g, dsig, dt)
-    conv_sig = series_norms(g, convolved_series(dsig, dt), dt)
-    return [math.sqrt(t_alpha.alpha) * mu_self.linf_h, conv_mu.linf_v,
+        grid, convolved_series(stacked_diff(s_alpha, s_limit, "mu"), dt), dt)
+    nphi = series_norms(grid, stacked_diff(s_alpha, s_limit, "phi"), dt)
+    dsig = stacked_diff(s_alpha, s_limit, "sigma")
+    nsig = series_norms(grid, dsig, dt)
+    conv_sig = series_norms(grid, convolved_series(dsig, dt), dt)
+    return [math.sqrt(alpha) * mu_self.linf_h, conv_mu.linf_v,
             nphi.linf_h, nphi.l2_v, nsig.l2_h, conv_sig.linf_v]
 
 
@@ -80,21 +117,27 @@ def terms_list(t):
             t.sigma_l2_h, t.conv_sigma_linf_v]
 
 
-def random_traj(grid, rng, npoints, alpha=0.3, dt=0.01, record_every=1):
-    traj = Trajectory(grid=grid, dt=dt, record_every=record_every, alpha=alpha)
-    for k in range(npoints):
-        traj.snapshots.append(State(
-            *(rng.standard_normal(grid.ncells) for _ in range(5)),
-            t=k * dt * record_every))
-    return traj
+DT = 0.01  # time between the record points of the random series
 
 
-def streamed(t1, t2, block, monkeypatch):
+def random_states(grid, rng, npoints):
+    return [State(*(rng.standard_normal(grid.ncells) for _ in range(5)), t=k * DT)
+            for k in range(npoints)]
+
+
+def reference(grid, states):
+    """A ReferenceSeries filled with ``states``, one record point per step."""
+    ref = ReferenceSeries(grid, DT, 1, len(states))
+    for s in states:
+        ref(s)
+    return ref
+
+
+def streamed(states, ref, block, monkeypatch):
     monkeypatch.setattr(norms_module, "STREAM_BLOCK", block)
-    stream = CompositeStream(ReferenceSeries.of(t2), t1.grid, t1.dt,
-                             t1.record_every, len(t1.snapshots))
-    for snap in t1.snapshots:
-        stream(snap)
+    stream = CompositeStream(ref)
+    for s in states:
+        stream(s)
     return stream.finish()
 
 
@@ -106,19 +149,13 @@ def streamed(t1, t2, block, monkeypatch):
     (4, 1), (4, 3), (4, 4), (4, 5), (4, 9), (64, 63), (64, 64), (64, 65)])
 def test_stream_matches_stacked_composites(grid, block, npoints, monkeypatch):
     rng = np.random.default_rng(npoints)
-    t1, t2 = random_traj(grid, rng, npoints), random_traj(grid, rng, npoints)
-    norms = streamed(t1, t2, block, monkeypatch)
+    s1, s2 = random_states(grid, rng, npoints), random_states(grid, rng, npoints)
+    norms = streamed(s1, reference(grid, s2), block, monkeypatch)
     np.testing.assert_allclose(
-        terms_list(alpha_terms(norms, t1.alpha)), stacked_alpha_error(t1, t2),
-        rtol=1e-12, atol=0)
-    assert contdep_value(norms) == pytest.approx(
-        stacked_contdep_lhs(t1, t2), rel=1e-12, abs=0)
-    if block == STREAM_BLOCK:  # the default block, through the public functions
-        np.testing.assert_allclose(
-            terms_list(alpha_error(t1, t2)), stacked_alpha_error(t1, t2),
-            rtol=1e-12, atol=0)
-        assert contdep_lhs(t1, t2) == pytest.approx(
-            stacked_contdep_lhs(t1, t2), rel=1e-12, abs=0)
+        terms_list(alpha_error(norms, 0.3)),
+        stacked_alpha_error(grid, DT, s1, s2, 0.3), rtol=1e-12, atol=0)
+    assert contdep_lhs(norms) == pytest.approx(
+        stacked_contdep_lhs(grid, DT, s1, s2), rel=1e-12, abs=0)
 
 
 def test_stream_convolution_continues_across_blocks_exactly(monkeypatch):
@@ -126,11 +163,12 @@ def test_stream_convolution_continues_across_blocks_exactly(monkeypatch):
     # series, so the sup of |1*dmu| agrees bit for bit whatever the block
     g = Grid(8)
     rng = np.random.default_rng(5)
-    t1, t2 = random_traj(g, rng, 11), random_traj(g, rng, 11)
+    s1, s2 = random_states(g, rng, 11), random_states(g, rng, 11)
     want = series_norms(
-        g, convolved_series(stacked_diff(t1, t2, "mu"), t1.dt), t1.dt).linf_v
+        g, convolved_series(stacked_diff(s1, s2, "mu"), DT), DT).linf_v
     for block in (1, 2, 3, 10, 11, 64):
-        assert streamed(t1, t2, block, monkeypatch)["conv_dmu"].linf_v == want
+        got = streamed(s1, reference(g, s2), block, monkeypatch)
+        assert got["conv_dmu"].linf_v == want
 
 
 def test_record_count_matches_the_run_schedule():
@@ -157,12 +195,11 @@ def small_scenario(**updates):
     return sc.params, sc.potential, sc.controls, sc.init, sc.grid, sc.T, sc.scheme
 
 
-def recorded_run(*args):
-    """A run whose trajectory holds the state at every record point."""
+def observed(*args):
+    """The states of a run at its record points."""
     states = []
-    traj = run(*args, observe=states.append)
-    traj.snapshots = states
-    return traj
+    run(*args, observe=states.append)
+    return states
 
 
 def test_observe_sees_every_record_point_and_keeps_two_snapshots():
@@ -197,88 +234,76 @@ def test_streamed_runs_match_the_stacked_composites(record_every, monkeypatch):
     params, pot, controls, init, g, T, scheme = small_scenario(
         **{"time.record_every": record_every})
     limit_params = replace(params, alpha=0.0)
-    t_limit = recorded_run(limit_params, pot, controls, init, g, T, scheme)
-    t_alpha = recorded_run(params, pot, controls, init, g, T, scheme)
-    npoints = len(t_limit.snapshots)
+    s_limit = observed(limit_params, pot, controls, init, g, T, scheme)
+    s_alpha = observed(params, pot, controls, init, g, T, scheme)
+    npoints = len(s_limit)
     assert npoints == record_count(10, record_every)
     ref = ReferenceSeries(g, scheme.dt, record_every, npoints)
     run(limit_params, pot, controls, init, g, T, scheme, observe=ref)
     assert ref.count == npoints
-    stream = CompositeStream(ref, g, scheme.dt, record_every, npoints)
+    stream = CompositeStream(ref)
     run(params, pot, controls, init, g, T, scheme, observe=stream)
     norms = stream.finish()
+    dt = scheme.dt * record_every
     np.testing.assert_allclose(
-        terms_list(alpha_terms(norms, params.alpha)),
-        stacked_alpha_error(t_alpha, t_limit), rtol=1e-12, atol=0)
-    assert contdep_value(norms) == pytest.approx(
-        stacked_contdep_lhs(t_alpha, t_limit), rel=1e-12, abs=0)
+        terms_list(alpha_error(norms, params.alpha)),
+        stacked_alpha_error(g, dt, s_alpha, s_limit, params.alpha),
+        rtol=1e-12, atol=0)
+    assert contdep_lhs(norms) == pytest.approx(
+        stacked_contdep_lhs(g, dt, s_alpha, s_limit), rel=1e-12, abs=0)
 
 
 # -- schedule checks ---------------------------------------------------------------
 
 
-def test_stream_rejects_a_reference_of_another_schedule():
-    g = Grid(8)
-    ref = ReferenceSeries(g, 1e-3, 1, 11)
-    CompositeStream(ref, g, 1e-3, 1, 11)  # the matching schedule is accepted
-    for grid, dt, record_every, npoints in [
-            (g, 2e-3, 1, 11), (g, 1e-3, 2, 11), (g, 1e-3, 1, 10),
-            (Grid(4), 1e-3, 1, 11), (Grid(8, length=2.0), 1e-3, 1, 11)]:
-        with pytest.raises(ScheduleMismatch):
-            CompositeStream(ref, grid, dt, record_every, npoints)
-
-
 def test_stream_rejects_runs_that_miss_the_reference_points(monkeypatch):
     g = Grid(8)
     rng = np.random.default_rng(3)
-    t = random_traj(g, rng, 5)
-    ref = ReferenceSeries.of(t)
+    states = random_states(g, rng, 5)
+    ref = reference(g, states)
     with pytest.raises(ScheduleMismatch):  # the reference is full
-        ref(t.snapshots[0])
-    short = CompositeStream(ref, g, t.dt, 1, 5)
-    for snap in t.snapshots[:4]:
-        short(snap)
+        ref(states[0])
+    short = CompositeStream(ref)
+    for s in states[:4]:
+        short(s)
     with pytest.raises(ScheduleMismatch, match="4 of the reference's 5"):
         short.finish()
-    long = CompositeStream(ref, g, t.dt, 1, 5)
-    for snap in t.snapshots:
-        long(snap)
+    long = CompositeStream(ref)
+    for s in states:
+        long(s)
     with pytest.raises(ScheduleMismatch):
-        long(t.snapshots[0])
+        long(states[0])
     # a reference that is still being filled cannot be compared against
-    partial = ReferenceSeries(g, t.dt, 1, 5)
-    partial(t.snapshots[0])
+    partial = ReferenceSeries(g, DT, 1, 5)
+    partial(states[0])
     monkeypatch.setattr(norms_module, "STREAM_BLOCK", 2)
-    early = CompositeStream(partial, g, t.dt, 1, 5)
-    early(t.snapshots[0])
+    early = CompositeStream(partial)
+    early(states[0])
     with pytest.raises(ScheduleMismatch, match="reference holds 1 points"):
-        early(t.snapshots[1])
-    # the trajectory functions keep their schedule check
-    with pytest.raises(ScheduleMismatch):
-        alpha_error(t, random_traj(g, rng, 5, record_every=2))
+        early(states[1])
 
 
-def test_trajectory_composites_reject_runs_without_their_record_series():
-    # a run keeps its first and last state: with 5 record points the pair
-    # would be compared at t = 0 and t = T only
+def test_stream_takes_its_schedule_from_the_reference():
+    # a run of another horizon or record stride than the reference's run
+    # records more or fewer points, and the stream refuses it
     params, pot, controls, init, g, T, scheme = small_scenario()
-    limit = replace(params, alpha=0.0)
-    t_alpha = run(params, pot, controls, init, g, T, scheme, observe=lambda s: None)
-    t_limit = run(limit, pot, controls, init, g, T, scheme, observe=lambda s: None)
-    with pytest.raises(ScheduleMismatch, match="holds 2 snapshots.* has 5 points"):
-        alpha_error(t_alpha, t_limit)
-    with pytest.raises(ScheduleMismatch, match="holds 2 snapshots.* has 5 points"):
-        contdep_lhs(t_alpha, t_limit)
-    # with record_every >= nsteps the first and last state are the schedule
-    sparse = replace(scheme, record_every=10)
-    t_alpha = run(params, pot, controls, init, g, T, sparse)
-    t_limit = run(limit, pot, controls, init, g, T, sparse)
-    assert contdep_lhs(t_alpha, t_limit) > 0.0
-    assert alpha_error(t_alpha, t_limit).composite > 0.0
-    # the second trajectory is checked too: twice the horizon has 3 points
-    t_long = run(limit, pot, controls, init, g, 2 * T, sparse)
-    with pytest.raises(ScheduleMismatch, match="holds 2 snapshots.* has 3 points"):
-        contdep_lhs(t_alpha, t_long)
+    ref = ReferenceSeries(g, scheme.dt, scheme.record_every, record_count(10, 3))
+    run(params, pot, controls, init, g, T, scheme, observe=ref)
+    with pytest.raises(ScheduleMismatch, match="more than the reference's 5"):
+        run(params, pot, controls, init, g, 2 * T, scheme,
+            observe=CompositeStream(ref))
+    with pytest.raises(ScheduleMismatch, match="more than the reference's 5"):
+        run(params, pot, controls, init, g, T, replace(scheme, record_every=2),
+            observe=CompositeStream(ref))
+    short = CompositeStream(ref)
+    run(params, pot, controls, init, g, T / 2, scheme, observe=short)
+    with pytest.raises(ScheduleMismatch, match="3 of the reference's 5"):
+        short.finish()
+    # the matching run is accepted, with the reference's record spacing
+    same = CompositeStream(ref)
+    run(params, pot, controls, init, g, T, scheme, observe=same)
+    assert same.dt == ref.dt == scheme.dt * 3
+    assert contdep_lhs(same.finish()) == 0.0
 
 
 # -- memory -----------------------------------------------------------------------
@@ -342,8 +367,10 @@ def traced_peak(study, cfg):
 
 def test_sweep_eps_memory_holds_two_reference_stacks():
     # four runs of 400 steps at n = 32: keeping every snapshot took a
-    # tracemalloc peak of 3.32 MB; streamed, the study peaks at 1.12 MB, of
-    # which the two live reference stacks (401 x 3 x 32 doubles) are 0.62 MB
+    # tracemalloc peak of 3.32 MB, and two live reference stacks 1.12 MB;
+    # streaming each eps/2 run against its rung's own reference, the study
+    # peaks at 0.81 MB, of which the one reference stack (401 x 3 x 32
+    # doubles) is 0.31 MB.  The bound still allows a second stack.
     cfg = default_config(**{
         "grid.n": [32], "time.T": 0.4, "time.dt": 1e-3,
         "model.alpha": 0.5, "model.P.kind": "constant", "model.P.p0": 1.0,
