@@ -132,15 +132,19 @@ class Grid:
     def laplacian(self, u):
         """Mirror-ghost Neumann Laplacian in flux form."""
         self.check(u)
-        out = np.zeros_like(u)
-        for stride, hh, row in self._stencil:
+        out = np.empty_like(u)
+        for ax, (stride, hh, row) in enumerate(self._stencil):
             flux = u[stride:] - u[:-stride]
             if row:
                 flux[row - 1::row] = 0.0  # differences across a row end
             flux /= hh
             # each interior flux enters two cells with opposite sign, so the
             # divergence telescopes and boundary fluxes never appear
-            out[:-stride] += flux
+            if ax == 0:
+                out[:-stride] = flux
+                out[-stride:] = 0.0
+            else:
+                out[:-stride] += flux
             out[stride:] -= flux
         return out
 
@@ -150,7 +154,7 @@ class Grid:
 
     def h_norm(self, u):
         self.check(u)
-        return float(np.sqrt(self.cell_volume) * np.linalg.norm(u))
+        return math.sqrt(self.cell_volume) * math.sqrt(float(u @ u))
 
     def integrate(self, u):
         self.check(u)
@@ -220,7 +224,7 @@ class Grid:
         for it in range(max_iter):
             Ap = apply(p)
             pAp = float(p @ Ap)
-            if not np.isfinite(pAp) or pAp <= 0.0:
+            if not math.isfinite(pAp) or pAp <= 0.0:
                 raise CgNoConvergence(
                     f"operator lost positive definiteness (p.Ap = {pAp})",
                     residual=math.sqrt(rr) / bnorm,
@@ -274,11 +278,20 @@ class Grid:
         periodic field on 2n cells per axis, where the Neumann Laplacian is
         the periodic one.  That costs O(N log N) time and O(N) memory.
         """
+        return self._cosine_divide(self._cosine_denom(shift, scale), rhs)
+
+    def _cosine_denom(self, shift, scale):
+        """shift + scale * (the eigenvalues of -laplacian), in the layout of
+        the cosine coefficients."""
         if not (shift > 0.0 and scale >= 0.0):
             raise InvalidParams(
                 f"cosine solve needs shift > 0 and scale >= 0, got {shift}, {scale}")
-        mats, lam = self._cosine_tables()
-        denom = shift + scale * lam
+        return shift + scale * self._cosine_tables()[1]
+
+    def _cosine_divide(self, denom, rhs):
+        """Transform rhs to the cosine basis, divide by denom (from
+        ``_cosine_denom``) and transform back."""
+        mats = self._cosine[0]
         if mats is None:
             u = rhs.reshape(self.n)
             for ax in range(self.dim):
@@ -303,10 +316,10 @@ class Grid:
         """
         if np.ndim(shift) == 0:
             return self.cosine_solve(shift, scale, rhs)
-        mean = float(np.mean(shift))
+        denom = self._cosine_denom(float(np.mean(shift)), scale)
         return self.solve_spd(
             lambda w: shift * w - scale * self.laplacian(w), rhs, tol,
-            precond=lambda r: self.cosine_solve(mean, scale, r))
+            precond=lambda r: self._cosine_divide(denom, r))
 
     # -- I/O -----------------------------------------------------------------
 

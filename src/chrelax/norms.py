@@ -52,7 +52,8 @@ class ReferenceSeries:
     """mu, phi and sigma of a reference run at its npoints record points,
     record_every steps of dt apart, stacked (npoints, 3, ncells) and filled
     one record point per call, so a run can stream into it through
-    ``run(observe=...)``.  It is the schedule a CompositeStream runs on."""
+    ``run(observe=...)``.  It is the schedule a CompositeStream runs on.
+    A state of another grid raises GridMismatch."""
 
     def __init__(self, grid, dt, record_every, npoints):
         self.grid = grid
@@ -64,6 +65,7 @@ class ReferenceSeries:
         if self.count == len(self.rows):
             raise ScheduleMismatch(
                 f"reference run recorded more than its {len(self.rows)} points")
+        self.grid.check(state.mu, state.phi, state.sigma)
         row = self.rows[self.count]
         row[0], row[1], row[2] = state.mu, state.phi, state.sigma
         self.count += 1
@@ -84,10 +86,10 @@ class CompositeStream:
     and sigma differences are extended by a ``cumsum`` that continues from
     the previous block's last row (so the sums are added in the order of
     one running sum down the whole series), and ``Grid.stacked_sq_norms``
-    reduces the block into running sups and sums.  A run that records more
-    points than the reference raises ScheduleMismatch at once; ``finish``
-    reduces the last partial block and raises it for a run that recorded
-    fewer.
+    reduces the block into running sups and sums.  A state of another grid
+    raises GridMismatch.  A run that records more points than the
+    reference raises ScheduleMismatch at once; ``finish`` reduces the last
+    partial block and raises it for a run that recorded fewer.
     """
 
     def __init__(self, reference):
@@ -108,6 +110,7 @@ class CompositeStream:
         if self._start + self._filled == self.npoints:
             raise ScheduleMismatch(
                 f"run recorded more than the reference's {self.npoints} points")
+        self.grid.check(state.mu, state.phi, state.sigma)
         k = self._filled
         self._buf[0, k], self._buf[1, k], self._buf[2, k] = (
             state.mu, state.phi, state.sigma)

@@ -74,6 +74,20 @@ def test_runtime_error_exits_one(tmp_path, capsys, monkeypatch):
     assert "error:" in err and "constant" in err
 
 
+@pytest.mark.parametrize("setting,field", [
+    ("solver.cg_tol = -1", "cg_tol"),
+    ("solver.newton_tol = -1", "newton_tol"),
+    ("solver.newton_max_iter = 0", "newton_max_iter"),
+])
+def test_invalid_solver_setting_exits_one(tmp_path, capsys, setting, field):
+    path = write_cfg(tmp_path, TINY + setting + "\n")
+    out = tmp_path / "out"
+    assert dispatch(["simulate", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be" in err
+    assert not list(out.rglob("*.csv"))  # refused before the run
+
+
 def test_seed_is_an_option_of_check_only(tmp_path, capsys, monkeypatch):
     path = write_cfg(tmp_path, TINY)
     assert dispatch(["simulate", "--config", path, "--seed", "1"]) == 1

@@ -170,6 +170,14 @@ def test_laplacian_matches_diff_stencil_bitwise(n, length):
             g.laplacian(u).view(np.int64), diff_laplacian(g, u).view(np.int64))
 
 
+def test_h_norm_is_the_scaled_euclidean_norm_bitwise():
+    rng = np.random.default_rng(37)
+    for g in (Grid(10, 2.5), Grid((6, 4), (1.0, 0.7))):
+        for scale in (1e-8, 1.0, 1e8):
+            u = scale * rng.standard_normal(g.ncells)
+            assert g.h_norm(u) == float(np.sqrt(g.cell_volume) * np.linalg.norm(u))
+
+
 def test_laplacian_diag_matches_dense():
     for g in (Grid(10), Grid((4, 6), length=(1.0, 2.0))):
         np.testing.assert_allclose(

@@ -110,6 +110,35 @@ def test_scalar_shift_is_the_cosine_solve(n, transform, monkeypatch):
     np.testing.assert_allclose(cg, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("n", [12, (5, 7)])
+def test_variable_shift_is_cg_preconditioned_at_the_mean_shift(n, transform):
+    # bit for bit the CG solve with the cosine solve at the mean shift as
+    # its preconditioner
+    grid = Grid(n)
+    rng = np.random.default_rng(31)
+    b = rng.standard_normal(grid.ncells)
+    shift = 1.0 + 4.0 * rng.random(grid.ncells)
+    mean = float(np.mean(shift))
+    want = grid.solve_spd(lambda w: shift * w - 0.1 * grid.laplacian(w), b, 1e-10,
+                          precond=lambda r: grid.cosine_solve(mean, 0.1, r))
+    np.testing.assert_array_equal(grid.solve_shifted(shift, 0.1, b, 1e-10), want)
+
+
+@pytest.mark.parametrize("mean", [0.0, -0.5])
+def test_variable_shift_with_nonpositive_mean_fails_before_any_operator_call(
+        mean, monkeypatch):
+    g = Grid(8)
+    shift = np.array([mean + 1.0, mean - 1.0] * 4)
+
+    def no_operator(*args):
+        raise AssertionError("the operator was applied")
+
+    monkeypatch.setattr(Grid, "laplacian", no_operator)
+    monkeypatch.setattr(Grid, "solve_spd", no_operator)
+    with pytest.raises(InvalidParams, match="shift > 0"):
+        g.solve_shifted(shift, 1.0, g.field(1.0))
+
+
 def test_cosine_solve_conserves_mass(transform):
     # lap integrates to zero, so shift * int(x) = int(b) up to roundoff
     for g in (Grid(64), Grid((16, 24), length=(1.0, 1.5))):

@@ -283,6 +283,30 @@ def test_stream_rejects_runs_that_miss_the_reference_points(monkeypatch):
         early(states[1])
 
 
+@pytest.mark.parametrize("ncells", [1, 4])
+def test_stream_and_reference_reject_states_of_another_grid(ncells):
+    # a shape-(1,) state would broadcast into the n = 8 rows unnoticed, and
+    # a shape-(4,) state would fail inside numpy's copy
+    g = Grid(8)
+    rng = np.random.default_rng(5)
+    states = random_states(g, rng, 3)
+    alien = State(*(rng.standard_normal(ncells) for _ in range(5)), t=DT)
+    ref = ReferenceSeries(g, DT, 1, 3)
+    ref(states[0])
+    with pytest.raises(GridMismatch, match=f"shape \\({ncells},\\)"):
+        ref(alien)
+    assert ref.count == 1
+    for s in states[1:]:
+        ref(s)
+    stream = CompositeStream(ref)
+    stream(states[0])
+    with pytest.raises(GridMismatch, match=f"shape \\({ncells},\\)"):
+        stream(alien)
+    for s in states[1:]:
+        stream(s)
+    assert contdep_lhs(stream.finish()) == 0.0
+
+
 def test_stream_takes_its_schedule_from_the_reference():
     # a run of another horizon or record stride than the reference's run
     # records more or fewer points, and the stream refuses it
