@@ -103,10 +103,10 @@ def _reference(sc):
 
 def _stream_against(sc, ref, **changes):
     """Run the scenario with ``changes`` against a filled reference; returns
-    the CompositeStream norms."""
+    the CompositeStream norms and the run's Trajectory."""
     stream = CompositeStream(ref)
-    _run_scenario(sc, observe=stream, **changes)
-    return stream.finish()
+    traj = _run_scenario(sc, observe=stream, **changes)
+    return stream.finish(), traj
 
 
 def _nonincreasing(values):
@@ -139,11 +139,13 @@ def sweep_alpha(cfg):
         raise InvalidParams("study.alphas must be a nonempty positive ladder")
 
     limit = _reference(sc)
-    _run_scenario(sc, params=replace(sc.params, alpha=0.0), observe=limit)
+    runs = [("limit", _run_scenario(sc, params=replace(sc.params, alpha=0.0),
+                                    observe=limit))]
     rows = []
     for a in alphas:
-        e = alpha_error(
-            _stream_against(sc, limit, params=replace(sc.params, alpha=a)), a)
+        n, traj = _stream_against(sc, limit, params=replace(sc.params, alpha=a))
+        runs.append((f"alpha={a:g}", traj))
+        e = alpha_error(n, a)
         rows.append((a, e.mu_weighted, e.conv_mu_linf_v, e.phi_linf_h,
                      e.phi_l2_v, e.sigma_l2_h, e.conv_sigma_linf_v, e.composite))
     composites = [r[-1] for r in rows]
@@ -162,6 +164,9 @@ def sweep_alpha(cfg):
         rows=rows,
         fit=fit,
         verdicts=verdicts,
+        notes=["newton iterations (total/max per step): " + ", ".join(
+            f"{name} {int(t.newton_iters.sum())}/{int(t.newton_iters.max())}"
+            for name, t in runs)],
     )
 
 
@@ -187,7 +192,7 @@ def sweep_eps(cfg):
         # the rung's run fills its reference; its eps/2 run streams against it
         ref = _reference(sc)
         _run_scenario(sc, scheme=replace(sc.scheme, eps=e), observe=ref)
-        n = _stream_against(sc, ref, scheme=replace(sc.scheme, eps=0.5 * e))
+        n, _ = _stream_against(sc, ref, scheme=replace(sc.scheme, eps=0.5 * e))
         return (e, n["dphi"].linf_h, n["dmu"].linf_h, n["dsigma"].linf_h,
                 float(np.max(np.abs(ref.rows[:, 1]))))
 
@@ -247,7 +252,7 @@ def contdep(cfg):
 
     rows = []
     for d in deltas:
-        lhs = contdep_lhs(_stream_against(sc, base, controls=perturbed(d)))
+        lhs = contdep_lhs(_stream_against(sc, base, controls=perturbed(d))[0])
         rhs = contdep_rhs(sc.grid, sc.scheme.dt, nsteps, perturbed(d), sc.controls)
         if rhs == 0.0:
             raise InvalidParams(

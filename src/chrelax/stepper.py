@@ -22,9 +22,15 @@ Every substep is a symmetric positive definite shifted-Laplacian solve
   nutrient                shift = 1 + dt P(phi'),           scale = dt
 
 The phase step wraps its solve in a damped Newton iteration, started from
-the polynomial extrapolation of the accepted phase levels: phi_0 at step
-1, 2 phi_1 - phi_0 at step 2, and 3 phi_n - 3 phi_{n-1} + phi_{n-2}
-afterwards.  From there most steps take one Newton iteration, and the
+an extrapolation of the accepted phase levels: phi_0 at step 1,
+2 phi_1 - phi_0 at step 2, and 3 phi_n - 3 phi_{n-1} + phi_{n-2} (exact
+on quadratics) afterwards.  An alpha = 0 run switches at step 5 to
+
+  phi_n + 2 (phi_{n-1} - phi_{n-2}) - (phi_{n-3} - phi_{n-4}),
+
+which is also exact on (-1)^n and n (-1)^n: it follows the period-2
+sawtooth of the limit scheme (see ``step_mu_limit``) as well as the
+smooth trend.  From there most steps take one Newton iteration, and the
 stopping test is the one of a cold start.  The Newton is inexact: each
 correction is solved to the forcing tolerance
 
@@ -245,8 +251,13 @@ def step_mu_limit(state, phi_next, params, scheme, u1, grid):
     n = 64, dt = 1e-3, tau = 1, constant P = p0) the increments are smooth
     at tau p0 = 2.  At tau p0 = 1, the benchmark's own setting, they form a
     bounded sawtooth, alternating between about 8e-4 and 2e-4 late in the
-    run, and every step takes two Newton iterations.  At tau p0 = 0.5 they
-    double and flip sign at every step; ``run`` stops such a run with
+    run.  ``run`` starts the alpha = 0 phase Newton from an extrapolation
+    that follows that sawtooth, so nearly every step there takes one Newton
+    iteration (508 in 500 steps); the quadratic start of alpha > 0 runs
+    would take two at every step.  The start moves only the Newton's first
+    iterate: the scheme, phi -> mu -> sigma as the paper states it, and
+    with it the sawtooth, stay as they are.  At tau p0 = 0.5 the
+    increments double and flip sign at every step; ``run`` stops such a run with
     SchemeUnstable (at step 9 there) instead of letting it grow until the
     resolvent fails.
     """
@@ -347,7 +358,7 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
     mass_v[0] = grid.integrate(state.v)
 
     newton_iters = np.zeros(nsteps, dtype=int)
-    # the accepted phase levels before state.phi, newest first (at most two)
+    # the accepted phase levels before state.phi, newest first (at most four)
     history = []
     # alpha = 0 guard: the last phase increment, its norm and the streak of
     # growing, reversed increments
@@ -359,8 +370,11 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
             guess = None
         elif len(history) == 1:
             guess = 2.0 * state.phi - history[0]
-        else:
+        elif len(history) < 4 or params.alpha > 0.0:
             guess = 3.0 * (state.phi - history[0]) + history[1]
+        else:  # alpha = 0: also follow the limit scheme's sawtooth
+            guess = (state.phi + 2.0 * (history[0] - history[1])
+                     - (history[2] - history[3]))
         try:
             u1 = controls.u1.sample(t_next, grid)
             u2 = controls.u2.sample(t_next, grid)
@@ -397,7 +411,7 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
                       f"{head}{tail}",) + e.args[1:]
             e.step, e.substep = n + 1, substep
             raise
-        history = [state.phi] + history[:1]
+        history = [state.phi] + history[:3]
         state = State(mu=mu_next, v=v_next, phi=phi_next, sigma=sigma_next,
                       xi=xi_next, t=t_next)
         mass_phi[n + 1] = grid.integrate(state.phi)

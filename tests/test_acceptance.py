@@ -180,7 +180,7 @@ def test_criterion_6_continuous_dependence():
         sc = build_scenario(cfg)
         first = _reference(sc)
         _run_scenario(sc, observe=first)
-        lhs_zero = contdep_lhs(_stream_against(sc, first))
+        lhs_zero = contdep_lhs(_stream_against(sc, first)[0])
         report = contdep(cfg)
     v = verdict_map(report)
     ratios = [r[3] for r in report.rows]

@@ -6,6 +6,8 @@ oracle for the full phi -> mu -> sigma update, including the substep
 ordering, the lagged smooth potential part, and the source sampling time.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,7 @@ from chrelax import (
     step_phi,
     step_sigma,
 )
+from test_stream import ladder_limit
 
 CHI = 1.0
 
@@ -477,32 +480,41 @@ def test_predictor_extrapolates_the_accepted_phases(monkeypatch):
         return plain(state, params, potential, scheme, grid, guess)
 
     monkeypatch.setattr(stepper, "step_phi", recorded)
-    states = []
-    run(params, pot, controls, init, g, T=0.004,
-        scheme=SchemeConfig(dt=1e-3, eps=1e-3), observe=states.append)
-    p0, p1, p2, p3 = [s.phi for s in states[:4]]
-    assert guesses[0] is None
-    np.testing.assert_array_equal(guesses[1], 2.0 * p1 - p0)
-    np.testing.assert_array_equal(guesses[2], 3.0 * (p2 - p1) + p0)
-    np.testing.assert_array_equal(guesses[3], 3.0 * (p3 - p2) + p1)
+    for alpha in (params.alpha, 0.0):
+        guesses.clear()
+        states = []
+        run(replace(params, alpha=alpha), pot, controls, init, g, T=0.005,
+            scheme=SchemeConfig(dt=1e-3, eps=1e-3), observe=states.append)
+        p0, p1, p2, p3, p4 = [s.phi for s in states[:5]]
+        assert guesses[0] is None
+        np.testing.assert_array_equal(guesses[1], 2.0 * p1 - p0)
+        np.testing.assert_array_equal(guesses[2], 3.0 * (p2 - p1) + p0)
+        np.testing.assert_array_equal(guesses[3], 3.0 * (p3 - p2) + p1)
+        if alpha > 0.0:
+            np.testing.assert_array_equal(guesses[4], 3.0 * (p4 - p3) + p2)
+        else:  # from step 5 the alpha = 0 start also follows a sawtooth
+            np.testing.assert_array_equal(
+                guesses[4], p4 + 2.0 * (p3 - p2) - (p1 - p0))
 
 
 def test_predictor_changes_the_run_only_at_newton_tolerance():
-    # the same run with every step started cold from phi_n
-    params, pot, controls, init, g, T, scheme = scenario(PREDICTOR_RUNS["1d-log"])
-    warm = run(params, pot, controls, init, g, T, scheme)
+    # the same run with every step started cold from phi_n: an alpha > 0
+    # run, and the alpha = 0 benchmark ladder's limit run (its sawtooth start)
     cold_step = stepper.step_phi
 
     def cold(state, params, potential, scheme, grid, guess=None):
         return cold_step(state, params, potential, scheme, grid)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stepper, "step_phi", cold)
-        ref = run(params, pot, controls, init, g, T, scheme)
-    assert np.sum(ref.newton_iters) > np.sum(warm.newton_iters)
-    for name in ("phi", "mu", "sigma"):
-        d = g.h_norm(getattr(warm.final, name) - getattr(ref.final, name))
-        assert d <= 1e-9 * g.h_norm(getattr(ref.final, name))
+    for args in (scenario(PREDICTOR_RUNS["1d-log"]), ladder_limit()):
+        warm = run(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stepper, "step_phi", cold)
+            ref = run(*args)
+        g = args[4]
+        assert np.sum(ref.newton_iters) > np.sum(warm.newton_iters)
+        for name in ("phi", "mu", "sigma"):
+            d = g.h_norm(getattr(warm.final, name) - getattr(ref.final, name))
+            assert d <= 1e-9 * g.h_norm(getattr(ref.final, name)), name
 
 
 def test_warm_resolvent_changes_the_run_only_at_its_tolerance():

@@ -30,6 +30,7 @@ from chrelax import (
 )
 from chrelax import norms as norms_module
 from chrelax import stepper
+from chrelax.cli import dispatch
 from chrelax.experiments import separation, sweep_alpha, sweep_eps
 from chrelax.norms import (
     CompositeStream,
@@ -463,21 +464,76 @@ def test_limit_sawtooth_at_unit_tau_p_runs_through():
     # at tau P = 1 the increments alternate between growing and shrinking
     traj = run(*ladder_limit())
     assert len(traj.newton_iters) == 500
+    # the sawtooth start ends nearly every step after one Newton iteration;
+    # the quadratic start took two at every step
+    assert np.mean(traj.newton_iters[4:] == 1) >= 0.95
 
 
-def run_with_phase_increments(monkeypatch, increments):
-    """An alpha = 0 run whose phase step adds the given increments in turn."""
+def test_sweep_alpha_notes_each_runs_newton_iterations(tmp_path, capsys):
+    short = {"time.T": 0.1}
+    cfg = default_config(**dict(LADDER_SEED0, **short, **{
+        "study.alphas": [0.125, 0.25]}))
+    path = tmp_path / "ladder.cfg"
+    path.write_text(cfg.to_text())
+    assert dispatch(["sweep-alpha", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+    notes = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("sweep-alpha: note: newton iterations")]
+    # the limit run first, then the rungs in ladder order
+    runs = [run(*ladder_limit(**short, **{"model.alpha": a}))
+            for a in (0.0, 0.25, 0.125)]
+    totals = [int(t.newton_iters.sum()) for t in runs]
+    assert notes == [
+        "sweep-alpha: note: newton iterations (total/max per step): "
+        + ", ".join(f"{name} {total}/{int(t.newton_iters.max())}" for name, total, t
+                    in zip(("limit", "alpha=0.25", "alpha=0.125"), totals, runs))]
+    # one iteration on nearly every one of the 100 steps, as on the rungs
+    assert totals[0] == 106 and totals[1:] == [102, 102]
+
+
+def run_with_phase_increments(monkeypatch, increments, starts=None):
+    """An alpha = 0 run whose phase step adds the given increments in turn;
+    each step's (phi_n, Newton start) pair goes to ``starts`` if given."""
     params, pot, controls, init, g, T, scheme = small_scenario(
         **{"model.alpha": 0.0, "time.T": len(increments) * 1e-3})
     calls = []
 
-    def step_phi(state, *args, **kwargs):
+    def step_phi(state, params, potential, scheme, grid, guess=None):
         calls.append(None)
+        if starts is not None:
+            starts.append((state.phi, guess))
         phi = state.phi + increments[len(calls) - 1]
         return phi, pot.yosida_prime(phi, scheme.yosida), 1
 
     monkeypatch.setattr(stepper, "step_phi", step_phi)
     return run(params, pot, controls, init, g, T, scheme)
+
+
+def test_limit_start_is_exact_on_a_modulated_sawtooth(monkeypatch):
+    rng = np.random.default_rng(5)
+    a, b, c, d, e, g = (s * rng.standard_normal(16)
+                        for s in (0.1, 1e-3, 1e-4, 2e-4, 2e-5, 1e-4))
+    b += 1e-2  # a dominant trend keeps the increments clear of the guard
+    nsteps = 12
+
+    def start_errors(f):
+        # phi_n = phi_0 + f(n) - f(0); each step's start against its answer
+        increments = [f(n + 1) - f(n) for n in range(nsteps)]
+        starts = []
+        run_with_phase_increments(monkeypatch, increments, starts)
+        return [guess - phi - inc for (phi, guess), inc in
+                zip(starts[4:], increments[4:])]
+
+    # a quadratic trend plus a linearly modulated period-2 mode: exact to
+    # roundoff from step 5 on
+    errors = start_errors(
+        lambda n: a + b * n + c * n * n + (-1) ** n * (d + e * n))
+    assert len(errors) == nsteps - 4
+    assert max(np.max(np.abs(err)) for err in errors) <= 1e-14
+    # not on n^3: with E the shift n -> n + 1, the start falls short by
+    # (E - 1)^3 (E + 1)^2 n^3 = 3! 2^2 = 24 times the mode
+    for err in start_errors(lambda n: n ** 3 * g):
+        np.testing.assert_allclose(err, -24.0 * g, rtol=1e-9)
 
 
 def test_guard_counts_only_growing_reversed_increments(monkeypatch):
