@@ -16,8 +16,12 @@ exactly, with analytic eigenvalues, so a shifted system
 ``(c - d lap) x = b`` with constant c is solved by transform, divide,
 transform back: by dense per-axis matrices on small grids, by the real FFT
 of the mirrored field on large ones.  ``solve_shifted`` returns that solve
-for a scalar shift, and uses it at the mean shift to precondition
-conjugate gradients for a per-cell shift.
+for a scalar shift.  A per-cell shift is split as A = S + diag(d), with
+S = mean(shift) - scale lap and d = shift - mean(shift), and solved by
+conjugate gradients preconditioned with the exact cosine solve of S.
+Since that solve gives S z = r, the product S p of each search direction
+follows from S p_k = r_k + beta_k S p_{k-1}, and A p = S p + d p: no CG
+iteration applies the Laplacian.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ from .errors import CgNoConvergence, GridMismatch, InvalidParams
 # Axes of up to this many cells take the cosine transform as a dense matrix
 # product (at most 512 KiB per axis, and faster than the FFT at these sizes).
 DENSE_COSINE_MAX = 256
+
+# Cosine divisors kept per grid by cosine_solve.  A run uses at most three
+# (shift, scale) pairs, one per linear substep with a constant shift.
+DENOM_CACHE_MAX = 8
 
 # CSV rows formatted per write call.  Each call's text and Python floats
 # stay near 6 KB, which the allocator reuses from one call to the next.  With
@@ -70,6 +78,7 @@ class Grid:
         self.dim = len(n)
         self.h = tuple(L / k for L, k in zip(length, n))
         self.ncells = int(np.prod(n))
+        self._shape = (self.ncells,)  # of a flat field, for check()
         self.cell_volume = float(np.prod(self.h))
         # per axis: the cells on the low and high side of each interior face
         # (indexing the trailing axes, so a leading stack axis passes
@@ -87,6 +96,7 @@ class Grid:
         self._coordinates = None  # built on first use
         self._dump_blocks = None  # built on the first dump
         self._cosine = None  # built on the first cosine solve
+        self._denoms = {}  # (shift, scale) -> cosine_solve's divisor
 
     def __repr__(self):
         return f"Grid(n={self.n}, length={self.length})"
@@ -121,7 +131,7 @@ class Grid:
 
     def check(self, *fields):
         for u in fields:
-            if not isinstance(u, np.ndarray) or u.shape != (self.ncells,):
+            if not isinstance(u, np.ndarray) or u.shape != self._shape:
                 raise GridMismatch(
                     f"expected a flat field with {self.ncells} cells, got shape "
                     f"{getattr(u, 'shape', None)}"
@@ -158,7 +168,7 @@ class Grid:
 
     def integrate(self, u):
         self.check(u)
-        return self.cell_volume * float(np.sum(u))
+        return self.cell_volume * float(u.sum())
 
     def face_form(self, u, v):
         """Bilinear gradient form over interior faces; equals
@@ -207,6 +217,13 @@ class Grid:
         residual to an approximate solution (an SPD approximate inverse).
         Raises CgNoConvergence when the budget (default 10 * ncells + 50
         iterations) runs out.
+
+        This is the generic form, one ``apply`` per iteration.  The
+        substeps do not use it: ``solve_shifted`` runs the same iteration
+        on A = S + diag(d) with S p carried by recurrence, so that no
+        iteration applies the Laplacian.  It stays as public API, as the
+        oracle of the tests' Jacobi-preconditioned solve and as a hook for
+        tracing.
         """
         self.check(rhs)
         if max_iter is None:
@@ -277,8 +294,15 @@ class Grid:
         use the real FFT: mirrored across each boundary, a field is an even
         periodic field on 2n cells per axis, where the Neumann Laplacian is
         the periodic one.  That costs O(N log N) time and O(N) memory.
+        The divisor is kept per (shift, scale) pair.
         """
-        return self._cosine_divide(self._cosine_denom(shift, scale), rhs)
+        key = (float(shift), float(scale))
+        denom = self._denoms.get(key)
+        if denom is None:
+            if len(self._denoms) == DENOM_CACHE_MAX:
+                self._denoms.clear()
+            denom = self._denoms[key] = self._cosine_denom(*key)
+        return self._cosine_divide(denom, rhs)
 
     def _cosine_denom(self, shift, scale):
         """shift + scale * (the eigenvalues of -laplacian), in the layout of
@@ -311,15 +335,79 @@ class Grid:
 
         A scalar ``shift`` is solved exactly by the cosine solve, and
         ``tol`` does not apply.  A per-cell ``shift`` with positive mean is
-        solved by conjugate gradients to ``tol``, preconditioned with the
-        exact cosine solve at the mean shift.
+        solved by conjugate gradients to ``tol`` (``_shifted_cg``),
+        preconditioned with the exact cosine solve of
+        S = mean(shift) - scale * laplacian.  The operator is split as
+        A = S + diag(shift - mean(shift)), and S p is carried along by a
+        recurrence, so no CG iteration applies the Laplacian.
         """
         if np.ndim(shift) == 0:
             return self.cosine_solve(shift, scale, rhs)
-        denom = self._cosine_denom(float(np.mean(shift)), scale)
-        return self.solve_spd(
-            lambda w: shift * w - scale * self.laplacian(w), rhs, tol,
-            precond=lambda r: self._cosine_divide(denom, r))
+        return self._shifted_cg(shift, scale, rhs, tol)[0]
+
+    def _shifted_cg(self, shift, scale, rhs, tol):
+        """Preconditioned CG for (shift - scale * laplacian) x = rhs with a
+        per-cell shift; returns (x, iterations).
+
+        With c = mean(shift), S = c - scale * laplacian and d = shift - c,
+        the operator is A = S + diag(d), and the preconditioner is the
+        exact cosine solve z = S^-1 r.  The search directions are
+        p_0 = z_0 and p_k = z_k + beta_k p_{k-1}, so
+
+            S p_0 = r_0,   S p_k = r_k + beta_k S p_{k-1},
+
+        and A p = S p + d p costs two vector operations instead of a
+        Laplacian (Eisenstat 1981, for a fast-solver preconditioner as in
+        Concus, Golub & O'Leary 1976).  In exact arithmetic the iterates
+        are those of ``solve_spd`` with this preconditioner, and so are the
+        stopping test and the failures: it stops once |r| <= tol |rhs| and
+        raises CgNoConvergence when the operator loses definiteness or
+        10 * ncells + 50 iterations run out.
+        """
+        self.check(rhs, shift)
+        mean = float(np.add.reduce(shift) / shift.size)
+        denom = self._cosine_denom(mean, scale)
+        bnorm = math.sqrt(float(rhs @ rhs))
+        if bnorm == 0.0:
+            return np.zeros_like(rhs), 0
+        d = shift - mean
+        target_sq = (tol * bnorm) ** 2
+        max_iter = 10 * self.ncells + 50
+        x = np.zeros_like(rhs)
+        r = rhs.copy()
+        p = self._cosine_divide(denom, r)
+        Sp = rhs.copy()
+        rz = float(r @ p)
+        rr = float(r @ r)
+        for it in range(max_iter):
+            Ap = d * p
+            Ap += Sp
+            pAp = float(p @ Ap)
+            if not math.isfinite(pAp) or pAp <= 0.0:
+                raise CgNoConvergence(
+                    f"operator lost positive definiteness (p.Ap = {pAp})",
+                    residual=math.sqrt(rr) / bnorm,
+                    iterations=it,
+                )
+            alpha = rz / pAp
+            x += alpha * p
+            r -= alpha * Ap
+            rr = float(r @ r)
+            if rr <= target_sq:
+                return x, it + 1
+            z = self._cosine_divide(denom, r)
+            rz_new = float(r @ z)
+            beta = rz_new / rz
+            p *= beta
+            p += z
+            Sp *= beta
+            Sp += r
+            rz = rz_new
+        raise CgNoConvergence(
+            f"conjugate gradients did not reach tol {tol} in {max_iter} iterations",
+            residual=math.sqrt(rr) / bnorm,
+            iterations=max_iter,
+        )
 
     # -- I/O -----------------------------------------------------------------
 

@@ -203,6 +203,9 @@ class SplitPotential:
         the same values as yosida_prime and yosida_curvature, or, from the
         start hint ``near`` (see ``resolvent``), the same up to the
         resolvent's tolerance."""
+        if isinstance(r, np.ndarray) and r.ndim:  # a field: no conversions
+            x = self.resolvent(r, yp, near)
+            return self._prime_at(r, x, yp), self._curvature_at(r, x, yp)
         a = _as_array(r)
         x = _as_array(self.resolvent(a, yp, near))
         return (_like(r, self._prime_at(a, x, yp)),
@@ -276,9 +279,11 @@ def _solve_cubic(r, eps, tol, max_iter):
     # cubes as products: within 1 ulp of x**3, and numpy's pow is slow on
     # negative bases (300 us against 5 us for x*x*x at 4096 cells)
     x = np.array(r, dtype=float, copy=True)
+    if not x.size:
+        return x
     f = eps * (x * x * x)  # residual at x0 = r
     for _ in range(max_iter):
-        if np.all(np.abs(f) <= tol):
+        if np.abs(f).max() <= tol:  # a NaN cell fails this test
             return x
         x = x - f / (1.0 + 3.0 * eps * x * x)
         f = x + eps * (x * x * x) - r

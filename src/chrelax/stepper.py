@@ -39,10 +39,13 @@ correction is solved to the forcing tolerance
 relative to the current residual r, with tol the stopping tolerance (see
 ``step_phi``).  A constant shift is solved exactly by the cosine
 transform; a per-cell shift by conjugate gradients preconditioned with
-that solve at the mean shift.  The linear substeps are solved to cg_tol,
-in increment form (unknown minus its previous value), which keeps the
-absolute residual, and with it the drift of the conserved quantities, far
-below the relative CG tolerance.
+that solve at the mean shift, S = mean(shift) - scale lap.  The operator
+is S plus the diagonal shift - mean(shift), and since the preconditioner
+solves S exactly, S times each search direction follows from the
+residuals by recurrence: no CG iteration applies the Laplacian.  The
+linear substeps are solved to cg_tol, in increment form (unknown minus
+its previous value), which keeps the absolute residual, and with it the
+drift of the conserved quantities, far below the relative CG tolerance.
 
 Integrating the potential substep over the box gives the discrete mass
 identity

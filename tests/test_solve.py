@@ -27,7 +27,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from chrelax import Grid, InvalidParams, default_config
+from chrelax import CgNoConvergence, Grid, InvalidParams, default_config
 from chrelax import grid as grid_module
 from chrelax.config import build_scenario
 from chrelax.experiments import _conservation_config, _run_scenario
@@ -112,16 +112,106 @@ def test_scalar_shift_is_the_cosine_solve(n, transform, monkeypatch):
 
 @pytest.mark.parametrize("n", [12, (5, 7)])
 def test_variable_shift_is_cg_preconditioned_at_the_mean_shift(n, transform):
-    # bit for bit the CG solve with the cosine solve at the mean shift as
-    # its preconditioner
+    # as many iterations as the generic CG solve with the cosine solve at
+    # the mean shift as its preconditioner, and the same solution up to tol
     grid = Grid(n)
     rng = np.random.default_rng(31)
     b = rng.standard_normal(grid.ncells)
     shift = 1.0 + 4.0 * rng.random(grid.ncells)
     mean = float(np.mean(shift))
-    want = grid.solve_spd(lambda w: shift * w - 0.1 * grid.laplacian(w), b, 1e-10,
+    calls = []
+
+    def operator(w):
+        calls.append(1)
+        return shift * w - 0.1 * grid.laplacian(w)
+
+    want = grid.solve_spd(operator, b, 1e-10,
                           precond=lambda r: grid.cosine_solve(mean, 0.1, r))
-    np.testing.assert_array_equal(grid.solve_shifted(shift, 0.1, b, 1e-10), want)
+    got, iterations = grid._shifted_cg(shift, 0.1, b, 1e-10)
+    assert iterations == len(calls) > 1
+    np.testing.assert_array_equal(grid.solve_shifted(shift, 0.1, b, 1e-10), got)
+    # both residuals are below 1e-10 |b|, and the operator is at least
+    # min(shift) times the identity
+    assert np.linalg.norm(got - want) <= 2e-10 * np.linalg.norm(b) / shift.min()
+
+
+@pytest.mark.parametrize("n", [40, (6, 9)])
+def test_variable_shift_solve_applies_no_laplacian(n, transform, monkeypatch):
+    grid = Grid(n)
+    rng = np.random.default_rng(41)
+    b = rng.standard_normal(grid.ncells)
+    shift = 1.0 + 50.0 * rng.random(grid.ncells)
+    want = np.linalg.solve(np.diag(shift) - 0.2 * dense_laplacian(grid), b)
+
+    def no_laplacian(*args):
+        raise AssertionError("the Laplacian was applied")
+
+    monkeypatch.setattr(Grid, "laplacian", no_laplacian)
+    x, iterations = grid._shifted_cg(shift, 0.2, b, 1e-13)
+    assert iterations > 1
+    np.testing.assert_array_equal(grid.solve_shifted(shift, 0.2, b, 1e-13), x)
+    np.testing.assert_allclose(x, want, rtol=0, atol=1e-11 * np.max(np.abs(want)))
+
+
+# The largest true relative residual over the cases below, at kappa(S) = 4000,
+# was 1.62e-13 at tol 1e-13 (the generic CG solve: 9.2e-14) and below tol at
+# 1e-10; the bound leaves eight times the largest excess over tol.
+RESIDUAL_SLACK = 5e-13
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@pytest.mark.parametrize("n", [64, (32, 32), 1024])
+def test_variable_shift_true_residual(n, tol, transform):
+    # S p is carried by recurrence, never recomputed: check the residual of
+    # the actual operator.  n = 1024 is past DENSE_COSINE_MAX, so both
+    # transforms take the FFT there.
+    for seed, spread in ((0, 4.0), (1, 1000.0), (2, 1000.0)):
+        grid = Grid(n)
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(grid.ncells)
+        shift = 1.0 + spread * rng.random(grid.ncells)
+        # kappa(S) = 1 + scale * lambda_max(-lap) / mean(shift) = 4000
+        scale = 3999.0 * np.mean(shift) / sum(4.0 / h**2 for h in grid.h)
+        x = grid.solve_shifted(shift, scale, b, tol)
+        resid = b - (shift * x - scale * grid.laplacian(x))
+        assert np.linalg.norm(resid) <= (tol + RESIDUAL_SLACK) * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n", [12, (5, 7)])
+def test_indefinite_variable_shift_with_positive_mean_fails(n, transform):
+    grid = Grid(n)
+    b = np.random.default_rng(43).standard_normal(grid.ncells)
+    shift = np.resize([3.0, -1.0], grid.ncells)  # mean about 1
+    mean = float(np.mean(shift))
+    with pytest.raises(CgNoConvergence) as want:
+        grid.solve_spd(lambda w: shift * w - 0.01 * grid.laplacian(w), b,
+                       precond=lambda r: grid.cosine_solve(mean, 0.01, r))
+    with pytest.raises(CgNoConvergence,
+                       match=r"^operator lost positive definiteness") as ei:
+        grid.solve_shifted(shift, 0.01, b)
+    # it fails where the generic CG solve with the same preconditioner does
+    assert ei.value.iterations == want.value.iterations
+    assert ei.value.residual == pytest.approx(want.value.residual, rel=1e-9)
+
+
+def test_indefinite_shift_in_a_run_names_step_and_substep(monkeypatch):
+    # the potential and nutrient shifts (scale != 1) made indefinite at the
+    # same mean; the potential substep meets it first
+    solve = Grid.solve_shifted
+
+    def indefinite(self, shift, scale, rhs, tol=1e-10):
+        if np.ndim(shift) and scale != 1.0:
+            shift = shift + np.resize([1.0, -1.0], shift.size)
+        return solve(self, shift, scale, rhs, tol)
+
+    monkeypatch.setattr(Grid, "solve_shifted", indefinite)
+    cfg = fingerprint_configs()["ramp2d"].with_updates({"time.T": 0.002})
+    with pytest.raises(CgNoConvergence, match=r"^step 1 \(t = 0.001\), substep mu: "
+                       r"operator lost positive definiteness") as ei:
+        _run_scenario(build_scenario(cfg))
+    assert ei.value.step == 1 and ei.value.substep == "mu"
+    assert f"(residual {ei.value.residual:.3e})" in str(ei.value)
+    assert isinstance(ei.value.iterations, int)
 
 
 @pytest.mark.parametrize("mean", [0.0, -0.5])

@@ -578,12 +578,12 @@ def test_stalled_line_search_fails_with_step_and_residuals(monkeypatch):
 
 
 def count_cg_iterations(mp):
-    """Count conjugate-gradient iterations (operator calls) of the phase
-    Newton's solves and, apart, of every other substep's solves, and keep
-    the tolerance of each phase solve."""
+    """Count conjugate-gradient iterations (as the per-cell-shift solve
+    returns them) of the phase Newton's solves and, apart, of every other
+    substep's solves, and keep the tolerance of each phase solve."""
     counts = {"phi": 0, "other": 0, "phi_tols": []}
     in_phi = []
-    plain_phi, plain_solve = stepper.step_phi, Grid.solve_spd
+    plain_phi, plain_cg = stepper.step_phi, Grid._shifted_cg
 
     def step_phi(*args, **kwargs):
         in_phi.append(True)
@@ -592,19 +592,15 @@ def count_cg_iterations(mp):
         finally:
             in_phi.pop()
 
-    def solve_spd(self, apply, rhs, tol, **kwargs):
-        key = "phi" if in_phi else "other"
+    def shifted_cg(self, shift, scale, rhs, tol):
         if in_phi:
             counts["phi_tols"].append(tol)
-
-        def counted(w):
-            counts[key] += 1
-            return apply(w)
-
-        return plain_solve(self, counted, rhs, tol, **kwargs)
+        x, iterations = plain_cg(self, shift, scale, rhs, tol)
+        counts["phi" if in_phi else "other"] += iterations
+        return x, iterations
 
     mp.setattr(stepper, "step_phi", step_phi)
-    mp.setattr(Grid, "solve_spd", solve_spd)
+    mp.setattr(Grid, "_shifted_cg", shifted_cg)
     return counts
 
 
