@@ -19,7 +19,6 @@ import numpy as np
 from . import experiments
 from .config import build_scenario, parse_config
 from .errors import ChRelaxError, ConfigError
-from .grid import CSV_BLOCK_ROWS
 from .stepper import run
 
 
@@ -64,18 +63,17 @@ def write_report(report, outdir):
 
 
 def _write_diagnostics(traj, outdir, digest):
-    # the rows csv.writer would write (CRLF, nothing to quote), formatted
-    # one block of rows per call
+    # the rows csv.writer would write (CRLF, nothing to quote), each
+    # prefixed by its step number
+    from ._csvtext import write_csv_rows  # compiled on the first write
+
     path = os.path.join(outdir, f"diagnostics_{digest}.csv")
     table = np.column_stack(
         (traj.step_times, traj.mass_phi, traj.mass_sigma, traj.mass_v))
-    with open(path, "w", newline="") as fh:
-        fh.write("step,t,mass_phi,mass_sigma,mass_v\r\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
-            template = "".join(f"{start + k},%.17g,%.17g,%.17g,%.17g\r\n"
-                               for k in range(len(block)))
-            fh.write(template % tuple(block.ravel().tolist()))
+    steps = [b"%d," % k for k in range(len(table))]
+    with open(path, "wb") as fh:
+        fh.write(b"step,t,mass_phi,mass_sigma,mass_v\r\n")
+        write_csv_rows(fh, table, b"".join(steps), [len(s) for s in steps])
     return path
 
 

@@ -22,6 +22,11 @@ conjugate gradients preconditioned with the exact cosine solve of S.
 Since that solve gives S z = r, the product S p of each search direction
 follows from S p_k = r_k + beta_k S p_{k-1}, and A p = S p + d p: no CG
 iteration applies the Laplacian.
+
+Fields are written as CSV by ``_csvtext.write_csv_rows``, an exact
+vectorised ``'%.17g'`` writer: values with a decimal exponent in [-6, 16]
+(1e-6 <= |u| < 1e17) and +-0 take its kernel, the rest (non-finite or out
+of range) ``'%.17g' %`` one at a time.
 """
 
 from __future__ import annotations
@@ -41,11 +46,16 @@ DENSE_COSINE_MAX = 256
 # (shift, scale) pairs, one per linear substep with a constant shift.
 DENOM_CACHE_MAX = 8
 
-# CSV rows formatted per write call.  Each call's text and Python floats
-# stay near 6 KB, which the allocator reuses from one call to the next.  With
-# CPython 3.11 and glibc malloc, 56 dumps of a 64x64 grid raised the peak RSS
-# by 0.75 MB at 512 rows per call, and not at all at 128 or 256.
-CSV_BLOCK_ROWS = 128
+# Values formatted per block by _csvtext.write_csv_rows: rows of c values go
+# CSV_BLOCK_ROWS // c rows at a time, through one buffer of (prefix + 50
+# bytes per value + 2) bytes per row and a mask of the same shape.  The
+# second dump of a 64x64 field peaks at 0.51 MB under tracemalloc with 1024
+# rows per block, 0.26 MB with 512 and 0.14 MB with 256; its text takes
+# 1.8, 2.2 and 3.1 ms on a 2-vCPU VM, as a block costs about 0.1 ms of
+# numpy calls.  The peak RSS of the 2-D benchmark run moved by less than
+# its run-to-run spread (0.1 MB) between 256 and 1024 rows (Python 3.11,
+# numpy 2.4, glibc malloc).
+CSV_BLOCK_ROWS = 1024
 
 
 def _axis_slice(dim, ax, sl):
@@ -94,7 +104,7 @@ class Grid:
             (int(np.prod(n[ax + 1:])), h * h, n[ax] if ax == 1 else 0)
             for ax, h in enumerate(self.h))
         self._coordinates = None  # built on first use
-        self._dump_blocks = None  # built on the first dump
+        self._csv_prefix = None  # built on the first dump
         self._cosine = None  # built on the first cosine solve
         self._denoms = {}  # (shift, scale) -> cosine_solve's divisor
 
@@ -118,7 +128,7 @@ class Grid:
         """Per-axis centre coordinates, each as a flat read-only array over
         cells; built on the first call and shared by every later one."""
         if self._coordinates is None:
-            axes = [(np.arange(k) + 0.5) * h for k, h in zip(self.n, self.h)]
+            axes = self._centres()
             if self.dim == 1:
                 coords = (axes[0],)
             else:
@@ -128,6 +138,10 @@ class Grid:
                 c.flags.writeable = False
             self._coordinates = coords
         return self._coordinates
+
+    def _centres(self):
+        """The cell-centre coordinates along each axis."""
+        return [(np.arange(k) + 0.5) * h for k, h in zip(self.n, self.h)]
 
     def check(self, *fields):
         for u in fields:
@@ -414,23 +428,34 @@ class Grid:
     def dump_field(self, u, path):
         """Write one field as CSV with 17 significant digits per value.
 
-        The rows are those of ``csv.writer`` (CRLF line ends, no quoting:
-        no number needs it).  The grid's coordinate text is formatted once,
-        into templates of CSV_BLOCK_ROWS rows holding one ``%.17g`` per cell.
+        The bytes are those of ``csv.writer`` given each coordinate and
+        value as ``'%.17g'`` formats it (CRLF line ends, no quoting: no
+        number needs it).  The values go through
+        ``_csvtext.write_csv_rows``, whose vectorised kernel formats every
+        value with a decimal exponent in [-6, 16] (1e-6 <= |u| < 1e17, and
+        +-0) and leaves the others to ``'%.17g' %``, one at a time.  A field
+        of another real dtype is written as its float64 values, as
+        ``'%.17g'`` formats its elements.  The coordinate text is formatted
+        once per grid, on the first dump.
         """
+        from ._csvtext import write_csv_rows  # compiled on the first write
+
         self.check(u)
-        if self._dump_blocks is None:
-            self._dump_blocks = []
-            for start in range(0, self.ncells, CSV_BLOCK_ROWS):
-                cells = zip(*(c[start:start + CSV_BLOCK_ROWS].tolist()
-                              for c in self.coordinates()))
-                self._dump_blocks.append("".join(
-                    "".join(f"{c:.17g}," for c in xs) + "%.17g\r\n" for xs in cells))
-        with open(path, "w", newline="") as fh:
-            fh.write("x,value\r\n" if self.dim == 1 else "x,y,value\r\n")
-            for k, block in enumerate(self._dump_blocks):
-                start = k * CSV_BLOCK_ROWS
-                fh.write(block % tuple(u[start:start + CSV_BLOCK_ROWS].tolist()))
+        u = u.astype(np.float64, casting="same_kind", copy=False)
+        if self._csv_prefix is None:
+            axes = [[b"%.17g," % c for c in axis.tolist()] for axis in self._centres()]
+            if self.dim == 1:
+                (xs,) = axes
+                text, lengths = b"".join(xs), np.array([len(x) for x in xs])
+            else:  # row-major: cell (i, j) is prefixed by xs[i] + ys[j]
+                xs, ys = axes
+                text = b"".join(x.join([b""] + ys) for x in xs)
+                lengths = np.add.outer([len(x) for x in xs],
+                                       [len(y) for y in ys]).reshape(-1)
+            self._csv_prefix = (text, lengths)
+        with open(path, "wb") as fh:
+            fh.write(b"x,value\r\n" if self.dim == 1 else b"x,y,value\r\n")
+            write_csv_rows(fh, u.reshape(-1, 1), *self._csv_prefix)
 
     def load_field(self, path):
         """Read a field previously written by dump_field."""

@@ -8,11 +8,14 @@ the spectral identities and an LU solve for the conjugate-gradient oracle.
 import csv
 import io
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chrelax import CgNoConvergence, Grid, GridMismatch, InvalidParams
+from chrelax._csvtext import write_csv_rows
 from chrelax.grid import CSV_BLOCK_ROWS
 from conftest import laplacian_diag
 
@@ -287,6 +290,91 @@ def test_dump_field_bytes_match_csv_writer(tmp_path):
             assert path.read_bytes() == csv_writer_dump(g, u)
             np.testing.assert_array_equal(
                 g.load_field(path).view(np.int64), u.view(np.int64))
+
+
+def percent_dump(grid, u):
+    """The field file as a per-value writer writes it: each value through
+    tolist() and then '%.17g' %."""
+    coords = [c.tolist() for c in grid.coordinates()]
+    rows = ["x,value" if grid.dim == 1 else "x,y,value"]
+    for i, v in enumerate(u.tolist()):
+        rows.append("".join("%.17g," % c[i] for c in coords) + "%.17g" % v)
+    return ("\r\n".join(rows) + "\r\n").encode()
+
+
+def test_dump_field_bytes_for_other_field_dtypes(tmp_path):
+    # any flat ndarray passes Grid.check; each is written as '%.17g' formats
+    # its elements
+    g = Grid((5, 6))
+    rng = np.random.default_rng(32)
+    big = rng.integers(-2**62, 2**62, g.ncells)  # past 2^53: float() rounds
+    big[:4] = [0, 1, -7, 2**53 + 1]
+    fields = {
+        "strided": rng.standard_normal(3 * g.ncells)[::3],
+        "float32": (rng.standard_normal(g.ncells) * 1e3).astype(np.float32),
+        "int": big,
+        "bool": rng.random(g.ncells) < 0.5,
+    }
+    for name, u in fields.items():
+        path = tmp_path / f"{name}.csv"
+        g.dump_field(u, path)
+        assert path.read_bytes() == percent_dump(g, u), name
+
+
+def test_dump_field_memory_is_bounded():
+    # the second dump of a 64 x 64 field, after the first has built the
+    # grid's coordinate text and the kernel's tables, peaked at 0.54 MB
+    # under tracemalloc: with CSV_BLOCK_ROWS = 1024, the row buffer and its
+    # mask (2 x 72 KB) and the kernel's temporaries take 0.51 MB, and the
+    # '%.17g' fallback of the 300 tiny cells the rest
+    g = Grid((64, 64))
+    u = np.random.default_rng(33).standard_normal(g.ncells)
+    u[:300] *= 1e-9
+    g.dump_field(u, os.devnull)
+    tracemalloc.start()
+    try:
+        g.dump_field(u, os.devnull)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6e6, f"tracemalloc peak {peak / 1e6:.3f} MB"
+
+
+def g17_oracle_values():
+    """About 10^6 doubles for the '%.17g' oracle, by class."""
+    rng = np.random.default_rng(34)
+
+    def signed(magnitudes):
+        return magnitudes * rng.choice([-1.0, 1.0], magnitudes.size)
+
+    # +-1 and +-2 ulp around every power of ten from 1e-7 to 1e17
+    powers = np.array([float(f"1e{m}") for m in range(-7, 18)])
+    near = (powers.view(np.int64)[:, None] + np.arange(-2, 3)).view(np.float64)
+    # the 17-digit text of these rounds up to the next power of ten (they
+    # lie outside the vectorised range, which has no such double)
+    carry = np.array([float(f"1e{m}") for m in (
+        -305, -243, -176, -175, -174, -79, -78, -73, -70, -14, 98, 129, 153, 220)])
+    special = np.array([
+        9.99999999999999999e16, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+        2.2250738585072014e-308, 1e-6, 1e-4, 1e16, 1e17, np.inf, -np.inf, np.nan])
+    return np.concatenate([
+        rng.standard_normal(500_000),
+        signed(10.0 ** rng.uniform(-320, 308, 100_000)),  # log-uniform
+        signed(10.0 ** rng.uniform(-6, -4, 400_000)),  # e-05 and e-06 forms
+        near.reshape(-1), -near.reshape(-1), carry, -carry, special,
+    ])
+
+
+def test_csv_kernel_matches_percent_format():
+    values = g17_oracle_values()
+    assert values.size >= 10**6
+    buf = io.BytesIO()
+    write_csv_rows(buf, values.reshape(-1, 1), b"", np.zeros(values.size, np.intp))
+    want = (("%.17g\r\n" * values.size) % tuple(values.tolist())).encode()
+    if buf.getvalue() != want:
+        pairs = zip(values.tolist(), buf.getvalue().split(), want.split())
+        bad = [(v, g, w) for v, g, w in pairs if g != w]
+        pytest.fail(f"{len(bad)} values differ, first {bad[:5]}")
 
 
 def test_coordinates_are_cached_and_read_only():
