@@ -204,8 +204,9 @@ def write_csv_rows(fh, values, prefix, lengths):
         at += size
         x = values[start:stop].reshape(-1)
         chars, vmask, slow = _g17(x, tables)
-        body = b[:, slots].reshape(len(b), c, ws, copy=False)
-        mbody = m[:, slots].reshape(len(b), c, ws, copy=False)
+        # views: the split last axis is contiguous, so these write into buf
+        body = b[:, slots].reshape(len(b), c, ws)
+        mbody = m[:, slots].reshape(len(b), c, ws)
         chars = chars.reshape(len(b), c, 17)
         body[:, :, _LEAD:_POINT] = chars
         body[:, :, _TAIL:_TAIL + 17] = chars

@@ -179,7 +179,7 @@ def test_simulate_summary_reports_newton_iterations(tmp_path, capsys, monkeypatc
 
 
 def test_diagnostics_bytes_match_csv_writer(tmp_path):
-    n = 2 * CSV_BLOCK_ROWS + 5  # three write blocks, the last one partial
+    n = 2 * CSV_BLOCK_ROWS + 5  # many write blocks, the last one partial
     rng = np.random.default_rng(41)
     traj = SimpleNamespace(
         step_times=np.arange(n) * 1e-3, mass_phi=rng.standard_normal(n),
