@@ -60,7 +60,6 @@ from .stepper import (
     Trajectory,
     run,
     step_mu,
-    step_mu_limit,
     step_phi,
     step_sigma,
 )

@@ -297,8 +297,8 @@ def build_controls(cfg):
                     u2=control_spec(cfg, "controls.u2"))
 
 
-def build_scheme(cfg, **overrides):
-    kw = dict(
+def build_scheme(cfg):
+    return SchemeConfig(
         dt=cfg["time.dt"],
         eps=cfg["potential.epsilon"],
         newton_tol=cfg["solver.newton_tol"],
@@ -306,8 +306,6 @@ def build_scheme(cfg, **overrides):
         cg_tol=cfg["solver.cg_tol"],
         record_every=cfg["time.record_every"],
     )
-    kw.update(overrides)
-    return SchemeConfig(**kw)
 
 
 @dataclass(frozen=True)

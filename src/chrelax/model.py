@@ -74,8 +74,8 @@ class ModelParams:
     """Coefficients of the evolution system.
 
     alpha scales the inertial term of the chemical potential (alpha = 0
-    selects the parabolic limit stepper), tau the phase relaxation time,
-    chi the chemotaxis strength.
+    is the parabolic limit, in which v stays 0), tau the phase relaxation
+    time, chi the chemotaxis strength.
     """
 
     alpha: float = 0.01
@@ -231,7 +231,7 @@ def validate(params, potential, init, controls, grid):
         problems.append(f"alpha must be nonnegative, got {params.alpha}")
     if params.alpha == 0.0 and not params.proliferation.lower_bound > 0.0:
         problems.append(
-            "the limit stepper (alpha = 0) needs a proliferation rate bounded "
+            "the parabolic limit (alpha = 0) needs a proliferation rate bounded "
             "away from zero; use a constant P with p0 > 0"
         )
     fields = {

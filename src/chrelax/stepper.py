@@ -8,8 +8,8 @@ the smooth potential part F2' lagged at the old phase:
                 = mu + chi sigma - F2'(phi)
   potential alpha (v' - v)/dt + (phi' - phi)/dt - lap mu' + P(phi') mu'
                 = P(phi')(sigma + chi (1 - phi')) - h(phi') u1,
-            with mu' = mu + dt v'  (for alpha = 0 the inertial term is
-            dropped and mu' solves the stationary equation directly)
+            with mu' = mu + dt v'  (for alpha = 0 the inertial term
+            drops out, mu' solves the stationary equation and v stays 0)
   nutrient  (sigma' - sigma)/dt - lap sigma' + P(phi') sigma'
                 = -chi lap phi' - P(phi')(chi (1 - phi') - mu') + u2
 
@@ -17,8 +17,7 @@ Every substep is a symmetric positive definite shifted-Laplacian solve
 ``(shift - scale lap) x = b``, done by ``Grid.solve_shifted``:
 
   phase Newton Jacobian   shift = tau/dt + F1''_eps(phi'),  scale = 1
-  potential (alpha > 0)   shift = alpha + dt^2 P(phi'),     scale = dt^2
-  potential (alpha = 0)   shift = P(phi'),                  scale = 1
+  potential               shift = alpha + dt^2 P(phi'),     scale = dt^2
   nutrient                shift = 1 + dt P(phi'),           scale = dt
 
 The phase step wraps its solve in a damped Newton iteration, started from
@@ -29,9 +28,9 @@ on quadratics) afterwards.  An alpha = 0 run switches at step 5 to
   phi_n + 2 (phi_{n-1} - phi_{n-2}) - (phi_{n-3} - phi_{n-4}),
 
 which is also exact on (-1)^n and n (-1)^n: it follows the period-2
-sawtooth of the limit scheme (see ``step_mu_limit``) as well as the
-smooth trend.  From there most steps take one Newton iteration, and the
-stopping test is the one of a cold start.  The Newton is inexact: each
+sawtooth of the limit scheme (see ``run``) as well as the smooth trend.
+From there most steps take one Newton iteration, and the stopping test
+is the one of a cold start.  The Newton is inexact: each
 correction is solved to the forcing tolerance
 
   eta = max(cg_tol, GAMMA * tol / |r|),   GAMMA = 0.01,
@@ -218,16 +217,23 @@ def step_phi(state, params, potential, scheme, grid, guess=None):
 
 
 def step_mu(state, phi_next, params, scheme, u1, grid):
-    """Implicit potential update with inertia; returns (mu_next, v_next).
+    """Implicit potential update for any alpha >= 0; returns (mu_next, v_next).
 
     The unknown is the increment of v in the SPD system
     (alpha + dt^2 P) v' - dt^2 lap v' = alpha v - (phi' - phi)
-        + dt lap mu + dt [P (sigma + chi(1 - phi') - mu) - h u1].
+        + dt lap mu + dt [P (sigma + chi(1 - phi') - mu) - h u1],
+    with mu' = mu + dt v'.  At alpha = 0 this is dt times the stationary
+    equation (-lap + P) mu' = P (sigma + chi(1 - phi')) - h u1
+    - (phi' - phi)/dt, so mu' does not depend on v; P must then be bounded
+    away from zero or the operator degenerates on constants.
     """
-    if not params.alpha > 0.0:
-        raise InvalidParams("step_mu needs alpha > 0; use step_mu_limit instead")
     dt, alpha = scheme.dt, params.alpha
+    if not alpha >= 0.0:
+        raise InvalidParams(f"step_mu needs alpha >= 0, got {alpha}")
     P = params.proliferation.rate(phi_next)
+    if alpha == 0.0 and not np.min(P) > 0.0:
+        raise InvalidParams(
+            f"alpha = 0 potential step needs min P(phi) > 0, got {float(np.min(P))}")
     H = params.truncation(phi_next)
     mu_pred = state.mu + dt * state.v
     rhs = (
@@ -240,46 +246,9 @@ def step_mu(state, phi_next, params, scheme, u1, grid):
     return state.mu + dt * v_next, v_next
 
 
-def step_mu_limit(state, phi_next, params, scheme, u1, grid):
-    """Potential update of the parabolic limit (alpha = 0); returns mu_next.
-
-    Solves (-lap + P) mu' = P (sigma + chi(1 - phi')) - h u1 - (phi' - phi)/dt
-    in increment form from the previous mu.  P must be bounded away from
-    zero or the operator degenerates on constants.
-
-    The phase step lags mu, and this step sets mu' from -(phi' - phi)/(dt P),
-    so on smooth modes each phase increment feeds into the next with a
-    factor of about -1/(tau P): the limit scheme is smooth only while tau P
-    stays well above 1.  On the ``alpha-ladder`` benchmark config (seed 0:
-    n = 64, dt = 1e-3, tau = 1, constant P = p0) the increments are smooth
-    at tau p0 = 2.  At tau p0 = 1, the benchmark's own setting, they form a
-    bounded sawtooth, alternating between about 8e-4 and 2e-4 late in the
-    run.  ``run`` starts the alpha = 0 phase Newton from an extrapolation
-    that follows that sawtooth, so nearly every step there takes one Newton
-    iteration (508 in 500 steps); the quadratic start of alpha > 0 runs
-    would take two at every step.  The start moves only the Newton's first
-    iterate: the scheme, phi -> mu -> sigma as the paper states it, and
-    with it the sawtooth, stay as they are.  At tau p0 = 0.5 the
-    increments double and flip sign at every step; ``run`` stops such a run with
-    SchemeUnstable (at step 9 there) instead of letting it grow until the
-    resolvent fails.
-    """
-    dt = scheme.dt
-    P = params.proliferation.rate(phi_next)
-    pmin = float(np.min(P))
-    if not pmin > 0.0:
-        raise InvalidParams(
-            f"limit potential step needs min P(phi) > 0, got {pmin}"
-        )
-    H = params.truncation(phi_next)
-    rhs = (
-        P * (state.sigma + params.chi * (1.0 - phi_next) - state.mu)
-        + grid.laplacian(state.mu)
-        - H * u1
-        - (phi_next - state.phi) / dt
-    )
-    dmu = grid.solve_shifted(P, 1.0, rhs, scheme.cg_tol)
-    return state.mu + dmu
+# exists only for perfbench/tracer.py, which wraps this name at install;
+# ROADMAP item 1 deletes it
+step_mu_limit = step_mu
 
 
 def step_sigma(state, phi_next, mu_next, params, scheme, u2, grid):
@@ -326,18 +295,35 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
 
     T must be an integer number of steps.  Each substep's output is checked
     for non-finite values; substep failures propagate with the step, the
-    substep (phi, mu, mu_limit or sigma) and the solver residual in the
-    message and as ``step``/``substep`` attributes.  The run is
-    deterministic: identical inputs produce bit-identical trajectories.
+    substep (phi, mu or sigma) and the solver residual in the message and
+    as ``step``/``substep`` attributes.  The run is deterministic:
+    identical inputs produce bit-identical trajectories.
 
     The Trajectory keeps only the initial and the final state.  A caller
     that needs the record points passes ``observe``: ``observe(state)``
     is called at t = 0, at every record_every-th step and at the final
     step, and must not modify the state.
 
-    An alpha = 0 run raises SchemeUnstable once its phase increments have
-    grown and reversed direction for UNSTABLE_STEPS steps in a row (see
-    ``step_mu_limit``).
+    An alpha = 0 run is the parabolic limit: ``step_mu`` solves the
+    stationary potential equation, and v is held at exactly 0 after every
+    step (v at t = 0 is mu0_prime).  The phase step lags mu, and the
+    potential step sets mu' from -(phi' - phi)/(dt P), so on smooth modes
+    each phase increment feeds into the next with a factor of about
+    -1/(tau P): the limit scheme is smooth only while tau P stays well
+    above 1.  On the ``alpha-ladder`` benchmark config (seed 0: n = 64,
+    dt = 1e-3, tau = 1, constant P = p0) the increments are smooth at
+    tau p0 = 2.  At tau p0 = 1, the benchmark's own setting, they form a
+    bounded sawtooth, alternating between about 8e-4 and 2e-4 late in the
+    run.  The alpha = 0 phase Newton starts from an extrapolation that
+    follows that sawtooth, so nearly every step there takes one Newton
+    iteration (508 in 500 steps); the quadratic start of alpha > 0 runs
+    would take two at every step.  The start moves only the Newton's first
+    iterate: the scheme, phi -> mu -> sigma as the paper states it, and
+    with it the sawtooth, stay as they are.  At tau p0 = 0.5 the increments
+    double and flip sign at every step, and the run raises SchemeUnstable
+    (at step 9 there) once its phase increments have grown and reversed
+    direction for UNSTABLE_STEPS steps in a row, instead of letting them
+    grow until the resolvent fails.
     """
     problems = validate(params, potential, init, controls, grid)
     if problems:
@@ -395,12 +381,9 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
                 if streak == UNSTABLE_STEPS:
                     _unstable(params, phi_next, inc_norm / inc_norm_prev)
                 inc_prev, inc_norm_prev = inc, inc_norm
-            if params.alpha > 0.0:
-                substep = "mu"
-                mu_next, v_next = step_mu(state, phi_next, params, scheme, u1, grid)
-            else:
-                substep = "mu_limit"
-                mu_next = step_mu_limit(state, phi_next, params, scheme, u1, grid)
+            substep = "mu"
+            mu_next, v_next = step_mu(state, phi_next, params, scheme, u1, grid)
+            if params.alpha == 0.0:
                 v_next = np.zeros_like(mu_next)
             _require_finite(mu=mu_next, v=v_next)
             substep = "sigma"

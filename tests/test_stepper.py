@@ -32,7 +32,6 @@ from chrelax import (
     parse_config,
     run,
     step_mu,
-    step_mu_limit,
     step_phi,
     step_sigma,
 )
@@ -133,13 +132,13 @@ def test_mu_update_is_integrated_velocity():
     np.testing.assert_array_equal(mu_n, state.mu + scheme.dt * v_n)
 
 
-def test_step_mu_rejects_vanishing_alpha():
+def test_step_mu_rejects_negative_alpha():
     g = Grid(8)
     pot = SplitPotential.regular()
     scheme = SchemeConfig(dt=1e-2, eps=1e-3)
     state = constant_state(g, 0.0, 0.0, 0.2, 0.1, pot, scheme.eps)
-    with pytest.raises(InvalidParams):
-        step_mu(state, state.phi, ModelParams(alpha=0.0), scheme, g.field(), g)
+    with pytest.raises(InvalidParams, match="alpha >= 0"):
+        step_mu(state, state.phi, ModelParams(alpha=-1e-3), scheme, g.field(), g)
 
 
 def test_limit_step_scalar_oracle_and_guard():
@@ -152,14 +151,14 @@ def test_limit_step_scalar_oracle_and_guard():
                            eps=scheme.eps)
     phi_n = g.field(0.25)
     u1 = 0.4
-    got = step_mu_limit(state, phi_n, params, scheme, g.field(u1), g)
+    got, _ = step_mu(state, phi_n, params, scheme, g.field(u1), g)
     # with no Laplacian: P mu' = P (sigma + chi (1 - phi')) - h u1 - dphi/dt
     H = float(params.truncation(np.array([0.25]))[0])
     want = (2.0 * (0.7 + CHI * 0.75) - H * u1 - 0.05 / 0.05) / 2.0
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
     ramp = ModelParams(alpha=0.0, proliferation=ProliferationSpec("ramp", p0=1.0))
-    with pytest.raises(InvalidParams):
-        step_mu_limit(state, g.field(-1.0), ramp, scheme, g.field(), g)
+    with pytest.raises(InvalidParams, match="min P"):
+        step_mu(state, g.field(-1.0), ramp, scheme, g.field(), g)
 
 
 def test_limit_step_agrees_with_small_alpha():
@@ -175,7 +174,7 @@ def test_limit_step_agrees_with_small_alpha():
     prolif = ProliferationSpec("constant", p0=1.0)
     phi_n, _, _ = step_phi(
         state, ModelParams(alpha=0.0, proliferation=prolif), pot, scheme, g)
-    mu_lim = step_mu_limit(
+    mu_lim, _ = step_mu(
         state, phi_n, ModelParams(alpha=0.0, proliferation=prolif), scheme,
         g.field(), g)
     mu_small, _ = step_mu(
@@ -192,7 +191,7 @@ def test_limit_and_sigma_zero_right_hand_sides():
                          proliferation=ProliferationSpec("constant", p0=1.0))
     zero = constant_state(g, 0.0, 0.0, 1.0, 0.0, pot, scheme.eps)
     # stationary phase at +1 with no nutrient: both sources cancel exactly
-    mu_n = step_mu_limit(zero, zero.phi, params, scheme, g.field(), g)
+    mu_n, _ = step_mu(zero, zero.phi, params, scheme, g.field(), g)
     assert np.all(mu_n == 0.0)
     sigma_n = step_sigma(zero, zero.phi, mu_n, params, scheme, g.field(), g)
     assert np.all(sigma_n == 0.0)
@@ -331,6 +330,40 @@ def test_non_finite_state_fails_at_its_substep(monkeypatch):
         run(params, pot, controls, init, g, T=0.01,
             scheme=SchemeConfig(dt=1e-3, eps=1e-3))
     assert ei.value.step == 2 and ei.value.substep == "sigma"
+
+
+def test_limit_run_holds_v_at_zero_and_reports_substep_mu(monkeypatch):
+    params, pot, controls, init, g = source_free_setup(n=16, p0=1.0)
+    params = replace(params, alpha=0.0)
+    # a mu0_prime with nonzero mass, so mass_v[0] is not zero by accident
+    init = replace(init, mu0_prime=FieldSpec("cosine_bump", value=0.05,
+                                             amplitude=0.1))
+    scheme = SchemeConfig(dt=1e-3, eps=1e-3)
+    states = []
+    traj = run(params, pot, controls, init, g, T=0.01, scheme=scheme,
+               observe=states.append)
+    assert len(states) == 11
+    mu0_prime = init.mu0_prime.build(g)
+    np.testing.assert_array_equal(states[0].v, mu0_prime)
+    for s in states[1:]:
+        assert np.all(s.v == 0.0), s.t
+    assert traj.mass_v[0] == g.integrate(mu0_prime) != 0.0
+    assert np.all(traj.mass_v[1:] == 0.0)
+
+    clean = stepper.step_mu
+
+    def poisoned(state, *args):
+        mu, v = clean(state, *args)
+        if state.t > 0.0:  # from the second step on
+            mu[3] = np.nan
+        return mu, v
+
+    monkeypatch.setattr(stepper, "step_mu", poisoned)
+    with pytest.raises(NonFiniteState,
+                       match=r"^step 2 \(t = 0.002\), substep mu: mu is "
+                             r"non-finite in 1 of 16 cells") as ei:
+        run(params, pot, controls, init, g, T=0.01, scheme=scheme)
+    assert ei.value.step == 2 and ei.value.substep == "mu"
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the sums overflow or meet inf - inf

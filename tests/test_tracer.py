@@ -1,9 +1,9 @@
 """The benchmark tracer against the package it wraps.
 
 ``perfbench/tracer.py`` wraps chrelax functions by name from outside the
-package, so a name that ``src/`` drops or renames leaves a span that
-silently reads zero.  The script runs in a subprocess, so this test
-process is never patched.
+package, so a name that ``src/`` drops or renames makes ``install`` raise
+AttributeError.  The script runs in a subprocess, so this test process is
+never patched.
 """
 
 import os
