@@ -2,19 +2,18 @@
 
 Lines hold one dotted key each, ``#`` starts a comment, unknown keys and
 malformed or duplicated entries are hard errors reported with their line
-numbers.  Parsing applies documented defaults (tau = 1, chi = 1,
-alpha = 0.01, epsilon = min(dt, 1e-3)) so a minimal file only needs
-grid.n, time.T, time.dt and potential.kind.  Serialisation writes every
-key back sorted with floats at 17 significant digits; parse -> serialise
--> parse is the identity.
+numbers.  An unset key takes the default of the model spec field it
+sets (``ModelParams``, ``SplitPotential``, ``FieldSpec``, ``ControlSpec``,
+``SchemeConfig``), which also owns its kind; epsilon defaults to
+min(dt, 1e-3).  A minimal file only needs grid.n, time.T, time.dt and
+potential.kind.  Serialisation writes every key back sorted with floats
+at 17 significant digits; parse -> serialise -> parse is the identity.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError, ConfigIssue, InvalidParams
 from .grid import Grid
@@ -33,10 +32,41 @@ from .stepper import SchemeConfig
 
 AUTO = object()  # epsilon default is resolved against dt after parsing
 
-_FIELD_KINDS = ("constant", "cosine_bump", "tanh_interface")
-_CONTROL_KINDS = ("zero", "constant", "gaussian_pulse", "sinusoid")
-
 _ALPHA_LADDER = [2.0**-k for k in range(2, 10)]
+
+_FIELDS = ("mu0", "mu0_prime", "phi0", "sigma0")
+
+
+def _spec_keys(spec, prefix, names=None):
+    """[(field, key, default)] for the fields of ``spec`` that config keys
+    set: ``names``, or every init field without a default factory.  A key
+    is ``prefix + field``, a tuple field takes one key per axis
+    (``center_x``, ``center_y``), and a required field's default is MISSING."""
+    out = []
+    for f in fields(spec):
+        if f.name in names if names else f.init and f.default_factory is MISSING:
+            key = prefix + f.name
+            if isinstance(f.default, tuple):
+                key = tuple(f"{key}_{axis}" for axis in "xy")
+            out.append((f.name, key, f.default))
+    return out
+
+
+# The spec each key prefix fills, with its keys; the spec owns their kinds
+# (its KINDS for ``kind``, else the default's type) and defaults.
+_SPECS = {prefix: (spec, _spec_keys(spec, prefix, names)) for prefix, spec, names in (
+    ("time.", SchemeConfig, ("record_every",)),
+    ("model.", ModelParams, None),
+    ("model.P.", ProliferationSpec, None),
+    ("model.h.", TruncationSpec, None),
+    ("potential.", SplitPotential, None),
+    ("solver.", SchemeConfig, ("newton_tol", "newton_max_iter", "cg_tol")),
+    *((f"init.{f}.", FieldSpec, None) for f in _FIELDS),
+    *((f"{c}.", ControlSpec, None) for c in (
+        "controls.u1", "controls.u2", "study.perturb_u1", "study.perturb_u2")),
+)}
+
+_KIND_OF = {int: "int", float: "float"}
 
 
 def _schema():
@@ -46,46 +76,22 @@ def _schema():
         "grid.length": ("float_list", [1.0]),
         "time.T": ("float", None),
         "time.dt": ("float", None),
-        "time.record_every": ("int", 1),
-        "model.alpha": ("float", 0.01),
-        "model.tau": ("float", 1.0),
-        "model.chi": ("float", 1.0),
-        "model.P.kind": (("constant", "ramp"), "constant"),
-        "model.P.p0": ("float", 1.0),
-        "model.h.kind": (("ramp", "one", "zero"), "ramp"),
-        "potential.kind": (("regular", "logarithmic", "obstacle"), None),
-        "potential.k1": ("float", 2.0),
-        "potential.k2": ("float", 1.0),
+    }
+    for spec, keys in _SPECS.values():
+        for name, key, default in keys:
+            if isinstance(key, tuple):
+                s.update((k, (_KIND_OF[type(d)], d)) for k, d in zip(key, default))
+            else:
+                kind = spec.KINDS if name == "kind" else _KIND_OF[type(default)]
+                s[key] = (kind, None if default is MISSING else default)
+    s.update({
         "potential.epsilon": ("float", AUTO),
-        "solver.newton_tol": ("float", 1e-10),
-        "solver.newton_max_iter": ("int", 50),
-        "solver.cg_tol": ("float", 1e-10),
         "study.alphas": ("float_list", list(_ALPHA_LADDER)),
         "study.epsilons": ("float_list", [1e-1, 1e-2, 1e-3, 1e-4]),
         "study.deltas": ("float_list", [1.0, 0.5, 0.25, 0.125]),
         "output.dir": ("str", "out"),
         "output.dump_fields": ("bool", False),
-    }
-    for f in ("mu0", "mu0_prime", "phi0", "sigma0"):
-        s[f"init.{f}.kind"] = (_FIELD_KINDS, "constant")
-        s[f"init.{f}.value"] = ("float", 0.0)
-        s[f"init.{f}.amplitude"] = ("float", 1.0)
-        s[f"init.{f}.mode"] = ("int", 1)
-        s[f"init.{f}.center"] = ("float", 0.5)
-        s[f"init.{f}.width"] = ("float", 0.1)
-        s[f"init.{f}.lo"] = ("float", -0.9)
-        s[f"init.{f}.hi"] = ("float", 0.9)
-    for c in ("controls.u1", "controls.u2", "study.perturb_u1", "study.perturb_u2"):
-        s[f"{c}.kind"] = (_CONTROL_KINDS, "zero")
-        s[f"{c}.value"] = ("float", 0.0)
-        s[f"{c}.amplitude"] = ("float", 1.0)
-        s[f"{c}.center_x"] = ("float", 0.5)
-        s[f"{c}.center_y"] = ("float", 0.5)
-        s[f"{c}.width"] = ("float", 0.1)
-        s[f"{c}.t_on"] = ("float", 0.0)
-        s[f"{c}.t_off"] = ("float", np.inf)
-        s[f"{c}.mode"] = ("int", 1)
-        s[f"{c}.omega"] = ("float", 0.0)
+    })
     return s
 
 
@@ -93,48 +99,38 @@ SCHEMA = _schema()
 REQUIRED = tuple(k for k, (_, d) in SCHEMA.items() if d is None)
 
 
+def _read_bool(text):
+    low = text.lower()
+    if low not in ("true", "false"):
+        raise ValueError(text)
+    return low == "true"
+
+
+# Readers and writers of the value kinds; str writes the others, and an
+# enum kind is its tuple of names.
+_READ = {"int": int, "float": float, "bool": _read_bool, "str": str,
+         "int_list": lambda t: [int(p) for p in t.split(",") if p.strip()],
+         "float_list": lambda t: [float(p) for p in t.split(",") if p.strip()]}
+_WRITE = {"float": "{:.17g}".format,
+          "int_list": lambda v: ", ".join(map(str, v)),
+          "float_list": lambda v: ", ".join(map("{:.17g}".format, v)),
+          "bool": lambda v: "true" if v else "false"}
+
+
 def _parse_value(key, kind, text, line, issues):
     text = text.strip()
-    try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-        if kind == "int_list":
-            return [int(p.strip()) for p in text.split(",") if p.strip()]
-        if kind == "float_list":
-            return [float(p.strip()) for p in text.split(",") if p.strip()]
-        if kind == "bool":
-            low = text.lower()
-            if low in ("true", "false"):
-                return low == "true"
-            raise ValueError(text)
-        if kind == "str":
-            return text
-    except ValueError:
-        issues.append(ConfigIssue("TypeError", key, line,
-                                  f"cannot read {text!r} as {kind} for {key}"))
-        return None
-    # enum
+    if kind in _READ:
+        try:
+            return _READ[kind](text)
+        except ValueError:
+            issues.append(ConfigIssue("TypeError", key, line,
+                                      f"cannot read {text!r} as {kind} for {key}"))
+            return None
     if text in kind:
         return text
     issues.append(ConfigIssue("UnknownValue", key, line,
                               f"{key} must be one of {kind}, got {text!r}"))
     return None
-
-
-def _format_value(kind, value):
-    if kind == "int":
-        return str(value)
-    if kind == "float":
-        return f"{value:.17g}"
-    if kind == "int_list":
-        return ", ".join(str(v) for v in value)
-    if kind == "float_list":
-        return ", ".join(f"{v:.17g}" for v in value)
-    if kind == "bool":
-        return "true" if value else "false"
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -144,10 +140,7 @@ class Config:
     values: tuple  # sorted (key, value) pairs, lists frozen as tuples
 
     def __getitem__(self, key):
-        d = dict(self.values)
-        if key not in d:
-            raise KeyError(key)
-        v = d[key]
+        v = dict(self.values)[key]
         return list(v) if isinstance(v, tuple) else v
 
     def with_updates(self, updates):
@@ -164,7 +157,7 @@ class Config:
         for k, v in self.values:
             kind = SCHEMA[k][0]
             vv = list(v) if isinstance(v, tuple) else v
-            lines.append(f"{k} = {_format_value(kind, vv)}")
+            lines.append(f"{k} = {_WRITE.get(kind, str)(vv)}")
         return "\n".join(lines) + "\n"
 
     def digest(self):
@@ -192,24 +185,15 @@ def parse_config(text):
             issues.append(ConfigIssue("DuplicateKey", key, ln,
                                       f"{key} already set on line {seen[key][1]}"))
             continue
-        nissues = len(issues)
-        parsed = _parse_value(key, SCHEMA[key][0], val, ln, issues)
-        if len(issues) == nissues:
-            seen[key] = (parsed, ln)
-        else:
-            seen[key] = (None, ln)  # present but invalid; already reported
+        # None when invalid, which _parse_value has reported
+        seen[key] = (_parse_value(key, SCHEMA[key][0], val, ln, issues), ln)
     for key in REQUIRED:
         if key not in seen:
             issues.append(ConfigIssue("MissingRequired", key, 0,
                                       f"required key {key} is missing"))
     if issues:
         raise ConfigError(issues)
-    values = {}
-    for key, (kind, default) in SCHEMA.items():
-        if key in seen:
-            values[key] = seen[key][0]
-        else:
-            values[key] = default
+    values = {k: seen[k][0] if k in seen else d for k, (_, d) in SCHEMA.items()}
     if values["potential.epsilon"] is AUTO:
         values["potential.epsilon"] = min(values["time.dt"], 1e-3)
     values = {k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}
@@ -252,44 +236,28 @@ def build_potential(cfg):
     return SplitPotential.obstacle(cfg["potential.k2"])
 
 
+def _values(cfg, prefix):
+    """{field: value} of the spec fields that the keys under ``prefix`` set."""
+    return {name: tuple(cfg[k] for k in key) if isinstance(key, tuple) else cfg[key]
+            for name, key, _ in _SPECS[prefix][1]}
+
+
+def _build(cfg, prefix):
+    return _SPECS[prefix][0](**_values(cfg, prefix))
+
+
 def build_params(cfg):
-    return ModelParams(
-        alpha=cfg["model.alpha"],
-        tau=cfg["model.tau"],
-        chi=cfg["model.chi"],
-        proliferation=ProliferationSpec(cfg["model.P.kind"], cfg["model.P.p0"]),
-        truncation=TruncationSpec(cfg["model.h.kind"]),
-    )
-
-
-def _field_spec(cfg, name):
-    p = f"init.{name}."
-    return FieldSpec(
-        kind=cfg[p + "kind"], value=cfg[p + "value"],
-        amplitude=cfg[p + "amplitude"], mode=cfg[p + "mode"],
-        center=cfg[p + "center"], width=cfg[p + "width"],
-        lo=cfg[p + "lo"], hi=cfg[p + "hi"],
-    )
+    return ModelParams(**_values(cfg, "model."),
+                       proliferation=_build(cfg, "model.P."),
+                       truncation=_build(cfg, "model.h."))
 
 
 def build_init(cfg):
-    return InitialData(
-        mu0=_field_spec(cfg, "mu0"),
-        mu0_prime=_field_spec(cfg, "mu0_prime"),
-        phi0=_field_spec(cfg, "phi0"),
-        sigma0=_field_spec(cfg, "sigma0"),
-    )
+    return InitialData(**{f: _build(cfg, f"init.{f}.") for f in _FIELDS})
 
 
 def control_spec(cfg, prefix):
-    p = prefix + "."
-    return ControlSpec(
-        kind=cfg[p + "kind"], value=cfg[p + "value"],
-        amplitude=cfg[p + "amplitude"],
-        center=(cfg[p + "center_x"], cfg[p + "center_y"]),
-        width=cfg[p + "width"], t_on=cfg[p + "t_on"], t_off=cfg[p + "t_off"],
-        mode=cfg[p + "mode"], omega=cfg[p + "omega"],
-    )
+    return _build(cfg, prefix + ".")
 
 
 def build_controls(cfg):
@@ -298,14 +266,8 @@ def build_controls(cfg):
 
 
 def build_scheme(cfg):
-    return SchemeConfig(
-        dt=cfg["time.dt"],
-        eps=cfg["potential.epsilon"],
-        newton_tol=cfg["solver.newton_tol"],
-        newton_max_iter=cfg["solver.newton_max_iter"],
-        cg_tol=cfg["solver.cg_tol"],
-        record_every=cfg["time.record_every"],
-    )
+    return SchemeConfig(dt=cfg["time.dt"], eps=cfg["potential.epsilon"],
+                        **_values(cfg, "time."), **_values(cfg, "solver."))
 
 
 @dataclass(frozen=True)

@@ -9,26 +9,25 @@ class InvalidParams(ChRelaxError):
     """Model, scheme or study parameters violate a documented hypothesis."""
 
 
-class NewtonDivergence(ChRelaxError):
-    """A Newton iteration exhausted its budget without meeting tolerance."""
+class _BudgetExhausted(ChRelaxError):
+    """An iteration ran out of its budget; keeps its residual and count."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+class NewtonDivergence(_BudgetExhausted):
+    """A Newton iteration exhausted its budget without meeting tolerance."""
 
 
 class OutsideSubdifferentialDomain(ChRelaxError):
     """Minimal section requested outside the domain of the subdifferential."""
 
 
-class CgNoConvergence(ChRelaxError):
+class CgNoConvergence(_BudgetExhausted):
     """Conjugate gradients exhausted its budget without meeting tolerance."""
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
 
 
 class NonFiniteState(ChRelaxError):

@@ -119,6 +119,20 @@ def _nonincreasing(values):
     return worst <= MONOTONE_SLACK, worst
 
 
+def _monotone_verdict(name, values):
+    """Verdict ``name`` that ``values`` do not increase beyond roundoff."""
+    ok, worst = _nonincreasing(values)
+    return Verdict(name, ok, f"relative increase <= {MONOTONE_SLACK}", worst)
+
+
+def _ladder(cfg, key):
+    """The positive ladder under ``key``, in descending order."""
+    ladder = sorted((float(x) for x in cfg[key]), reverse=True)
+    if not ladder or any(x <= 0.0 for x in ladder):
+        raise InvalidParams(f"{key} must be a nonempty positive ladder")
+    return ladder
+
+
 def sweep_alpha(cfg):
     """Vanishing-inertia convergence: run an alpha ladder against the
     alpha = 0 limit and fit the decay rate of the error composite.
@@ -134,9 +148,7 @@ def sweep_alpha(cfg):
             "the vanishing-inertia study needs a constant, strictly positive "
             f"proliferation rate; got kind={prolif.kind!r} with p0={prolif.p0}"
         )
-    alphas = sorted((float(a) for a in cfg["study.alphas"]), reverse=True)
-    if not alphas or any(a <= 0.0 for a in alphas):
-        raise InvalidParams("study.alphas must be a nonempty positive ladder")
+    alphas = _ladder(cfg, "study.alphas")
 
     limit = _reference(sc)
     runs = [("limit", _run_scenario(sc, params=replace(sc.params, alpha=0.0),
@@ -148,12 +160,9 @@ def sweep_alpha(cfg):
         e = alpha_error(n, a)
         rows.append((a, e.mu_weighted, e.conv_mu_linf_v, e.phi_linf_h,
                      e.phi_l2_v, e.sigma_l2_h, e.conv_sigma_linf_v, e.composite))
-    composites = [r[-1] for r in rows]
     fit = fit_rate([(r[0], r[-1]) for r in rows])
-    mono_ok, mono_worst = _nonincreasing(composites)
     verdicts = [
-        Verdict("composite_nonincreasing", mono_ok,
-                f"relative increase <= {MONOTONE_SLACK}", mono_worst),
+        _monotone_verdict("composite_nonincreasing", [r[-1] for r in rows]),
         Verdict("rate_slope", fit.slope >= 0.24, ">= 0.24", fit.slope),
     ]
     return StudyReport(
@@ -177,9 +186,7 @@ def sweep_eps(cfg):
     sc = build_scenario(cfg)
     if not sc.params.alpha > 0.0:
         raise InvalidParams("the eps sweep compares runs at a fixed alpha > 0")
-    ladder = sorted((float(e) for e in cfg["study.epsilons"]), reverse=True)
-    if not ladder or any(e <= 0.0 for e in ladder):
-        raise InvalidParams("study.epsilons must be a nonempty positive ladder")
+    ladder = _ladder(cfg, "study.epsilons")
     if len(ladder) == 1:
         return StudyReport(
             study="sweep-eps", digest=cfg.digest(),
@@ -198,11 +205,8 @@ def sweep_eps(cfg):
 
     rows = [cauchy_row(e) for e in ladder]
 
-    verdicts = []
-    for j, name in ((1, "d_phi"), (2, "d_mu"), (3, "d_sigma")):
-        ok, worst = _nonincreasing([r[j] for r in rows])
-        verdicts.append(Verdict(f"{name}_nonincreasing", ok,
-                                f"relative increase <= {MONOTONE_SLACK}", worst))
+    verdicts = [_monotone_verdict(f"{name}_nonincreasing", [r[j] for r in rows])
+                for j, name in ((1, "d_phi"), (2, "d_mu"), (3, "d_sigma"))]
     return StudyReport(
         study="sweep-eps", digest=cfg.digest(),
         columns=["epsilon", "d_phi", "d_mu", "d_sigma", "max_abs_phi"],
@@ -236,9 +240,7 @@ def contdep(cfg):
             "the dependence study needs a nonzero control perturbation; set "
             "study.perturb_u1.* or study.perturb_u2.*"
         )
-    deltas = sorted((float(d) for d in cfg["study.deltas"]), reverse=True)
-    if not deltas or any(d <= 0.0 for d in deltas):
-        raise InvalidParams("study.deltas must be a nonempty positive ladder")
+    deltas = _ladder(cfg, "study.deltas")
 
     base = _reference(sc)
     _run_scenario(sc, observe=base)
@@ -262,11 +264,9 @@ def contdep(cfg):
         rows.append((d, lhs, rhs, lhs / rhs))
     ratios = [r[3] for r in rows]
     spread = max(ratios) / min(ratios)
-    lhs_ok, lhs_worst = _nonincreasing([r[1] for r in rows])
     verdicts = [
         Verdict("ratio_spread", spread <= 2.0, "<= 2", spread),
-        Verdict("lhs_decreases", lhs_ok,
-                f"relative increase <= {MONOTONE_SLACK}", lhs_worst),
+        _monotone_verdict("lhs_decreases", [r[1] for r in rows]),
     ]
     return StudyReport(
         study="contdep", digest=cfg.digest(),

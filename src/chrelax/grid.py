@@ -46,17 +46,6 @@ DENSE_COSINE_MAX = 256
 # (shift, scale) pairs, one per linear substep with a constant shift.
 DENOM_CACHE_MAX = 8
 
-# Values formatted per block by _csvtext.write_csv_rows: rows of c values go
-# CSV_BLOCK_ROWS // c rows at a time, through one buffer of (prefix + 50
-# bytes per value + 2) bytes per row and a mask of the same shape.  The
-# second dump of a 64x64 field peaks at 0.51 MB under tracemalloc with 1024
-# rows per block, 0.26 MB with 512 and 0.14 MB with 256; its text takes
-# 1.8, 2.2 and 3.1 ms on a 2-vCPU VM, as a block costs about 0.1 ms of
-# numpy calls.  The peak RSS of the 2-D benchmark run moved by less than
-# its run-to-run spread (0.1 MB) between 256 and 1024 rows (Python 3.11,
-# numpy 2.4, glibc malloc).
-CSV_BLOCK_ROWS = 1024
-
 
 def _axis_slice(dim, ax, sl):
     """Index applying ``sl`` along axis ``ax`` of the last ``dim`` axes."""
@@ -235,9 +224,8 @@ class Grid:
         This is the generic form, one ``apply`` per iteration.  The
         substeps do not use it: ``solve_shifted`` runs the same iteration
         on A = S + diag(d) with S p carried by recurrence, so that no
-        iteration applies the Laplacian.  It stays as public API, as the
-        oracle of the tests' Jacobi-preconditioned solve and as a hook for
-        tracing.
+        iteration applies the Laplacian.  It stays as public API and as the
+        oracle of the tests' Jacobi-preconditioned solve.
         """
         self.check(rhs)
         if max_iter is None:

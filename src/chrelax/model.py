@@ -7,6 +7,9 @@ that the phase step produced.  Proliferation P(phi) and the source
 truncation h(phi) are nonnegative, bounded, Lipschitz shape functions;
 controls u1 (medication) and u2 (nutrient supply) are bounded space-time
 sources given by small closed-form presets so runs stay reproducible.
+
+The config keys take their kinds (a spec's ``KINDS``) and defaults from
+these specs, so a changed default changes every config digest.
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ from .potentials import SplitPotential, YosidaParams
 class ProliferationSpec:
     """P(phi): ``constant`` p0 >= 0, or ``ramp`` p0 * clamp((1+phi)/2, 0, 1)."""
 
+    KINDS = ("constant", "ramp")
+
     kind: str = "constant"
     p0: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "ramp"):
+        if self.kind not in self.KINDS:
             raise InvalidParams(f"unknown proliferation kind {self.kind!r}")
         if self.kind == "constant" and self.p0 < 0.0:
             raise InvalidParams("constant proliferation rate must be nonnegative")
@@ -55,10 +60,12 @@ class ProliferationSpec:
 class TruncationSpec:
     """h(phi) multiplying the medication source; ``ramp``, ``one`` or ``zero``."""
 
+    KINDS = ("ramp", "one", "zero")
+
     kind: str = "ramp"
 
     def __post_init__(self):
-        if self.kind not in ("ramp", "one", "zero"):
+        if self.kind not in self.KINDS:
             raise InvalidParams(f"unknown truncation kind {self.kind!r}")
 
     def __call__(self, phi):
@@ -94,6 +101,8 @@ class ControlSpec:
     cosine spatial mode, cos(omega t) in time).
     """
 
+    KINDS = ("zero", "constant", "gaussian_pulse", "sinusoid")
+
     kind: str = "zero"
     value: float = 0.0
     amplitude: float = 1.0
@@ -109,7 +118,7 @@ class ControlSpec:
                             compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("zero", "constant", "gaussian_pulse", "sinusoid"):
+        if self.kind not in self.KINDS:
             raise InvalidParams(f"unknown control kind {self.kind!r}")
         if self.kind == "gaussian_pulse" and not self.width > 0.0:
             raise InvalidParams("gaussian_pulse needs a positive width")
@@ -158,6 +167,8 @@ class FieldSpec:
     ``tanh_interface`` (profile along the first axis between levels lo
     and hi)."""
 
+    KINDS = ("constant", "cosine_bump", "tanh_interface")
+
     kind: str = "constant"
     value: float = 0.0
     amplitude: float = 1.0
@@ -168,7 +179,7 @@ class FieldSpec:
     hi: float = 0.9
 
     def __post_init__(self):
-        if self.kind not in ("constant", "cosine_bump", "tanh_interface"):
+        if self.kind not in self.KINDS:
             raise InvalidParams(f"unknown initial-field kind {self.kind!r}")
         if self.kind == "tanh_interface" and not self.width > 0.0:
             raise InvalidParams("tanh_interface needs a positive width")

@@ -51,8 +51,6 @@ from .errors import InvalidParams, NewtonDivergence, OutsideSubdifferentialDomai
 
 LOG2X2 = 2.0 * np.log(2.0)
 
-KINDS = ("regular", "logarithmic", "obstacle")
-
 
 @dataclass(frozen=True)
 class YosidaParams:
@@ -91,13 +89,15 @@ class SplitPotential:
     there and invalid parameters are rejected immediately.
     """
 
+    KINDS = ("regular", "logarithmic", "obstacle")
+
     kind: str
     k1: float = 2.0
     k2: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidParams(f"unknown potential kind {self.kind!r}, expected one of {KINDS}")
+        if self.kind not in self.KINDS:
+            raise InvalidParams(f"unknown potential kind {self.kind!r}, expected one of {self.KINDS}")
         if self.kind == "logarithmic" and not self.k1 > 1.0:
             raise InvalidParams(f"logarithmic potential needs k1 > 1, got k1 = {self.k1}")
         if self.kind == "obstacle" and not self.k2 > 0.0:

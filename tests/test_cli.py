@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from chrelax import Grid, RateFit, cli, experiments, parse_config
+from chrelax._csvtext import CSV_BLOCK_ROWS
 from chrelax.cli import _write_diagnostics, dispatch, write_report
 from chrelax.experiments import StudyReport, Verdict
-from chrelax.grid import CSV_BLOCK_ROWS
 
 TINY = (
     "grid.n = 8\ntime.T = 5e-3\ntime.dt = 1e-3\npotential.kind = regular\n"

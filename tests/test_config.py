@@ -2,10 +2,18 @@
 
 import pytest
 
+from dataclasses import fields
+
 from chrelax import (
     ConfigError,
+    Controls,
+    ControlSpec,
     Grid,
+    InitialData,
     InvalidParams,
+    ModelParams,
+    SchemeConfig,
+    SplitPotential,
     default_config,
     parse_config,
 )
@@ -17,6 +25,7 @@ from chrelax.config import (
     build_potential,
     build_scenario,
     build_scheme,
+    control_spec,
 )
 
 MINIMAL = "grid.n = 64\ntime.T = 0.1\ntime.dt = 1e-3\npotential.kind = regular\n"
@@ -133,6 +142,18 @@ def test_round_trip_and_digest():
     assert cfg["model.alpha"] == 0.125  # original untouched
 
 
+def test_digests_are_pinned():
+    # output file names carry the digest, so it must not drift with the
+    # way the schema is assembled
+    assert default_config().digest() == "291d5c84931c"
+    quick_start = (
+        "grid.n = 64\ntime.T = 0.1\ntime.dt = 1e-3\npotential.kind = regular\n"
+        "model.alpha = 0.01\ninit.phi0.kind = cosine_bump\n"
+        "init.phi0.amplitude = 0.5\ninit.sigma0.kind = constant\n"
+        "init.sigma0.value = 0.5\noutput.dump_fields = true\n")
+    assert parse_config(quick_start).digest() == "dd3658548f21"
+
+
 def test_lookup_and_update_errors():
     cfg = default_config()
     with pytest.raises(KeyError):
@@ -142,6 +163,22 @@ def test_lookup_and_update_errors():
 
 
 # -- builders ---------------------------------------------------------------
+
+
+def test_unset_keys_build_the_specs_defaults():
+    cfg = default_config()
+    assert build_init(cfg) == InitialData()
+    assert build_controls(cfg) == Controls()
+    assert control_spec(cfg, "study.perturb_u1") == ControlSpec()
+    assert control_spec(cfg, "study.perturb_u2") == ControlSpec()
+    assert build_potential(cfg) == SplitPotential("regular")
+    params, default_params = build_params(cfg), ModelParams()
+    for f in fields(ModelParams):
+        assert getattr(params, f.name) == getattr(default_params, f.name), f.name
+    scheme = build_scheme(cfg)
+    for f in fields(SchemeConfig):
+        if f.name not in ("dt", "eps"):  # required, no default
+            assert getattr(scheme, f.name) == f.default, f.name
 
 
 def test_build_grid_broadcasts_to_dim():

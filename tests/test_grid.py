@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from chrelax import CgNoConvergence, Grid, GridMismatch, InvalidParams
-from chrelax._csvtext import write_csv_rows
-from chrelax.grid import CSV_BLOCK_ROWS
+from chrelax._csvtext import CSV_BLOCK_ROWS, write_csv_rows
 from conftest import laplacian_diag
 
 
