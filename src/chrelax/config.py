@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 
 from .errors import ConfigError, ConfigIssue, InvalidParams
 from .grid import Grid
@@ -139,13 +140,18 @@ class Config:
 
     values: tuple  # sorted (key, value) pairs, lists frozen as tuples
 
+    @cached_property
+    def _lookup(self):
+        # built on the first lookup; not a field, so ``==`` and hash ignore it
+        return dict(self.values)
+
     def __getitem__(self, key):
-        v = dict(self.values)[key]
+        v = self._lookup[key]
         return list(v) if isinstance(v, tuple) else v
 
     def with_updates(self, updates):
         """New Config with the dotted keys in ``updates`` overridden."""
-        d = dict(self.values)
+        d = dict(self._lookup)
         for k, v in updates.items():
             if k not in SCHEMA:
                 raise KeyError(k)
@@ -228,12 +234,7 @@ def build_grid(cfg):
 
 
 def build_potential(cfg):
-    kind = cfg["potential.kind"]
-    if kind == "regular":
-        return SplitPotential.regular()
-    if kind == "logarithmic":
-        return SplitPotential.logarithmic(cfg["potential.k1"])
-    return SplitPotential.obstacle(cfg["potential.k2"])
+    return _build(cfg, "potential.")
 
 
 def _values(cfg, prefix):

@@ -95,9 +95,13 @@ def _run_scenario(sc, params=None, scheme=None, controls=None, observe=None):
 
 
 def _reference(sc):
-    """An empty ReferenceSeries on the scenario's record schedule."""
+    """An empty ReferenceSeries on the scenario's record schedule, which
+    must be uniform: the study norms weight every record interval alike."""
     nsteps = int(round(sc.T / sc.scheme.dt))
     every = sc.scheme.record_every
+    if nsteps % every:
+        raise InvalidParams(f"the studies need time.record_every = {every} "
+                            f"to divide the {nsteps} steps of T/dt")
     return ReferenceSeries(sc.grid, sc.scheme.dt, every, record_count(nsteps, every))
 
 
@@ -138,16 +142,10 @@ def sweep_alpha(cfg):
     alpha = 0 limit and fit the decay rate of the error composite.
 
     The comparison estimate is only available for a proliferation rate that
-    is constant in phi (and positive, so the limit operator stays
-    invertible); other shapes are refused.
+    is constant in phi and positive, so that the limit operator stays
+    invertible; the limit run, which comes first, refuses other P.
     """
     sc = build_scenario(cfg)
-    prolif = sc.params.proliferation
-    if prolif.kind != "constant" or not prolif.p0 > 0.0:
-        raise InvalidParams(
-            "the vanishing-inertia study needs a constant, strictly positive "
-            f"proliferation rate; got kind={prolif.kind!r} with p0={prolif.p0}"
-        )
     alphas = _ladder(cfg, "study.alphas")
 
     limit = _reference(sc)

@@ -9,7 +9,8 @@ face-based gradient form satisfies the summation-by-parts identity
 
     inner(-laplacian(u), v) == face_form(u, v)
 
-exactly, which is what the energy bookkeeping in the stepper relies on.
+exactly, which is what the energy bookkeeping in the stepper relies on:
+both sides take their face differences from the grid's one face table.
 
 On this grid the cosine (DCT-II) basis diagonalises the Laplacian
 exactly, with analytic eigenvalues, so a shifted system
@@ -42,16 +43,10 @@ from .errors import CgNoConvergence, GridMismatch, InvalidParams
 # product (at most 512 KiB per axis, and faster than the FFT at these sizes).
 DENSE_COSINE_MAX = 256
 
-# Cosine divisors kept per grid by cosine_solve.  A run uses at most three
-# (shift, scale) pairs, one per linear substep with a constant shift.
+# Cosine divisors kept per grid by cosine_solve.  A run uses at most two
+# (shift, scale) pairs, as the phase shift is always per cell; a ladder on
+# one grid adds one per rung, so criterion 5 fills the slots and they clear.
 DENOM_CACHE_MAX = 8
-
-
-def _axis_slice(dim, ax, sl):
-    """Index applying ``sl`` along axis ``ax`` of the last ``dim`` axes."""
-    idx = [Ellipsis] + [slice(None)] * dim
-    idx[1 + ax] = sl
-    return tuple(idx)
 
 
 class Grid:
@@ -79,18 +74,11 @@ class Grid:
         self.ncells = int(np.prod(n))
         self._shape = (self.ncells,)  # of a flat field, for check()
         self.cell_volume = float(np.prod(self.h))
-        # per axis: the cells on the low and high side of each interior face
-        # (indexing the trailing axes, so a leading stack axis passes
-        # through) and h
-        self._faces = tuple(
-            (_axis_slice(self.dim, ax, slice(None, -1)),
-             _axis_slice(self.dim, ax, slice(1, None)), h)
-            for ax, h in enumerate(self.h))
-        # per axis of the flat field, for the Laplacian: the stride between
-        # the two cells of a face, h^2, and on the last axis of a 2-D grid
-        # the row length (no face joins a row's last cell to the next row)
+        # the faces, per axis of the flat field: the stride between the two
+        # cells of a face, h, and on the last axis of a 2-D grid the row
+        # length (no face joins a row's last cell to the next row)
         self._stencil = tuple(
-            (int(np.prod(n[ax + 1:])), h * h, n[ax] if ax == 1 else 0)
+            (int(np.prod(n[ax + 1:])), h, n[ax] if ax == 1 else 0)
             for ax, h in enumerate(self.h))
         self._coordinates = None  # built on first use
         self._csv_prefix = None  # built on the first dump
@@ -146,11 +134,8 @@ class Grid:
         """Mirror-ghost Neumann Laplacian in flux form."""
         self.check(u)
         out = np.empty_like(u)
-        for ax, (stride, hh, row) in enumerate(self._stencil):
-            flux = u[stride:] - u[:-stride]
-            if row:
-                flux[row - 1::row] = 0.0  # differences across a row end
-            flux /= hh
+        for ax, (stride, h, flux) in enumerate(self._differences(u)):
+            flux /= h * h
             # each interior flux enters two cells with opposite sign, so the
             # divergence telescopes and boundary fluxes never appear
             if ax == 0:
@@ -177,14 +162,20 @@ class Grid:
         """Bilinear gradient form over interior faces; equals
         inner(-laplacian(u), v) by summation by parts."""
         self.check(u, v)
-        a = u.reshape(self.n)
-        b = v.reshape(self.n)
         total = 0.0
-        for lo, hi, h in self._faces:
-            du = (a[hi] - a[lo]) / h
-            dv = (b[hi] - b[lo]) / h
-            total += self.cell_volume * float(np.sum(du * dv))
+        for (_, h, du), (_, _, dv) in zip(self._differences(u), self._differences(v)):
+            total += self.cell_volume * float(np.sum((du / h) * (dv / h)))
         return total
+
+    def _differences(self, u):
+        """Per axis of the face table: (stride, h, u(high cell) - u(low
+        cell)) on the flat faces, 0 across a row end (a new array; a leading
+        stack axis of u passes through)."""
+        for stride, h, row in self._stencil:
+            d = u[..., stride:] - u[..., :-stride]
+            if row:
+                d[..., row - 1::row] = 0.0
+            yield stride, h, d
 
     def grad_energy(self, u):
         return self.face_form(u, u)
@@ -202,10 +193,9 @@ class Grid:
                 f"expected an (N, {self.ncells}) stack of fields, got shape "
                 f"{rows.shape}")
         h_sq = self.cell_volume * np.einsum("ij,ij->i", rows, rows)
-        a = rows.reshape((len(rows),) + self.n)
         grad_sq = np.zeros(len(rows))
-        for lo, hi, h in self._faces:
-            d = ((a[hi] - a[lo]) / h).reshape(len(rows), -1)
+        for _, h, d in self._differences(rows):
+            d /= h
             grad_sq += self.cell_volume * np.einsum("ij,ij->i", d, d)
         return h_sq, grad_sq
 

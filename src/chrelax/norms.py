@@ -1,8 +1,9 @@
 """Discrete space-time norms of the study composites, and rate fitting.
 
 A run is sampled at its record points t_j, j = 0..N, dt apart (dt the
-time step times record_every).  L-infinity-in-time norms take the max
-over every record point, L2-in-time norms use the right-endpoint
+time step times record_every, which must divide the run's step count:
+the final step is always recorded).  L-infinity-in-time norms take the
+max over every record point, L2-in-time norms use the right-endpoint
 rectangle rule sqrt(sum_j dt |w(t_j)|^2) over j = 1..N, and the time
 convolution against the constant 1 uses the left-endpoint rule
 

@@ -184,8 +184,7 @@ class SplitPotential:
 
     def yosida_prime(self, r, yp):
         """F1'_eps(r) = (r - resolvent(r)) / eps, Lipschitz with constant 1/eps."""
-        a = _as_array(r)
-        return _like(r, self._prime_at(a, _as_array(self.resolvent(a, yp)), yp))
+        return self.yosida_parts(r, yp)[0]
 
     def yosida_curvature(self, r, yp):
         """Pointwise derivative of F1'_eps, used in the phase-step Jacobian.
@@ -194,9 +193,7 @@ class SplitPotential:
         slope of the piecewise-linear Yosida derivative (0 inside the
         interval, 1/eps outside).
         """
-        a = _as_array(r)
-        x = None if self.kind == "obstacle" else _as_array(self.resolvent(a, yp))
-        return _like(r, self._curvature_at(a, x, yp))
+        return self.yosida_parts(r, yp)[1]
 
     def yosida_parts(self, r, yp, near=None):
         """(F1'_eps(r), its derivative) from a single resolvent evaluation;

@@ -112,6 +112,13 @@ def test_enum_errors_list_choices():
     assert "UnknownValue" in msgs[0] and "gaussian_pulse" in msgs[0]
 
 
+def test_line_without_equals_sign_reports_its_line():
+    msgs = issues_of(MINIMAL + "\n# comment\nmodel.alpha 0.5\n")
+    assert len(msgs) == 1
+    assert "TypeError" in msgs[0] and "line 7" in msgs[0]
+    assert "'model.alpha 0.5'" in msgs[0]
+
+
 def test_missing_required_keys():
     msgs = issues_of("grid.n = 64\n")
     assert len(msgs) == 3
@@ -152,6 +159,18 @@ def test_digests_are_pinned():
         "init.phi0.amplitude = 0.5\ninit.sigma0.kind = constant\n"
         "init.sigma0.value = 0.5\noutput.dump_fields = true\n")
     assert parse_config(quick_start).digest() == "dd3658548f21"
+
+
+def test_lookups_leave_equality_hash_and_digest_alone():
+    read, fresh = default_config(), default_config()
+    assert read["grid.n"] == [64] and read["potential.kind"] == "regular"
+    read["grid.n"].append(8)  # a list value is a copy
+    assert read == fresh and hash(read) == hash(fresh)
+    assert read.values == fresh.values and read.to_text() == fresh.to_text()
+    assert read.digest() == fresh.digest() == "291d5c84931c"
+    other = read.with_updates({"grid.n": [32]})
+    assert other["grid.n"] == [32] and read["grid.n"] == [64]
+    assert other == fresh.with_updates({"grid.n": [32]})
 
 
 def test_lookup_and_update_errors():

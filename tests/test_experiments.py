@@ -92,6 +92,28 @@ def test_contdep_refuses_trivial_perturbation():
         contdep(bad_ladder)
 
 
+def test_contdep_refuses_a_perturbation_that_is_off_on_the_schedule():
+    # a pulse switched on after T is zero at every sampled step
+    late = tiny_config(**{
+        "study.perturb_u1.kind": "gaussian_pulse", "study.perturb_u1.t_on": 1.0,
+        "study.deltas": [1.0, 0.5]})
+    with pytest.raises(InvalidParams, match="vanishes on the sampling schedule"):
+        contdep(late)
+
+
+def test_studies_refuse_a_record_stride_that_misses_the_final_step():
+    # run() records the final step too, so with 10 steps and a stride of 3
+    # the last record interval is one step long, and the study norms would
+    # weight it like the other intervals of three
+    for study, cfg in ((sweep_alpha, tiny_config(**{
+            "time.T": 0.01, "study.alphas": [0.25, 0.0625]})),
+            (contdep, contdep_config())):
+        with pytest.raises(InvalidParams, match="record_every = 3 to divide the 10"):
+            study(cfg.with_updates({"time.record_every": 3}))
+        report = study(cfg.with_updates({"time.record_every": 5}))
+        assert len(report.rows) == 2
+
+
 # -- sweep-eps ---------------------------------------------------------------
 
 

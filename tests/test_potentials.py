@@ -476,6 +476,16 @@ def test_curvature_closed_forms():
     assert obs.yosida_curvature(4.0, yp) == pytest.approx(2.0, abs=0)
 
 
+def test_regular_resolvent_empty_input_and_stall():
+    reg = SplitPotential.regular()
+    empty = reg.resolvent(np.empty(0), YosidaParams(epsilon=1.0))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    # one Newton step from x0 = 50 lands far from the root of x + x**3 = 50
+    with pytest.raises(NewtonDivergence, match="regular") as ei:
+        reg.resolvent(50.0, YosidaParams(epsilon=1.0, newton_max_iter=1))
+    assert ei.value.iterations == 1 and ei.value.residual > 1.0
+
+
 def test_scalar_in_scalar_out():
     pot = SplitPotential.regular()
     yp = YosidaParams(epsilon=1e-2)

@@ -177,6 +177,15 @@ def test_variable_shift_true_residual(n, tol, transform):
         assert np.linalg.norm(resid) <= (tol + RESIDUAL_SLACK) * np.linalg.norm(b)
 
 
+def test_variable_shift_with_zero_rhs_returns_zeros():
+    grid = Grid(12)
+    shift = 1.0 + np.linspace(0.0, 2.0, grid.ncells)
+    x, iterations = grid._shifted_cg(shift, 0.1, grid.field(), 1e-10)
+    assert iterations == 0
+    np.testing.assert_array_equal(x, 0.0)
+    np.testing.assert_array_equal(grid.solve_shifted(shift, 0.1, grid.field()), 0.0)
+
+
 @pytest.mark.parametrize("n", [12, (5, 7)])
 def test_indefinite_variable_shift_with_positive_mean_fails(n, transform):
     grid = Grid(n)

@@ -117,6 +117,24 @@ def test_one_step_matches_scalar_oracle(kind):
         xi_n, pot.yosida_prime(phi_n, scheme.yosida), rtol=0, atol=1e-12)
 
 
+def test_phase_step_converging_on_its_last_iteration_returns_the_budget():
+    # a small bump is nearly linear: one Newton iteration reaches the
+    # tolerance, and with a budget of one the final residual test accepts it
+    g = Grid(32)
+    pot = SplitPotential.regular()
+    phi = FieldSpec("cosine_bump", amplitude=1e-3).build(g)
+    scheme = SchemeConfig(dt=1e-3, eps=1e-3)
+    state = State(mu=g.field(), v=g.field(), phi=phi, sigma=g.field(),
+                  xi=np.asarray(pot.yosida_prime(phi, scheme.yosida)), t=0.0)
+    x, xi, iters = step_phi(state, ModelParams(), pot,
+                            replace(scheme, newton_max_iter=1), g)
+    assert iters == 1
+    want = step_phi(state, ModelParams(), pot, scheme, g)
+    assert want[2] == 1
+    np.testing.assert_array_equal(x, want[0])
+    np.testing.assert_array_equal(xi, want[1])
+
+
 def test_mu_update_is_integrated_velocity():
     g = Grid(16)
     pot = SplitPotential.regular()
