@@ -9,8 +9,8 @@ face-based gradient form satisfies the summation-by-parts identity
 
     inner(-laplacian(u), v) == face_form(u, v)
 
-exactly, which is what the energy bookkeeping in the stepper relies on:
-both sides take their face differences from the grid's one face table.
+exactly: both sides take their face differences from the grid's one face
+table.
 
 On this grid the cosine (DCT-II) basis diagonalises the Laplacian
 exactly, with analytic eigenvalues, so a shifted system
@@ -134,7 +134,12 @@ class Grid:
         """Mirror-ghost Neumann Laplacian in flux form."""
         self.check(u)
         out = np.empty_like(u)
-        for ax, (stride, h, flux) in enumerate(self._differences(u)):
+        # _differences inlined, as its generator costs about 1 us a call; the
+        # values must stay the same for summation by parts with face_form
+        for ax, (stride, h, row) in enumerate(self._stencil):
+            flux = u[stride:] - u[:-stride]
+            if row:
+                flux[row - 1::row] = 0.0
             flux /= h * h
             # each interior flux enters two cells with opposite sign, so the
             # divergence telescopes and boundary fluxes never appear

@@ -43,7 +43,7 @@ class ProliferationSpec:
     def __call__(self, phi):
         if self.kind == "constant":
             return np.full_like(phi, self.p0)
-        return self.p0 * np.clip(0.5 * (1.0 + phi), 0.0, 1.0)
+        return self.p0 * np.minimum(np.maximum(0.5 * (1.0 + phi), 0.0), 1.0)
 
     def rate(self, phi):
         """P(phi) as the scalar p0 for the constant kind, else per cell;
@@ -70,7 +70,7 @@ class TruncationSpec:
 
     def __call__(self, phi):
         if self.kind == "ramp":
-            return np.clip(0.5 * (1.0 + phi), 0.0, 1.0)
+            return np.minimum(np.maximum(0.5 * (1.0 + phi), 0.0), 1.0)
         if self.kind == "one":
             return np.ones_like(phi)
         return np.zeros_like(phi)

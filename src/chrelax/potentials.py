@@ -171,16 +171,20 @@ class SplitPotential:
         domain of F1.  ``near`` is an optional start hint for the
         logarithmic kind (see the module docstring).
         """
-        a = _as_array(r)
+        return _like(r, self._resolve(_as_array(r), yp, near)[0])
+
+    def _resolve(self, a, yp, near):
+        # (J(a), F1'_eps(a)) from the solves that evaluate the section at
+        # J(a), the cubic and the warm entropy one; else (J(a), None)
         eps = yp.epsilon
         if self.kind == "obstacle":
-            return _like(r, np.clip(a, -1.0, 1.0))
+            return np.clip(a, -1.0, 1.0), None
         if self.kind == "regular":
-            return _like(r, _solve_cubic(a, eps, yp.newton_tol, yp.newton_max_iter))
-        x = None if near is None else _entropy_near(a, eps, yp.newton_tol, near)
-        if x is None:
-            x = _solve_entropy(a, eps, yp.newton_tol, yp.newton_max_iter)
-        return _like(r, x)
+            return _solve_cubic(a, eps, yp.newton_tol, yp.newton_max_iter)
+        warm = None if near is None else _entropy_near(a, eps, yp.newton_tol, near)
+        if warm is None:
+            return _solve_entropy(a, eps, yp.newton_tol, yp.newton_max_iter), None
+        return warm
 
     def yosida_prime(self, r, yp):
         """F1'_eps(r) = (r - resolvent(r)) / eps, Lipschitz with constant 1/eps."""
@@ -200,20 +204,18 @@ class SplitPotential:
         the same values as yosida_prime and yosida_curvature, or, from the
         start hint ``near`` (see ``resolvent``), the same up to the
         resolvent's tolerance."""
-        if isinstance(r, np.ndarray) and r.ndim:  # a field: no conversions
-            x = self.resolvent(r, yp, near)
-            return self._prime_at(r, x, yp), self._curvature_at(r, x, yp)
         a = _as_array(r)
-        x = _as_array(self.resolvent(a, yp, near))
-        return (_like(r, self._prime_at(a, x, yp)),
-                _like(r, self._curvature_at(a, x, yp)))
+        x, fp = self._resolve(a, yp, near)
+        if fp is None:
+            fp = self._prime_at(a, x, yp)
+        curv = self._curvature_at(a, x, yp)
+        if isinstance(r, np.ndarray) and r.ndim:  # a field: no conversions
+            return fp, curv
+        return _like(r, fp), _like(r, curv)
 
     def _prime_at(self, a, x, yp):
-        # F1'_eps(a) given the resolvent x = J(a)
-        if self.kind == "regular":
-            # identical to (r - x)/eps through the defining equation, but
-            # evaluating the section at x avoids cancellation for small eps
-            return x * x * x
+        # F1'_eps(a) given the resolvent x = J(a), where the solve did not
+        # evaluate it: the cold entropy solve and the obstacle projection
         if self.kind == "logarithmic":
             interior = np.abs(x) < 1.0
             if interior.all():  # no cell on the bounds: the section itself
@@ -272,22 +274,23 @@ class SplitPotential:
 
 
 def _solve_cubic(r, eps, tol, max_iter):
-    """Root of x + eps x^3 = r.  Newton from x0 = r is monotone here."""
+    """Root x of x + eps x^3 = r, and F1'_eps(r) = x^3, which avoids the
+    cancellation of (r - x)/eps.  Newton from x0 = r is monotone here."""
     # cubes as products: within 1 ulp of x**3, and numpy's pow is slow on
     # negative bases (300 us against 5 us for x*x*x at 4096 cells)
     x = np.array(r, dtype=float, copy=True)
     if not x.size:
-        return x
-    f = eps * (x * x * x)  # residual at x0 = r
+        return x, x
+    f = eps * (cube := x * x * x)  # residual at x0 = r
     for _ in range(max_iter):
         if np.abs(f).max() <= tol:  # a NaN cell fails this test
-            return x
+            return x, cube
         x = x - f / (1.0 + 3.0 * eps * x * x)
-        f = x + eps * (x * x * x) - r
+        f = x + eps * (cube := x * x * x) - r
     ax = np.abs(x)
     slack = 8.0 * np.spacing(ax + eps * (ax * ax * ax) + np.abs(r))
     if np.all(np.abs(f) <= np.maximum(tol, slack)):
-        return x
+        return x, cube
     raise NewtonDivergence(
         "resolvent Newton stalled for the regular kind",
         residual=float(np.max(np.abs(f))),
@@ -310,9 +313,9 @@ def _entropy_near(r, eps, tol, near):
     """Warm root of x + eps ln((1+x)/(1-x)) = r from the linearised
     resolvent at ``near = (r0, F1'_eps(r0))``.
 
-    Returns x, or None when the safeguarded solve must run: some |r| is in
-    the tail, an iterate leaves (-_EDGE, _EDGE) or is not finite, or some
-    cell misses ``tol`` after two Newton updates.
+    Returns x and F1'_eps(r), the section at x, or None when the safeguarded
+    solve must run: some |r| is in the tail, an iterate leaves (-_EDGE,
+    _EDGE) or is not finite, or some cell misses ``tol`` after two updates.
     """
     # a NaN cell makes each maximum below NaN, which fails every comparison
     if r.size == 0 or np.abs(r).max() >= _EDGE + eps * _EDGE_SLOPE:
@@ -324,9 +327,9 @@ def _entropy_near(r, eps, tol, near):
     for it in range(3):
         if not np.abs(x).max() < _EDGE:
             return None
-        f = x + eps * _entropy_slope(x) - r
+        f = x + eps * (slope := _entropy_slope(x)) - r
         if np.abs(f).max() <= tol:
-            return x
+            return x, slope
         if it < 2:
             x = x - f / (1.0 + eps * 2.0 / (1.0 - x * x))
     return None

@@ -46,6 +46,11 @@ linear substeps are solved to cg_tol, in increment form (unknown minus
 its previous value), which keeps the absolute residual, and with it the
 drift of the conserved quantities, far below the relative CG tolerance.
 
+A step of one Newton iteration, as most are, does 2 resolvent evaluations,
+1 phase CG solve (a per-cell P adds one per other substep), 4 Laplacians
+and 5 field sums (phi, xi, mu, v, sigma) that serve both the non-finite
+guard and the mass series.
+
 Integrating the potential substep over the box gives the discrete mass
 identity
 
@@ -62,6 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -115,7 +121,7 @@ class SchemeConfig:
             raise InvalidParams(
                 f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
 
-    @property
+    @cached_property
     def yosida(self):
         return YosidaParams(self.eps)
 
@@ -181,7 +187,7 @@ def step_phi(state, params, potential, scheme, grid, guess=None):
         fp, curv = potential.yosida_parts(z, yp, near)
         return tau * (z - state.phi) / dt - grid.laplacian(z) + fp - g, fp, curv
 
-    x = np.array(state.phi if guess is None else guess, dtype=float)
+    x = np.asarray(state.phi if guess is None else guess, dtype=float)
     r, fp, curv = residual(x, (state.phi, state.xi))
     rnorm = grid.h_norm(r)
     for it in range(scheme.newton_max_iter):
@@ -280,14 +286,18 @@ def _unstable(params, phi_next, growth):
 
 
 def _require_finite(**fields):
-    # a non-finite cell makes the sum non-finite; a finite field whose sum
-    # overflows gets the full scan and passes it
+    # returns the sums that Grid.integrate takes; a non-finite cell makes the
+    # sum non-finite, and a finite field whose sum overflows gets the full
+    # scan and passes it
+    sums = []
     for name, u in fields.items():
-        if not math.isfinite(np.add.reduce(u)):
+        sums.append(float(np.add.reduce(u)))
+        if not math.isfinite(sums[-1]):
             bad = int(np.count_nonzero(~np.isfinite(u)))
             if bad:
                 raise NonFiniteState(
                     f"{name} is non-finite in {bad} of {u.size} cells")
+    return sums
 
 
 def run(params, potential, controls, init, grid, T, scheme, observe=None):
@@ -369,7 +379,7 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
             u2 = controls.u2.sample(t_next, grid)
             phi_next, xi_next, newton_iters[n] = step_phi(
                 state, params, potential, scheme, grid, guess)
-            _require_finite(phi=phi_next, xi=xi_next)
+            sum_phi, _ = _require_finite(phi=phi_next, xi=xi_next)
             if params.alpha == 0.0:
                 inc = phi_next - state.phi
                 inc_norm = float(np.sqrt(np.dot(inc, inc)))
@@ -385,10 +395,10 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
             mu_next, v_next = step_mu(state, phi_next, params, scheme, u1, grid)
             if params.alpha == 0.0:
                 v_next = np.zeros_like(mu_next)
-            _require_finite(mu=mu_next, v=v_next)
+            _, sum_v = _require_finite(mu=mu_next, v=v_next)
             substep = "sigma"
             sigma_next = step_sigma(state, phi_next, mu_next, params, scheme, u2, grid)
-            _require_finite(sigma=sigma_next)
+            [sum_sigma] = _require_finite(sigma=sigma_next)
         except ChRelaxError as e:
             head = e.args[0] if e.args else e.__class__.__name__
             residual = getattr(e, "residual", None)
@@ -400,9 +410,9 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
         history = [state.phi] + history[:3]
         state = State(mu=mu_next, v=v_next, phi=phi_next, sigma=sigma_next,
                       xi=xi_next, t=t_next)
-        mass_phi[n + 1] = grid.integrate(state.phi)
-        mass_sigma[n + 1] = grid.integrate(state.sigma)
-        mass_v[n + 1] = grid.integrate(state.v)
+        mass_phi[n + 1] = grid.cell_volume * sum_phi
+        mass_sigma[n + 1] = grid.cell_volume * sum_sigma
+        mass_v[n + 1] = grid.cell_volume * sum_v
         if observe is not None and (
                 (n + 1) % scheme.record_every == 0 or n + 1 == nsteps):
             observe(state)

@@ -307,8 +307,10 @@ def test_regular_resolvent_products_within_2_ulp_of_pow(eps):
         for tol in (1e-12, 0.0):
             yp = YosidaParams(epsilon=eps, newton_tol=max(tol, 1e-300))
             want = pow_cubic_resolvent(r, eps, tol, yp.newton_max_iter)
-            got = potentials._solve_cubic(r, eps, tol, yp.newton_max_iter)
+            got, cube = potentials._solve_cubic(r, eps, tol, yp.newton_max_iter)
             assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+            # the solve's cube is the section at its root, bit for bit
+            np.testing.assert_array_equal(bits(cube), bits(got * got * got))
             # the residual check of the solve still holds
             resid = got + eps * got**3 - r
             slack = 8.0 * np.spacing(np.abs(got) + eps * np.abs(got) ** 3 + np.abs(r))
@@ -513,7 +515,7 @@ def test_warm_entropy_resolvent_passes_the_residual_test(eps, monkeypatch):
     cold = pot.resolvent(r, yp)
     scalar_hint = cold_hint(pot, 0.3, yp)
     scalar_cold = pot.yosida_parts(0.3001, yp)
-    x = potentials._entropy_near(r, eps, yp.newton_tol, near)
+    x, _ = potentials._entropy_near(r, eps, yp.newton_tol, near)
     assert np.all(np.abs(x + eps * potentials._entropy_slope(x) - r) <= yp.newton_tol)
     assert np.max(np.abs(x - cold)) <= 2.0 * yp.newton_tol
 

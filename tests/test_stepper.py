@@ -397,6 +397,37 @@ def test_require_finite_scans_only_a_non_finite_sum():
         stepper._require_finite(v=np.array([np.inf, 0.0, -np.inf]))
 
 
+@pytest.mark.parametrize("case", ["1d-log", "2d-regular", "limit"])
+def test_mass_series_are_the_integrals_bit_for_bit(case):
+    # run() takes the mass series from its finiteness guard's sums: each
+    # entry must be Grid.integrate of the field at that step, to the bit
+    if case == "limit":  # alpha = 0, where v is held at 0
+        args = ladder_limit(**{"time.T": 0.1})
+    else:
+        args = scenario(PREDICTOR_RUNS[case])
+    params, pot, controls, init, g, T, scheme = args
+    states = []
+    traj = run(params, pot, controls, init, g, T, replace(scheme, record_every=1),
+               observe=states.append)
+    assert len(states) == len(traj.step_times) > 50
+    for name in ("phi", "sigma", "v"):
+        want = np.array([g.integrate(getattr(s, name)) for s in states])
+        got = getattr(traj, f"mass_{name}")
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), name)
+
+
+def test_scheme_builds_its_yosida_params_once():
+    scheme = SchemeConfig(dt=1e-3, eps=1e-3)
+    assert scheme.yosida is scheme.yosida
+    assert scheme.yosida == YosidaParams(1e-3)
+    # the cached value leaves equality and hashing alone
+    fresh = SchemeConfig(dt=1e-3, eps=1e-3)
+    assert scheme == fresh and hash(scheme) == hash(fresh)
+    other = replace(scheme, eps=1e-2)
+    assert other.yosida is not scheme.yosida
+    assert other.yosida == YosidaParams(1e-2)
+
+
 def test_scheme_config_rejections():
     with pytest.raises(InvalidParams):
         SchemeConfig(dt=0.0, eps=1e-3)
@@ -590,6 +621,8 @@ def test_warm_resolvent_changes_the_run_only_at_its_tolerance():
     # started at the current Newton iterate, a warm call makes 1.5 loop
     # evaluations on average (2.0 from a hint at phi_n), plus one for F1'_eps
     assert calls["slope"] <= 2.6 * calls["warm"]
+    # F1'_eps is the last loop evaluation's, not a further one (1.51 here)
+    assert calls["slope"] <= 1.55 * calls["warm"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(potentials, "_entropy_near", lambda *a: None)
         ref = run(*args)
