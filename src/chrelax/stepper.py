@@ -37,19 +37,21 @@ correction is solved to the forcing tolerance
 
 relative to the current residual r, with tol the stopping tolerance (see
 ``step_phi``).  A constant shift is solved exactly by the cosine
-transform; a per-cell shift by conjugate gradients preconditioned with
-that solve at the mean shift, S = mean(shift) - scale lap.  The operator
-is S plus the diagonal shift - mean(shift), and since the preconditioner
-solves S exactly, S times each search direction follows from the
-residuals by recurrence: no CG iteration applies the Laplacian.  The
-linear substeps are solved to cg_tol, in increment form (unknown minus
-its previous value), which keeps the absolute residual, and with it the
-drift of the conserved quantities, far below the relative CG tolerance.
+transform.  A per-cell shift is the cosine solve's S = mean(shift) -
+scale lap plus the diagonal d = shift - mean(shift), and is solved
+iteratively with S^-1 as the preconditioner (``Grid._shifted_cg``): by
+Richardson sweeps, each contracting the residual by q = max|d| /
+mean(shift), when q <= grid.RICHARDSON_Q, and by conjugate gradients
+otherwise.  Neither iteration applies the Laplacian.  The linear
+substeps are solved to cg_tol, in increment form (unknown minus its
+previous value), which keeps the absolute residual, and with it the drift
+of the conserved quantities, far below the relative tolerance.
 
 A step of one Newton iteration, as most are, does 2 resolvent evaluations,
-1 phase CG solve (a per-cell P adds one per other substep), 4 Laplacians
-and 5 field sums (phi, xi, mu, v, sigma) that serve both the non-finite
-guard and the mass series.
+1 per-cell phase solve (a per-cell P adds one per other substep), 4
+Laplacians and 5 field sums (phi, xi, mu, v, sigma) that serve both the
+non-finite guard and the mass series.  P(phi') and sigma + chi (1 - phi'),
+which the potential and the nutrient substeps share, are evaluated once.
 
 Integrating the potential substep over the box gives the discrete mass
 identity
@@ -222,7 +224,14 @@ def step_phi(state, params, potential, scheme, grid, guess=None):
     )
 
 
-def step_mu(state, phi_next, params, scheme, u1, grid):
+def _proliferation(state, phi_next, params):
+    """(P(phi'), sigma + chi (1 - phi')), which the potential and the
+    nutrient substeps both read; ``run`` evaluates them once per step."""
+    return (params.proliferation.rate(phi_next),
+            state.sigma + params.chi * (1.0 - phi_next))
+
+
+def step_mu(state, phi_next, params, scheme, u1, grid, prolif=None):
     """Implicit potential update for any alpha >= 0; returns (mu_next, v_next).
 
     The unknown is the increment of v in the SPD system
@@ -231,12 +240,14 @@ def step_mu(state, phi_next, params, scheme, u1, grid):
     with mu' = mu + dt v'.  At alpha = 0 this is dt times the stationary
     equation (-lap + P) mu' = P (sigma + chi(1 - phi')) - h u1
     - (phi' - phi)/dt, so mu' does not depend on v; P must then be bounded
-    away from zero or the operator degenerates on constants.
+    away from zero or the operator degenerates on constants.  ``prolif``
+    is ``_proliferation(state, phi_next, params)``, evaluated here when not
+    given.
     """
     dt, alpha = scheme.dt, params.alpha
     if not alpha >= 0.0:
         raise InvalidParams(f"step_mu needs alpha >= 0, got {alpha}")
-    P = params.proliferation.rate(phi_next)
+    P, drive = _proliferation(state, phi_next, params) if prolif is None else prolif
     if alpha == 0.0 and not np.min(P) > 0.0:
         raise InvalidParams(
             f"alpha = 0 potential step needs min P(phi) > 0, got {float(np.min(P))}")
@@ -245,7 +256,7 @@ def step_mu(state, phi_next, params, scheme, u1, grid):
     rhs = (
         -(phi_next - state.phi)
         + dt * grid.laplacian(mu_pred)
-        + dt * (P * (state.sigma + params.chi * (1.0 - phi_next) - mu_pred) - H * u1)
+        + dt * (P * (drive - mu_pred) - H * u1)
     )
     dv = grid.solve_shifted(alpha + dt * dt * P, dt * dt, rhs, scheme.cg_tol)
     v_next = state.v + dv
@@ -257,18 +268,19 @@ def step_mu(state, phi_next, params, scheme, u1, grid):
 step_mu_limit = step_mu
 
 
-def step_sigma(state, phi_next, mu_next, params, scheme, u2, grid):
+def step_sigma(state, phi_next, mu_next, params, scheme, u2, grid, prolif=None):
     """Implicit nutrient update; returns sigma_next.
 
     Increment form of
     (1 + dt P) sigma' - dt lap sigma' = sigma + dt [-chi lap phi'
-        - P (chi(1 - phi') - mu') + u2].
+        - P (chi(1 - phi') - mu') + u2],
+    with ``prolif`` as in ``step_mu``.
     """
     dt = scheme.dt
-    P = params.proliferation.rate(phi_next)
+    P, drive = _proliferation(state, phi_next, params) if prolif is None else prolif
     rhs = dt * (
         grid.laplacian(state.sigma - params.chi * phi_next)
-        - P * (state.sigma + params.chi * (1.0 - phi_next) - mu_next)
+        - P * (drive - mu_next)
         + u2
     )
     dsig = grid.solve_shifted(1.0 + dt * P, dt, rhs, scheme.cg_tol)
@@ -392,12 +404,15 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
                     _unstable(params, phi_next, inc_norm / inc_norm_prev)
                 inc_prev, inc_norm_prev = inc, inc_norm
             substep = "mu"
-            mu_next, v_next = step_mu(state, phi_next, params, scheme, u1, grid)
+            prolif = _proliferation(state, phi_next, params)
+            mu_next, v_next = step_mu(state, phi_next, params, scheme, u1, grid,
+                                      prolif)
             if params.alpha == 0.0:
                 v_next = np.zeros_like(mu_next)
             _, sum_v = _require_finite(mu=mu_next, v=v_next)
             substep = "sigma"
-            sigma_next = step_sigma(state, phi_next, mu_next, params, scheme, u2, grid)
+            sigma_next = step_sigma(state, phi_next, mu_next, params, scheme, u2,
+                                    grid, prolif)
             [sum_sigma] = _require_finite(sigma=sigma_next)
         except ChRelaxError as e:
             head = e.args[0] if e.args else e.__class__.__name__

@@ -18,6 +18,7 @@ default cosine solve) and re-records every entry when none is named.
 
 import contextlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -175,6 +176,134 @@ def test_variable_shift_true_residual(n, tol, transform):
         x = grid.solve_shifted(shift, scale, b, tol)
         resid = b - (shift * x - scale * grid.laplacian(x))
         assert np.linalg.norm(resid) <= (tol + RESIDUAL_SLACK) * np.linalg.norm(b)
+
+
+def near_constant_shift(grid, q, seed, mean=1.0):
+    """A random per-cell shift about ``mean`` with spread
+    max|shift - mean(shift)| / mean(shift) of about q."""
+    u = np.random.default_rng(seed).random(grid.ncells)
+    u -= u.mean()
+    return mean * (1.0 + q * u / np.abs(u).max())
+
+
+def spread(shift):
+    mean = float(np.add.reduce(shift) / shift.size)
+    return float(np.max(np.abs(shift - mean))) / mean
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@pytest.mark.parametrize("n", [64, (32, 32), 1024])
+def test_near_constant_shift_true_residual(n, tol, transform, monkeypatch):
+    # the Richardson path: the residual is carried by recurrence, so check
+    # the actual operator's, at the same kappa(S) = 4000 as above
+    for seed, q in ((0, 0.005), (1, 0.05), (2, 0.09)):
+        grid = Grid(n)
+        b = np.random.default_rng(seed).standard_normal(grid.ncells)
+        shift = near_constant_shift(grid, q, seed)
+        assert spread(shift) <= grid_module.RICHARDSON_Q
+        scale = 3999.0 * np.mean(shift) / sum(4.0 / h**2 for h in grid.h)
+        with monkeypatch.context() as mp:
+            mp.setattr(Grid, "laplacian", lambda *a: pytest.fail("Laplacian applied"))
+            x, iterations = grid._shifted_cg(shift, scale, b, tol)
+        # every sweep contracts the residual by at least the spread
+        assert iterations <= 1 + math.ceil(math.log(tol) / math.log(spread(shift)))
+        resid = b - (shift * x - scale * grid.laplacian(x))
+        assert np.linalg.norm(resid) <= (tol + RESIDUAL_SLACK) * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("q", [0.005, 0.099])
+@pytest.mark.parametrize("n", [12, (5, 7)])
+def test_near_constant_shift_takes_richardson_sweeps(n, q, transform):
+    # x_0 = S^-1 b and x_1 = x_0 + S^-1 ((mean - shift) x_0), bit for bit,
+    # where CG would scale each step by its step length
+    grid = Grid(n)
+    b = np.random.default_rng(37).standard_normal(grid.ncells)
+    shift = near_constant_shift(grid, q, 37, mean=2.0)
+    mean = float(np.add.reduce(shift) / shift.size)
+    x0 = grid.cosine_solve(mean, 0.1, b)
+    r1 = (mean - shift) * x0
+    x, iterations = grid._shifted_cg(shift, 0.1, b, 0.5)
+    assert iterations == 1
+    np.testing.assert_array_equal(x, x0)
+    tol = 0.5 * np.linalg.norm(r1) / np.linalg.norm(b)  # between |r1| and |r2|
+    x, iterations = grid._shifted_cg(shift, 0.1, b, tol)
+    assert iterations == 2
+    np.testing.assert_array_equal(x, x0 + grid.cosine_solve(mean, 0.1, r1))
+
+
+@pytest.mark.parametrize("n", [12, (5, 7)])
+def test_shift_just_above_the_richardson_spread_takes_cg(n, transform):
+    # as many iterations as the generic CG solve with the cosine solve at
+    # the mean shift as its preconditioner
+    grid = Grid(n)
+    b = np.random.default_rng(47).standard_normal(grid.ncells)
+    shift = near_constant_shift(grid, 1.01 * grid_module.RICHARDSON_Q, 47)
+    assert spread(shift) > grid_module.RICHARDSON_Q
+    mean = float(np.mean(shift))
+    calls = []
+
+    def operator(w):
+        calls.append(1)
+        return shift * w - 0.1 * grid.laplacian(w)
+
+    want = grid.solve_spd(operator, b, 1e-10,
+                          precond=lambda r: grid.cosine_solve(mean, 0.1, r))
+    got, iterations = grid._shifted_cg(shift, 0.1, b, 1e-10)
+    assert iterations == len(calls) > 1
+    assert np.linalg.norm(got - want) <= 2e-10 * np.linalg.norm(b) / shift.min()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("q", [0.05, 2.0])  # Richardson and CG
+def test_non_finite_rhs_fails(q, bad):
+    grid = Grid(16)
+    shift = near_constant_shift(grid, q, 53)
+    b = np.random.default_rng(53).standard_normal(grid.ncells)
+    b[5] = bad
+    with pytest.raises(CgNoConvergence, match=r"^non-finite right-hand side") as ei:
+        grid.solve_shifted(shift, 0.1, b)
+    assert ei.value.iterations == 0 and math.isnan(ei.value.residual)
+
+
+def test_non_finite_residual_fails_the_richardson_path(monkeypatch):
+    grid = Grid(16)
+    shift = near_constant_shift(grid, 0.05, 59)
+    b = np.random.default_rng(59).standard_normal(grid.ncells)
+    divide = Grid._cosine_divide
+
+    def poisoned(self, denom, rhs):
+        out = divide(self, denom, rhs)
+        if rhs is not b:  # every sweep after the first
+            out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(Grid, "_cosine_divide", poisoned)
+    with pytest.raises(CgNoConvergence, match=r"^non-finite residual") as ei:
+        grid.solve_shifted(shift, 0.1, b, 1e-13)
+    assert ei.value.iterations == 2 and math.isnan(ei.value.residual)
+
+
+@pytest.mark.parametrize("substep,scale", [("mu", 1e-6), ("sigma", 1e-3)])
+def test_non_finite_rhs_in_a_run_names_step_and_substep(substep, scale, monkeypatch):
+    # the ramp-P shifts of the potential (scale dt^2) and the nutrient step
+    # (scale dt) are near constant, so the Richardson path meets the NaN
+    solve = Grid.solve_shifted
+
+    def poisoned(self, shift, sc, rhs, tol=1e-10):
+        if sc == scale:
+            assert spread(shift) <= grid_module.RICHARDSON_Q
+            rhs = rhs.copy()
+            rhs[0] = np.nan
+        return solve(self, shift, sc, rhs, tol)
+
+    monkeypatch.setattr(Grid, "solve_shifted", poisoned)
+    cfg = fingerprint_configs()["ramp2d"].with_updates({"time.T": 0.002})
+    with pytest.raises(CgNoConvergence, match=rf"^step 1 \(t = 0.001\), substep "
+                       rf"{substep}: non-finite right-hand side") as ei:
+        _run_scenario(build_scenario(cfg))
+    assert ei.value.step == 1 and ei.value.substep == substep
+    assert "(residual nan)" in str(ei.value)
+    assert ei.value.iterations == 0
 
 
 def test_variable_shift_with_zero_rhs_returns_zeros():

@@ -553,6 +553,21 @@ def test_predictor_makes_most_steps_one_newton_iteration(name):
     assert its[0] == step_phi(state, params, pot, scheme, g)[2]
 
 
+def test_a_step_evaluates_the_proliferation_rate_once(monkeypatch):
+    # the potential and the nutrient substep share P(phi') and chi (1 - phi')
+    calls = []
+    plain = ProliferationSpec.__call__
+
+    def counted(self, phi):
+        calls.append(1)
+        return plain(self, phi)
+
+    monkeypatch.setattr(ProliferationSpec, "__call__", counted)
+    traj = run(*scenario(PREDICTOR_RUNS["2d-regular"]))
+    assert len(traj.step_times) - 1 == 50
+    assert len(calls) == 50
+
+
 def test_predictor_extrapolates_the_accepted_phases(monkeypatch):
     params, pot, controls, init, g = source_free_setup(n=16, p0=1.0)
     plain, guesses = stepper.step_phi, []
