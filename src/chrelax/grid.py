@@ -17,19 +17,11 @@ exactly, with analytic eigenvalues, so a shifted system
 ``(c - d lap) x = b`` with constant c is solved by transform, divide,
 transform back: by dense per-axis matrices on small grids, by the real FFT
 of the mirrored field on large ones.  ``solve_shifted`` returns that solve
-for a scalar shift.  A per-cell shift is split as A = S + diag(d), with
-S = mean(shift) - scale lap and d = shift - mean(shift), and solved with
-the exact cosine solve of S as the preconditioner.  The path depends on
-the spread q = max|d| / mean(shift):
-
-- q <= RICHARDSON_Q: preconditioned Richardson, x += S^-1 r with the
-  residual updated as r = -d S^-1 r.  Since S >= mean(shift), every sweep
-  contracts the residual by at least q (Concus & Golub 1973).
-- larger q, also an indefinite shift: conjugate gradients.  The cosine
-  solve gives S z = r, so the product S p of each search direction follows
-  from S p_k = r_k + beta_k S p_{k-1}, and A p = S p + d p.
-
-Neither path applies the Laplacian.
+for a scalar shift.  A per-cell shift is solved iteratively with the
+exact cosine solve of S = mean(shift) - scale lap as the preconditioner:
+by Richardson sweeps when the shift is near constant, by the conjugate
+gradients of ``solve_spd`` otherwise (the rule is stated in
+``_shifted_cg``).
 
 Fields are written as CSV by ``_csvtext.write_csv_rows``, an exact
 vectorised ``'%.17g'`` writer: values with a decimal exponent in [-6, 16]
@@ -58,9 +50,10 @@ DENOM_CACHE_MAX = 8
 # A per-cell shift whose spread max|shift - mean| / mean is at most this is
 # solved by preconditioned Richardson, a wider one by CG (see _shifted_cg).
 # Richardson's sweep is cheaper but contracts by only the spread.  Timed on
-# 64, 128 and 64 x 64 cells, CG catches up at a spread of about 0.3 on a
-# smooth 64 x 64 shift; at 0.1 Richardson took at most 0.93 of CG's time
-# (CHANGES.md).
+# 64, 128 and 64 x 64 cells against a CG that applied no Laplacian, CG
+# caught up at a spread of about 0.3 on a smooth 64 x 64 shift, and at 0.1
+# Richardson took at most 0.93 of CG's time (CHANGES.md); the CG used now
+# applies one Laplacian more per iteration.
 RICHARDSON_Q = 0.1
 
 
@@ -231,12 +224,8 @@ class Grid:
         Raises CgNoConvergence when the budget (default 10 * ncells + 50
         iterations) runs out.
 
-        This is the generic form, one ``apply`` per iteration.  The
-        substeps do not use it: for a per-cell shift wider than
-        RICHARDSON_Q, ``solve_shifted`` runs the same iteration on
-        A = S + diag(d) with S p carried by recurrence, so that no
-        iteration applies the Laplacian.  It stays as public API and as the
-        oracle of the tests' Jacobi-preconditioned solve.
+        ``solve_shifted`` runs it on a per-cell shift too wide for
+        Richardson sweeps (see ``_shifted_cg``).
         """
         self.check(rhs)
         if max_iter is None:
@@ -348,12 +337,9 @@ class Grid:
 
         A scalar ``shift`` is solved exactly by the cosine solve, and
         ``tol`` does not apply.  A per-cell ``shift`` with positive mean is
-        solved to ``tol`` (``_shifted_cg``), preconditioned with the exact
-        cosine solve of S = mean(shift) - scale * laplacian.  With the
-        spread q = max|shift - mean(shift)| / mean(shift) at most
-        RICHARDSON_Q the solve is preconditioned Richardson, whose sweeps
-        contract the residual by at least q; a wider spread takes
-        conjugate gradients.  Neither applies the Laplacian.
+        solved to ``tol``, preconditioned with the exact cosine solve of
+        S = mean(shift) - scale * laplacian, by Richardson sweeps or
+        conjugate gradients (``_shifted_cg`` states the rule).
         """
         if np.ndim(shift) == 0:
             return self.cosine_solve(shift, scale, rhs)
@@ -366,28 +352,21 @@ class Grid:
 
         With c = mean(shift), S = c - scale * laplacian and d = shift - c,
         the operator is A = S + diag(d), and z = S^-1 r is the exact cosine
-        solve.  The spread q = max|d| / c picks the iteration.
+        solve.  The spread q = max|d| / c picks the iteration:
 
-        For q <= RICHARDSON_Q, preconditioned Richardson: x_0 = S^-1 rhs,
-        then x_{k+1} = x_k + S^-1 r_k with r_{k+1} = -d S^-1 r_k, one
-        cosine solve and three vector operations a sweep.  As S >= c, each
-        sweep contracts the Euclidean residual by at least q, so
-        1 + ceil(log tol / log q) sweeps suffice.
+        - q <= RICHARDSON_Q: preconditioned Richardson, x_0 = S^-1 rhs,
+          then x_{k+1} = x_k + S^-1 r_k with r_{k+1} = -d S^-1 r_k, one
+          cosine solve and three vector operations a sweep, and no
+          Laplacian.  As S >= c, each sweep contracts the Euclidean
+          residual by at least q (Concus & Golub 1973), so
+          1 + ceil(log tol / log q) sweeps suffice.
+        - larger q, also an indefinite shift: ``solve_spd`` on A with S^-1
+          as the preconditioner, one cosine solve and one Laplacian an
+          iteration.  It raises CgNoConvergence when the operator loses
+          definiteness.
 
-        For larger q, conjugate gradients preconditioned with S.  The
-        search directions are p_0 = z_0 and p_k = z_k + beta_k p_{k-1}, so
-
-            S p_0 = r_0,   S p_k = r_k + beta_k S p_{k-1},
-
-        and A p = S p + d p costs two vector operations instead of a
-        Laplacian (Eisenstat 1981, for a fast-solver preconditioner as in
-        Concus, Golub & O'Leary 1976).  In exact arithmetic the iterates
-        are those of ``solve_spd`` with this preconditioner, and so are the
-        failures: CgNoConvergence when the operator loses definiteness.
-
-        Neither iteration applies the Laplacian.  Both raise
-        CgNoConvergence on a non-finite rhs and when 10 * ncells + 50
-        iterations run out, Richardson also on a non-finite residual.
+        Both raise CgNoConvergence on a non-finite rhs and when 10 * ncells
+        + 50 iterations run out, Richardson also on a non-finite residual.
         """
         self.check(rhs, shift)
         mean = float(np.add.reduce(shift) / shift.size)
@@ -418,42 +397,16 @@ class Grid:
             raise CgNoConvergence(
                 f"Richardson iteration did not reach tol {tol} in {max_iter} "
                 f"iterations", residual=math.sqrt(rr) / bnorm, iterations=max_iter)
-        d = shift - mean
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
-        p = self._cosine_divide(denom, r)
-        Sp = rhs.copy()
-        rz = float(r @ p)
-        rr = float(r @ r)
-        for it in range(max_iter):
-            Ap = d * p
-            Ap += Sp
-            pAp = float(p @ Ap)
-            if not math.isfinite(pAp) or pAp <= 0.0:
-                raise CgNoConvergence(
-                    f"operator lost positive definiteness (p.Ap = {pAp})",
-                    residual=math.sqrt(rr) / bnorm,
-                    iterations=it,
-                )
-            alpha = rz / pAp
-            x += alpha * p
-            r -= alpha * Ap
-            rr = float(r @ r)
-            if rr <= target_sq:
-                return x, it + 1
-            z = self._cosine_divide(denom, r)
-            rz_new = float(r @ z)
-            beta = rz_new / rz
-            p *= beta
-            p += z
-            Sp *= beta
-            Sp += r
-            rz = rz_new
-        raise CgNoConvergence(
-            f"conjugate gradients did not reach tol {tol} in {max_iter} iterations",
-            residual=math.sqrt(rr) / bnorm,
-            iterations=max_iter,
-        )
+        count = 0
+
+        def precond(r):
+            nonlocal count
+            count += 1
+            return self._cosine_divide(denom, r)
+
+        x = self.solve_spd(lambda p: shift * p - scale * self.laplacian(p),
+                           rhs, tol, max_iter, precond)
+        return x, count
 
     # -- I/O -----------------------------------------------------------------
 

@@ -37,19 +37,17 @@ correction is solved to the forcing tolerance
 
 relative to the current residual r, with tol the stopping tolerance (see
 ``step_phi``).  A constant shift is solved exactly by the cosine
-transform.  A per-cell shift is the cosine solve's S = mean(shift) -
-scale lap plus the diagonal d = shift - mean(shift), and is solved
-iteratively with S^-1 as the preconditioner (``Grid._shifted_cg``): by
-Richardson sweeps, each contracting the residual by q = max|d| /
-mean(shift), when q <= grid.RICHARDSON_Q, and by conjugate gradients
-otherwise.  Neither iteration applies the Laplacian.  The linear
+transform.  A per-cell shift is solved iteratively, preconditioned with
+the cosine solve at mean(shift), by Richardson sweeps or conjugate
+gradients (``Grid._shifted_cg`` states the rule).  The linear
 substeps are solved to cg_tol, in increment form (unknown minus its
 previous value), which keeps the absolute residual, and with it the drift
 of the conserved quantities, far below the relative tolerance.
 
 A step of one Newton iteration, as most are, does 2 resolvent evaluations,
 1 per-cell phase solve (a per-cell P adds one per other substep), 4
-Laplacians and 5 field sums (phi, xi, mu, v, sigma) that serve both the
+Laplacians (plus one per CG iteration, on a shift too wide for Richardson
+sweeps) and 5 field sums (phi, xi, mu, v, sigma) that serve both the
 non-finite guard and the mass series.  P(phi') and sigma + chi (1 - phi'),
 which the potential and the nutrient substeps share, are evaluated once.
 
