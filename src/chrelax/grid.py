@@ -141,21 +141,22 @@ class Grid:
     def laplacian(self, u):
         """Mirror-ghost Neumann Laplacian in flux form."""
         self.check(u)
-        out = np.empty_like(u)
         # _differences inlined, as its generator costs about 1 us a call; the
-        # values must stay the same for summation by parts with face_form
-        for ax, (stride, h, row) in enumerate(self._stencil):
+        # values must stay the same for summation by parts with face_form.
+        # Each interior flux enters two cells with opposite sign, so the
+        # divergence telescopes and boundary fluxes never appear.  The first
+        # axis's fluxes sit between stride zeros at each end, so one
+        # difference of that padded array adds them all in
+        (stride, h, _), *rest = self._stencil
+        pad = np.zeros(u.size + stride)
+        flux = np.subtract(u[stride:], u[:-stride], out=pad[stride:-stride])
+        flux /= h * h
+        out = pad[stride:] - pad[:-stride]
+        for stride, h, row in rest:  # the rows of a 2-D grid
             flux = u[stride:] - u[:-stride]
-            if row:
-                flux[row - 1::row] = 0.0
+            flux[row - 1::row] = 0.0
             flux /= h * h
-            # each interior flux enters two cells with opposite sign, so the
-            # divergence telescopes and boundary fluxes never appear
-            if ax == 0:
-                out[:-stride] = flux
-                out[-stride:] = 0.0
-            else:
-                out[:-stride] += flux
+            out[:-stride] += flux
             out[stride:] -= flux
         return out
 
@@ -341,9 +342,9 @@ class Grid:
         S = mean(shift) - scale * laplacian, by Richardson sweeps or
         conjugate gradients (``_shifted_cg`` states the rule).
         """
-        if np.ndim(shift) == 0:
-            return self.cosine_solve(shift, scale, rhs)
-        return self._shifted_cg(shift, scale, rhs, tol)[0]
+        if isinstance(shift, np.ndarray) and shift.ndim:
+            return self._shifted_cg(shift, scale, rhs, tol)[0]
+        return self.cosine_solve(shift, scale, rhs)
 
     def _shifted_cg(self, shift, scale, rhs, tol):
         """Solve (shift - scale * laplacian) x = rhs with a per-cell shift
@@ -379,8 +380,8 @@ class Grid:
                                   residual=math.nan, iterations=0)
         target_sq = (tol * bnorm) ** 2
         max_iter = 10 * self.ncells + 50
-        if max(float(shift.max()) - mean, mean - float(shift.min())) <= (
-                RICHARDSON_Q * mean):
+        if max(float(np.maximum.reduce(shift)) - mean,
+               mean - float(np.minimum.reduce(shift))) <= RICHARDSON_Q * mean:
             minus_d = mean - shift
             x = y = self._cosine_divide(denom, rhs)
             for it in range(1, max_iter + 1):

@@ -24,10 +24,11 @@ constant 1/eps.  It is evaluated through the resolvent r -> x solving
 
     x + eps * s(x) = r,      s = the monotone section generating dF1,
 
-which for the regular kind is a scalar cubic, for the logarithmic kind a
-scalar transcendental equation solved by safeguarded Newton, and for the
-obstacle kind the projection onto [-1, 1].  All operations act pointwise
-and accept floats or numpy arrays of any shape.
+which for the regular kind is a scalar cubic, started from its closed-form
+root and checked by Newton's residual test (see ``_solve_cubic``), for the
+logarithmic kind a scalar transcendental equation solved by safeguarded
+Newton, and for the obstacle kind the projection onto [-1, 1].  All
+operations act pointwise and accept floats or numpy arrays of any shape.
 
 The logarithmic resolvent can start warm.  Given ``near = (r0,
 F1'_eps(r0))`` at a nearby point r0, it starts from the linearisation
@@ -43,6 +44,7 @@ so bit-identical to a call without ``near``.  The other kinds ignore
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,7 +190,7 @@ class SplitPotential:
 
     def yosida_prime(self, r, yp):
         """F1'_eps(r) = (r - resolvent(r)) / eps, Lipschitz with constant 1/eps."""
-        return self.yosida_parts(r, yp)[0]
+        return _like(r, self._root_and_prime(_as_array(r), yp)[1])
 
     def yosida_curvature(self, r, yp):
         """Pointwise derivative of F1'_eps, used in the phase-step Jacobian.
@@ -205,13 +207,18 @@ class SplitPotential:
         start hint ``near`` (see ``resolvent``), the same up to the
         resolvent's tolerance."""
         a = _as_array(r)
-        x, fp = self._resolve(a, yp, near)
-        if fp is None:
-            fp = self._prime_at(a, x, yp)
+        x, fp = self._root_and_prime(a, yp, near)
         curv = self._curvature_at(a, x, yp)
         if isinstance(r, np.ndarray) and r.ndim:  # a field: no conversions
             return fp, curv
         return _like(r, fp), _like(r, curv)
+
+    def _root_and_prime(self, a, yp, near=None):
+        # (J(a), F1'_eps(a)) for an array a.  With _curvature_at these are
+        # the pieces of yosida_parts; the phase step calls them apart, as it
+        # reads the curvature only where it solves a correction
+        x, fp = self._resolve(a, yp, near)
+        return x, self._prime_at(a, x, yp) if fp is None else fp
 
     def _prime_at(self, a, x, yp):
         # F1'_eps(a) given the resolvent x = J(a), where the solve did not
@@ -273,20 +280,33 @@ class SplitPotential:
 # -- scalar solves, vectorised over flat arrays -------------------------
 
 
+def _abs_max(v):
+    # max |v| over every axis (NaN if a cell is, 0 if v is empty), by the
+    # ufunc's reduce without ndarray.max's Python wrapper
+    return np.maximum.reduce(np.abs(v), axis=None, initial=0.0)
+
+
 def _solve_cubic(r, eps, tol, max_iter):
     """Root x of x + eps x^3 = r, and F1'_eps(r) = x^3, which avoids the
-    cancellation of (r - x)/eps.  Newton from x0 = r is monotone here."""
+    cancellation of (r - x)/eps.
+
+    Starts from the closed form x0 = 2/sqrt(3 eps) sinh(asinh(1.5 sqrt(3 eps)
+    r) / 3) (Holmes, Math. Gazette 86, 2002), a few ulp from the root, so
+    at |r| <= 1 the residual test passes with no Newton update; Newton,
+    with the same test and budget, refines cells past the start's
+    roundoff.  Where 1.5 sqrt(3 eps) r is subnormal the start keeps only
+    that product's bits: up to (4/(3 sqrt(3 eps)) + 1/2) times the
+    smallest subnormal off, far inside tol."""
     # cubes as products: within 1 ulp of x**3, and numpy's pow is slow on
     # negative bases (300 us against 5 us for x*x*x at 4096 cells)
-    x = np.array(r, dtype=float, copy=True)
-    if not x.size:
-        return x, x
-    f = eps * (cube := x * x * x)  # residual at x0 = r
+    s = math.sqrt(3.0 * eps)
+    x = (2.0 / s) * np.sinh(np.arcsinh((1.5 * s) * r) / 3.0)
     for _ in range(max_iter):
-        if np.abs(f).max() <= tol:  # a NaN cell fails this test
+        f = x + eps * (cube := x * x * x) - r
+        if _abs_max(f) <= tol:  # a NaN cell fails this test
             return x, cube
         x = x - f / (1.0 + 3.0 * eps * x * x)
-        f = x + eps * (cube := x * x * x) - r
+    f = x + eps * (cube := x * x * x) - r
     ax = np.abs(x)
     slack = 8.0 * np.spacing(ax + eps * (ax * ax * ax) + np.abs(r))
     if np.all(np.abs(f) <= np.maximum(tol, slack)):
@@ -318,17 +338,17 @@ def _entropy_near(r, eps, tol, near):
     _EDGE) or is not finite, or some cell misses ``tol`` after two updates.
     """
     # a NaN cell makes each maximum below NaN, which fails every comparison
-    if r.size == 0 or np.abs(r).max() >= _EDGE + eps * _EDGE_SLOPE:
+    if _abs_max(r) >= _EDGE + eps * _EDGE_SLOPE:
         return None
     r0, fp0 = near
     x0 = r0 - eps * fp0  # the resolvent at r0, up to its tolerance
     gap = np.maximum(1.0 - x0 * x0, 0.0)
     x = x0 + (r - r0) * (gap / (gap + 2.0 * eps))  # J'(r0) = gap/(gap + 2 eps)
     for it in range(3):
-        if not np.abs(x).max() < _EDGE:
+        if not _abs_max(x) < _EDGE:
             return None
         f = x + eps * (slope := _entropy_slope(x)) - r
-        if np.abs(f).max() <= tol:
+        if _abs_max(f) <= tol:
             return x, slope
         if it < 2:
             x = x - f / (1.0 + eps * 2.0 / (1.0 - x * x))

@@ -44,10 +44,11 @@ substeps are solved to cg_tol, in increment form (unknown minus its
 previous value), which keeps the absolute residual, and with it the drift
 of the conserved quantities, far below the relative tolerance.
 
-A step of one Newton iteration, as most are, does 2 resolvent evaluations,
-1 per-cell phase solve (a per-cell P adds one per other substep), 4
-Laplacians (plus one per CG iteration, on a shift too wide for Richardson
-sweeps) and 5 field sums (phi, xi, mu, v, sigma) that serve both the
+A step of one Newton iteration, as most are, does 2 resolvent evaluations
+and 1 curvature F1''_eps (one per Newton iteration: the final iterate's
+residual needs none), 1 per-cell phase solve (a per-cell P adds one per
+other substep), 4 Laplacians (plus one per CG iteration, on a shift too
+wide for Richardson sweeps) and 5 field sums (phi, xi, mu, v, sigma) that serve both the
 non-finite guard and the mass series.  P(phi') and sigma + chi (1 - phi'),
 which the potential and the nutrient substeps share, are evaluated once.
 
@@ -154,13 +155,14 @@ def step_phi(state, params, potential, scheme, grid, guess=None):
     Solves tau (x - phi)/dt - lap x + F1'_eps(x) = g with
     g = mu + chi sigma - F2'(phi) by damped Newton from ``guess``
     (default: phi itself); the residual is measured in the discrete L2
-    norm.  One resolvent evaluation per iterate gives the residual, the
-    Jacobian curvature and xi, and is started from the one at phi for the
-    guess and from the one at the current Newton iterate for every trial
-    after that.  F1'_eps is defined on all of R, so any finite guess will
-    do, also one outside the domain of F1.  A line search whose trials down
-    to step length 2^-30 all fail to lower the residual raises
-    NewtonDivergence.
+    norm.  One resolvent evaluation per iterate gives the residual and xi,
+    and is started from the one at phi for the guess and from the one at
+    the current Newton iterate for every trial after that.  The Jacobian
+    curvature F1''_eps is computed from that resolvent only at an iterate
+    whose correction is solved, once per Newton iteration.  F1'_eps is
+    defined on all of R, so any finite guess will do, also one outside the
+    domain of F1.  A line search whose trials down to step length 2^-30
+    all fail to lower the residual raises NewtonDivergence.
 
     The iteration stops at tol = max(newton_tol, the residual's roundoff
     floor).  Every iterate is rounded to the nearest double,
@@ -184,24 +186,25 @@ def step_phi(state, params, potential, scheme, grid, guess=None):
     tol = max(scheme.newton_tol, floor)
 
     def residual(z, near):
-        fp, curv = potential.yosida_parts(z, yp, near)
-        return tau * (z - state.phi) / dt - grid.laplacian(z) + fp - g, fp, curv
+        j, fp = potential._root_and_prime(z, yp, near)  # J(z), F1'_eps(z)
+        return tau * (z - state.phi) / dt - grid.laplacian(z) + fp - g, j, fp
 
     x = np.asarray(state.phi if guess is None else guess, dtype=float)
-    r, fp, curv = residual(x, (state.phi, state.xi))
+    r, j, fp = residual(x, (state.phi, state.xi))
     rnorm = grid.h_norm(r)
     for it in range(scheme.newton_max_iter):
         if rnorm <= tol:
             return x, fp, it
         eta = max(scheme.cg_tol, GAMMA * tol / rnorm)
+        curv = potential._curvature_at(x, j, yp)
         delta = grid.solve_shifted(tau / dt + curv, 1.0, -r, eta)
         near = (x, fp)
         s = 1.0
         while True:
             xn = x + s * delta
-            rn, fpn, curvn = residual(xn, near)
+            rn, jn, fpn = residual(xn, near)
             rn_norm = grid.h_norm(rn)
-            if np.isfinite(rn_norm) and rn_norm <= rnorm:
+            if math.isfinite(rn_norm) and rn_norm <= rnorm:
                 break
             if s <= 2.0**-30:
                 raise NewtonDivergence(
@@ -211,7 +214,7 @@ def step_phi(state, params, potential, scheme, grid, guess=None):
                     iterations=it + 1,
                 )
             s *= 0.5
-        x, r, fp, curv, rnorm = xn, rn, fpn, curvn, rn_norm
+        x, r, j, fp, rnorm = xn, rn, jn, fpn, rn_norm
     if rnorm <= tol:
         return x, fp, scheme.newton_max_iter
     raise NewtonDivergence(

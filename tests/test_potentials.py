@@ -6,6 +6,7 @@ kind) so the Newton solvers in the package are never their own oracle.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -284,10 +285,18 @@ def test_entropy_resolvent_stall_raises_like_reference():
             r, YosidaParams(epsilon=1e-3, newton_max_iter=1))
 
 
+def closed_form_start(r, eps):
+    """The regular resolvent's start, 2/sqrt(3 eps) sinh(asinh(1.5
+    sqrt(3 eps) r) / 3)."""
+    s = math.sqrt(3.0 * eps)
+    return (2.0 / s) * np.sinh(np.arcsinh((1.5 * s) * r) / 3.0)
+
+
 def pow_cubic_resolvent(r, eps, tol, max_iter):
-    """The regular resolvent's Newton solve with cubes taken by pow."""
-    x = np.array(r, dtype=float, copy=True)
-    f = eps * x**3
+    """The regular resolvent's Newton solve with cubes taken by pow, from
+    the same closed-form start."""
+    x = closed_form_start(r, eps)
+    f = x + eps * x**3 - r
     for _ in range(max_iter):
         if np.all(np.abs(f) <= tol):
             return x
@@ -318,6 +327,101 @@ def test_regular_resolvent_products_within_2_ulp_of_pow(eps):
             prime = reg.yosida_prime(r, yp)
             cube = reg.resolvent(r, yp) ** 3
             assert np.all(np.abs(prime - cube) <= np.spacing(np.abs(cube)))
+
+
+def exact_cubic_root(r, eps, x0):
+    """The root of x + eps x^3 = r by Newton in exact rationals from x0,
+    until an update moves it by less than 2^-200 of itself."""
+    r, eps, x = Fraction(r), Fraction(eps), Fraction(x0)
+    for _ in range(10):
+        step = (x + eps * x**3 - r) / (1 + 3 * eps * x * x)
+        x -= step
+        if abs(step) <= abs(x) * Fraction(1, 2**200):
+            return x
+    raise AssertionError(f"exact Newton did not settle for r = {r}")
+
+
+def ulps_from(got, exact):
+    """|got - exact| in units of the spacing of doubles at the exact value."""
+    return float(abs(Fraction(got) - exact) / Fraction(np.spacing(abs(float(exact)))))
+
+
+# the largest distance from the exact root over the inputs of the test
+# below was 3.84 ulp (eps = 1, r ~ 100), measured with numpy's AVX-512 sinh
+# and arcsinh, which differ from the C library's in the last bits
+CUBIC_ULPS = 5.0
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-1, 1e-3, 1e-5])
+def test_regular_resolvent_within_a_few_ulp_of_the_exact_root(eps):
+    rng = np.random.default_rng(41)
+    tol, max_iter = YosidaParams(epsilon=eps).newton_tol, 100
+    worst = 0.0
+    for r in [scale * rng.standard_normal(64) for scale in 10.0 ** np.arange(-3, 4)] + [
+            np.array([1e300, -1e300])]:
+        x, _ = potentials._solve_cubic(r, eps, tol, max_iter)
+        worst = max(worst, *(ulps_from(a, exact_cubic_root(b, eps, a))
+                             for a, b in zip(x.tolist(), r.tolist())))
+    assert worst <= CUBIC_ULPS
+    # +-0 keeps its sign
+    x, cube = potentials._solve_cubic(np.array([0.0, -0.0]), eps, tol, max_iter)
+    np.testing.assert_array_equal(bits(x), bits([0.0, -0.0]))
+    np.testing.assert_array_equal(bits(cube), bits([0.0, -0.0]))
+    # a subnormal r: 1.5 sqrt(3 eps) r rounds to a multiple of the smallest
+    # subnormal q, and 2/sqrt(3 eps) scales that rounding back up, so the
+    # start is within (4/(3 sqrt(3 eps)) + 1/2) q of the root rather than a
+    # few ulp, and its residual passes tol at once
+    q = 5e-324
+    r = np.array([1e-310, -3e-312, 7e-322, q])
+    x, _ = potentials._solve_cubic(r, eps, tol, max_iter)
+    bound = 4.0 / (3.0 * math.sqrt(3.0 * eps)) + 0.5
+    for a, b in zip(x.tolist(), r.tolist()):
+        assert abs(Fraction(a) - exact_cubic_root(b, eps, b)) <= Fraction(bound * q)
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-1, 1e-3, 1e-5])
+def test_regular_resolvent_takes_no_newton_update_for_r_up_to_1(eps):
+    r = np.concatenate([np.linspace(-1.0, 1.0, 201), [0.5**20, -(0.5**40)]])
+    tol = YosidaParams(epsilon=eps).newton_tol
+    x, cube = potentials._solve_cubic(r, eps, tol, 100)
+    np.testing.assert_array_equal(bits(x), bits(closed_form_start(r, eps)))
+    np.testing.assert_array_equal(bits(cube), bits(x * x * x))
+
+
+def test_cubic_and_warm_entropy_solves_reduce_over_every_axis():
+    # a 2-D (m, n) input gives the flat input's values in its shape, and a
+    # 0-d one a scalar's; a reduce over axis 0 only fails on the 2-D input
+    eps = 1e-2
+    r = np.linspace(-0.9, 0.9, 24) ** 3
+    for tol, max_iter in ((1e-12, 100), (0.0, 3)):  # no update; three
+        x, cube = potentials._solve_cubic(r, eps, tol, max_iter)
+        x2, cube2 = potentials._solve_cubic(r.reshape(4, 6), eps, tol, max_iter)
+        assert x2.shape == cube2.shape == (4, 6)
+        np.testing.assert_array_equal(bits(x2), bits(x.reshape(4, 6)))
+        np.testing.assert_array_equal(bits(cube2), bits(cube.reshape(4, 6)))
+        x0, cube0 = potentials._solve_cubic(np.array(r[5]), eps, tol, max_iter)
+        assert np.ndim(x0) == np.ndim(cube0) == 0
+        assert bits(x0) == bits(x[5]) and bits(cube0) == bits(cube[5])
+
+    pot = SplitPotential.logarithmic()
+    yp = YosidaParams(epsilon=eps)
+    r0 = np.linspace(-0.9, 0.9, 24)
+    near = cold_hint(pot, r0, yp)
+    r = r0 + 1e-4 * np.cos(np.arange(r0.size))
+    x, slope = potentials._entropy_near(r, eps, yp.newton_tol, near)
+    x2, slope2 = potentials._entropy_near(
+        r.reshape(4, 6), eps, yp.newton_tol, tuple(a.reshape(4, 6) for a in near))
+    np.testing.assert_array_equal(bits(x2), bits(x.reshape(4, 6)))
+    np.testing.assert_array_equal(bits(slope2), bits(slope.reshape(4, 6)))
+    x0, slope0 = potentials._entropy_near(
+        np.array(r[5]), eps, yp.newton_tol, tuple(np.array(a[5]) for a in near))
+    assert np.ndim(x0) == 0 and np.isfinite(x0)
+    assert abs(x0 + eps * potentials._entropy_slope(x0) - r[5]) <= yp.newton_tol
+    # a NaN cell in a 2-D input sends it to the safeguarded solve
+    bad = r.reshape(4, 6).copy()
+    bad[2, 3] = np.nan
+    assert potentials._entropy_near(
+        bad, eps, yp.newton_tol, tuple(a.reshape(4, 6) for a in near)) is None
 
 
 def test_newton_residual_within_tolerance():
@@ -482,10 +586,13 @@ def test_regular_resolvent_empty_input_and_stall():
     reg = SplitPotential.regular()
     empty = reg.resolvent(np.empty(0), YosidaParams(epsilon=1.0))
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
-    # one Newton step from x0 = 50 lands far from the root of x + x**3 = 50
-    with pytest.raises(NewtonDivergence, match="regular") as ei:
-        reg.resolvent(50.0, YosidaParams(epsilon=1.0, newton_max_iter=1))
-    assert ei.value.iterations == 1 and ei.value.residual > 1.0
+    # a non-finite cell fails every residual test and the slack test after
+    yp = YosidaParams(epsilon=1.0, newton_max_iter=3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NewtonDivergence, match="regular") as ei, np.errstate(
+                invalid="ignore"):
+            reg.resolvent(np.array([50.0, bad]), yp)
+        assert ei.value.iterations == yp.newton_max_iter
 
 
 def test_scalar_in_scalar_out():

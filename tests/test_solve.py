@@ -530,14 +530,15 @@ def test_fingerprint_entries_name_their_solver_and_commit():
 # -- determinism across BLAS thread counts ---------------------------------------
 
 
-def test_outputs_identical_across_blas_threads(tmp_path):
+@pytest.mark.parametrize("kind", ["logarithmic", "regular"])
+def test_outputs_identical_across_blas_threads(tmp_path, kind):
     # the dense cosine transforms and the CG dot products go through BLAS;
     # 64 x 64 is the benchmark's 2-D size
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "grid.dim = 2\ngrid.n = 64\ntime.T = 0.01\ntime.dt = 1e-3\n"
         "time.record_every = 10\noutput.dump_fields = true\n"
-        "potential.kind = logarithmic\nmodel.P.kind = ramp\nmodel.alpha = 0.1\n"
+        f"potential.kind = {kind}\nmodel.P.kind = ramp\nmodel.alpha = 0.1\n"
         "init.phi0.kind = cosine_bump\ninit.phi0.amplitude = 0.5\n"
         "init.sigma0.kind = constant\ninit.sigma0.value = 0.5\n")
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -568,6 +568,28 @@ def test_a_step_evaluates_the_proliferation_rate_once(monkeypatch):
     assert len(calls) == 50
 
 
+def test_phase_step_computes_the_curvature_once_per_newton_iteration(monkeypatch):
+    # F1''_eps is read only by the Jacobian solve: the residuals of the line
+    # search trials and of the accepted final iterate need none
+    calls = {"curvature": 0, "resolvent": 0}
+
+    def counted(name, f):
+        def wrapped(*a, **k):
+            calls[name] += 1
+            return f(*a, **k)
+        return wrapped
+
+    monkeypatch.setattr(SplitPotential, "_curvature_at", counted(
+        "curvature", SplitPotential._curvature_at))
+    monkeypatch.setattr(SplitPotential, "_root_and_prime", counted(
+        "resolvent", SplitPotential._root_and_prime))
+    traj = run(*scenario(PREDICTOR_RUNS["1d-log"]))
+    nsteps = len(traj.step_times) - 1
+    assert calls["curvature"] == int(np.sum(traj.newton_iters)) < 1.1 * nsteps
+    # one resolvent for xi at t = 0, then one per residual: at least two a step
+    assert calls["resolvent"] >= 1 + 2 * nsteps
+
+
 def test_predictor_extrapolates_the_accepted_phases(monkeypatch):
     params, pot, controls, init, g = source_free_setup(n=16, p0=1.0)
     plain, guesses = stepper.step_phi, []
