@@ -34,9 +34,12 @@ The logarithmic resolvent can start warm.  Given ``near = (r0,
 F1'_eps(r0))`` at a nearby point r0, it starts from the linearisation
 x0 = J(r0) + (r - r0) J'(r0), where J(r0) = r0 - eps F1'_eps(r0) and
 J'(r0) = g / (g + 2 eps) with g = 1 - J(r0)^2, and takes at most two plain
-Newton updates.  The result is returned only when every cell passes the
-safeguarded solve's own residual test; a tail cell, a start or iterate
-outside the Newton bracket, or a residual still too large after two
+Newton updates.  A hint at r itself, ``near = (r, fp0)`` with fp0 a
+prediction of F1'_eps(r) (the phase step passes one at its Newton
+start), needs no linearisation: the start is x0 = r - eps fp0.  The
+result is returned only when every cell passes the safeguarded solve's
+own residual test; a tail cell, a start or iterate outside the Newton
+bracket (also a NaN one), or a residual still too large after two
 updates sends the whole array to the safeguarded solve, started cold and
 so bit-identical to a call without ``near``.  The other kinds ignore
 ``near``.
@@ -294,28 +297,31 @@ def _solve_cubic(r, eps, tol, max_iter):
     r) / 3) (Holmes, Math. Gazette 86, 2002), a few ulp from the root, so
     at |r| <= 1 the residual test passes with no Newton update; Newton,
     with the same test and budget, refines cells past the start's
-    roundoff.  Where 1.5 sqrt(3 eps) r is subnormal the start keeps only
-    that product's bits: up to (4/(3 sqrt(3 eps)) + 1/2) times the
-    smallest subnormal off, far inside tol."""
+    roundoff.  An iterate also passes where every residual is within 8 ulp
+    of the terms it sums, which ends a call on large |r| (up to +-1e300)
+    after at most one update.  Where 1.5 sqrt(3 eps) r is subnormal the
+    start keeps only that product's bits: up to (4/(3 sqrt(3 eps)) + 1/2)
+    times the smallest subnormal off, far inside tol."""
     # cubes as products: within 1 ulp of x**3, and numpy's pow is slow on
     # negative bases (300 us against 5 us for x*x*x at 4096 cells)
     s = math.sqrt(3.0 * eps)
     x = (2.0 / s) * np.sinh(np.arcsinh((1.5 * s) * r) / 3.0)
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         f = x + eps * (cube := x * x * x) - r
         if _abs_max(f) <= tol:  # a NaN cell fails this test
             return x, cube
+        # a residual within roundoff of the terms it sums is final too
+        ax = np.abs(x)
+        slack = 8.0 * np.spacing(ax + eps * (ax * ax * ax) + np.abs(r))
+        if np.all(np.abs(f) <= np.maximum(tol, slack)):
+            return x, cube
+        if it == max_iter:
+            raise NewtonDivergence(
+                "resolvent Newton stalled for the regular kind",
+                residual=float(np.max(np.abs(f))),
+                iterations=max_iter,
+            )
         x = x - f / (1.0 + 3.0 * eps * x * x)
-    f = x + eps * (cube := x * x * x) - r
-    ax = np.abs(x)
-    slack = 8.0 * np.spacing(ax + eps * (ax * ax * ax) + np.abs(r))
-    if np.all(np.abs(f) <= np.maximum(tol, slack)):
-        return x, cube
-    raise NewtonDivergence(
-        "resolvent Newton stalled for the regular kind",
-        residual=float(np.max(np.abs(f))),
-        iterations=max_iter,
-    )
 
 
 def _entropy_slope(x):
@@ -331,7 +337,8 @@ _BRACKET_TOL = 4.0 * np.spacing(1.0)
 
 def _entropy_near(r, eps, tol, near):
     """Warm root of x + eps ln((1+x)/(1-x)) = r from the linearised
-    resolvent at ``near = (r0, F1'_eps(r0))``.
+    resolvent at ``near = (r0, F1'_eps(r0))``, or from r - eps fp0 when
+    ``near = (r, fp0)`` is a hint at r itself.
 
     Returns x and F1'_eps(r), the section at x, or None when the safeguarded
     solve must run: some |r| is in the tail, an iterate leaves (-_EDGE,
@@ -341,9 +348,10 @@ def _entropy_near(r, eps, tol, near):
     if _abs_max(r) >= _EDGE + eps * _EDGE_SLOPE:
         return None
     r0, fp0 = near
-    x0 = r0 - eps * fp0  # the resolvent at r0, up to its tolerance
-    gap = np.maximum(1.0 - x0 * x0, 0.0)
-    x = x0 + (r - r0) * (gap / (gap + 2.0 * eps))  # J'(r0) = gap/(gap + 2 eps)
+    x = r0 - eps * fp0  # the resolvent at r0, up to its tolerance
+    if r0 is not r:  # a hint at r itself is its own start
+        gap = np.maximum(1.0 - x * x, 0.0)
+        x = x + (r - r0) * (gap / (gap + 2.0 * eps))  # J'(r0) = gap/(gap + 2 eps)
     for it in range(3):
         if not _abs_max(x) < _EDGE:
             return None

@@ -21,17 +21,28 @@ Every substep is a symmetric positive definite shifted-Laplacian solve
   nutrient                shift = 1 + dt P(phi'),           scale = dt
 
 The phase step wraps its solve in a damped Newton iteration, started from
-an extrapolation of the accepted phase levels: phi_0 at step 1,
-2 phi_1 - phi_0 at step 2, and 3 phi_n - 3 phi_{n-1} + phi_{n-2} (exact
-on quadratics) afterwards.  An alpha = 0 run switches at step 5 to
+an extrapolation of the accepted phase levels (``_extrapolate``): phi_0
+at step 1, 2 phi_1 - phi_0 at step 2, 3 phi_2 - 3 phi_1 + phi_0 at step
+3, and from step 4 on
+
+  4 phi_n - 6 phi_{n-1} + 4 phi_{n-2} - phi_{n-3},
+
+which is exact on cubics in the step index.  (A five-point start, exact
+on quartics, amplifies roundoff: on the 1-D logarithmic benchmark run
+(seed 0) it took 2135 Newton iterations and 5294 phase cosine solves,
+against 2008 and 2680 from four points.)  An alpha = 0 run switches at
+step 5 to
 
   phi_n + 2 (phi_{n-1} - phi_{n-2}) - (phi_{n-3} - phi_{n-4}),
 
 which is also exact on (-1)^n and n (-1)^n: it follows the period-2
 sawtooth of the limit scheme (see ``run``) as well as the smooth trend.
 From there most steps take one Newton iteration, and the stopping test
-is the one of a cold start.  The Newton is inexact: each
-correction is solved to the forcing tolerance
+is the one of a cold start.  For the logarithmic kind the same
+coefficients extrapolate the accepted selections xi, and the first
+residual's resolvent starts from x0 = guess - eps xi_pred (see
+``step_phi``).  The Newton is inexact: each correction is solved to the
+forcing tolerance
 
   eta = max(cg_tol, GAMMA * tol / |r|),   GAMMA = 0.01,
 
@@ -39,10 +50,14 @@ relative to the current residual r, with tol the stopping tolerance (see
 ``step_phi``).  A constant shift is solved exactly by the cosine
 transform.  A per-cell shift is solved iteratively, preconditioned with
 the cosine solve at mean(shift), by Richardson sweeps or conjugate
-gradients (``Grid._shifted_cg`` states the rule).  The linear
-substeps are solved to cg_tol, in increment form (unknown minus its
-previous value), which keeps the absolute residual, and with it the drift
-of the conserved quantities, far below the relative tolerance.
+gradients (``Grid._shifted_cg`` states the rule).  From the four-point
+start the first residual lies close enough to tol that eta exceeds the
+Richardson spread, and most corrections take one cosine solve: 1505 of
+2008 on the 1-D logarithmic benchmark run (seed 0), against 15 of 2025
+from the three-point start.  The linear substeps are solved to cg_tol,
+in increment form (unknown minus its previous value), which keeps the
+absolute residual, and with it the drift of the conserved quantities,
+far below the relative tolerance.
 
 A step of one Newton iteration, as most are, does 2 resolvent evaluations
 and 1 curvature F1''_eps (one per Newton iteration: the final iterate's
@@ -149,15 +164,19 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def step_phi(state, params, potential, scheme, grid, guess=None):
+def step_phi(state, params, potential, scheme, grid, guess=None, *, xi_guess=None):
     """Implicit phase update; returns (phi_next, xi_next, newton_iters).
 
     Solves tau (x - phi)/dt - lap x + F1'_eps(x) = g with
     g = mu + chi sigma - F2'(phi) by damped Newton from ``guess``
     (default: phi itself); the residual is measured in the discrete L2
-    norm.  One resolvent evaluation per iterate gives the residual and xi,
-    and is started from the one at phi for the guess and from the one at
-    the current Newton iterate for every trial after that.  The Jacobian
+    norm.  One resolvent evaluation per iterate gives the residual and xi.
+    For the guess it is started from ``xi_guess``, a prediction of
+    F1'_eps(guess), when one is given (``run`` gives one for the
+    logarithmic kind), and else from the one at phi; every trial after
+    that is started from the one at the current Newton iterate.  A poor or
+    non-finite ``xi_guess`` costs the resolvent its safeguarded solve, not
+    accuracy (see the ``potentials`` module docstring).  The Jacobian
     curvature F1''_eps is computed from that resolvent only at an iterate
     whose correction is solved, once per Newton iteration.  F1'_eps is
     defined on all of R, so any finite guess will do, also one outside the
@@ -190,7 +209,8 @@ def step_phi(state, params, potential, scheme, grid, guess=None):
         return tau * (z - state.phi) / dt - grid.laplacian(z) + fp - g, j, fp
 
     x = np.asarray(state.phi if guess is None else guess, dtype=float)
-    r, j, fp = residual(x, (state.phi, state.xi))
+    near = (state.phi, state.xi) if xi_guess is None else (x, xi_guess)
+    r, j, fp = residual(x, near)
     rnorm = grid.h_norm(r)
     for it in range(scheme.newton_max_iter):
         if rnorm <= tol:
@@ -223,6 +243,30 @@ def step_phi(state, params, potential, scheme, grid, guess=None):
         residual=rnorm,
         iterations=scheme.newton_max_iter,
     )
+
+
+def _extrapolate(now, incs, limit):
+    """Newton start for the next step from the accepted level ``now`` and
+    the increments that led to it, newest first (``incs[0]`` = ``now``
+    minus the level before), or None on the first step.
+
+    Takes two levels at step 2, three at step 3 and four from step 4 on,
+    and is exact on polynomials in the step index of one degree less.  An
+    alpha = 0 run (``limit``) switches to the sawtooth start at step 5 (see
+    the module docstring).  Built from increments, the start is rounded
+    about once, at the addition to ``now``.
+    """
+    k = len(incs)
+    if k == 0:
+        return None
+    if k == 1:
+        return now + incs[0]
+    if k == 2:
+        return now + (2.0 * incs[0] - incs[1])
+    if k == 3 or not limit:
+        return now + (3.0 * (incs[0] - incs[1]) + incs[2])
+    # also follow the limit scheme's sawtooth
+    return now + 2.0 * incs[1] - incs[3]
 
 
 def _proliferation(state, phi_next, params):
@@ -327,6 +371,11 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
     is called at t = 0, at every record_every-th step and at the final
     step, and must not modify the state.
 
+    Each phase step starts from the extrapolated phase (see the module
+    docstring) and, for the logarithmic kind, from the selection xi
+    extrapolated with the same coefficients; the other kinds keep no xi
+    increments.
+
     An alpha = 0 run is the parabolic limit: ``step_mu`` solves the
     stationary potential equation, and v is held at exactly 0 after every
     step (v at t = 0 is mu0_prime).  The phase step lags mu, and the
@@ -339,7 +388,7 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
     bounded sawtooth, alternating between about 8e-4 and 2e-4 late in the
     run.  The alpha = 0 phase Newton starts from an extrapolation that
     follows that sawtooth, so nearly every step there takes one Newton
-    iteration (508 in 500 steps); the quadratic start of alpha > 0 runs
+    iteration (508 in 500 steps); the polynomial start of alpha > 0 runs
     would take two at every step.  The start moves only the Newton's first
     iterate: the scheme, phi -> mu -> sigma as the paper states it, and
     with it the sawtooth, stay as they are.  At tau p0 = 0.5 the increments
@@ -370,45 +419,41 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
     mass_v[0] = grid.integrate(state.v)
 
     newton_iters = np.zeros(nsteps, dtype=int)
-    # the accepted phase levels before state.phi, newest first (at most four)
-    history = []
-    # alpha = 0 guard: the last phase increment, its norm and the streak of
+    # the accepted phase increments, newest first (at most four), and for the
+    # one kind whose resolvent reads a start hint (logarithmic) those of xi
+    incs = []
+    xi_incs = [] if potential.kind == "logarithmic" else None
+    limit = params.alpha == 0.0
+    # alpha = 0 guard: the norm of the last phase increment and the streak of
     # growing, reversed increments
-    inc_prev, inc_norm_prev, streak = None, 0.0, 0
+    inc_norm_prev, streak = 0.0, 0
     for n in range(nsteps):
         t_next = (n + 1) * scheme.dt
         substep = "phi"
-        if not history:
-            guess = None
-        elif len(history) == 1:
-            guess = 2.0 * state.phi - history[0]
-        elif len(history) < 4 or params.alpha > 0.0:
-            guess = 3.0 * (state.phi - history[0]) + history[1]
-        else:  # alpha = 0: also follow the limit scheme's sawtooth
-            guess = (state.phi + 2.0 * (history[0] - history[1])
-                     - (history[2] - history[3]))
+        guess = _extrapolate(state.phi, incs, limit)
+        xi_guess = None if xi_incs is None else _extrapolate(state.xi, xi_incs, limit)
         try:
             u1 = controls.u1.sample(t_next, grid)
             u2 = controls.u2.sample(t_next, grid)
             phi_next, xi_next, newton_iters[n] = step_phi(
-                state, params, potential, scheme, grid, guess)
+                state, params, potential, scheme, grid, guess, xi_guess=xi_guess)
             sum_phi, _ = _require_finite(phi=phi_next, xi=xi_next)
-            if params.alpha == 0.0:
-                inc = phi_next - state.phi
+            inc = phi_next - state.phi
+            if limit:
                 inc_norm = float(np.sqrt(np.dot(inc, inc)))
-                if inc_prev is not None and inc_norm > inc_norm_prev and (
-                        np.dot(inc, inc_prev) < -0.5 * inc_norm * inc_norm_prev):
+                if incs and inc_norm > inc_norm_prev and (
+                        np.dot(inc, incs[0]) < -0.5 * inc_norm * inc_norm_prev):
                     streak += 1
                 else:
                     streak = 0
                 if streak == UNSTABLE_STEPS:
                     _unstable(params, phi_next, inc_norm / inc_norm_prev)
-                inc_prev, inc_norm_prev = inc, inc_norm
+                inc_norm_prev = inc_norm
             substep = "mu"
             prolif = _proliferation(state, phi_next, params)
             mu_next, v_next = step_mu(state, phi_next, params, scheme, u1, grid,
                                       prolif)
-            if params.alpha == 0.0:
+            if limit:
                 v_next = np.zeros_like(mu_next)
             _, sum_v = _require_finite(mu=mu_next, v=v_next)
             substep = "sigma"
@@ -423,7 +468,9 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
                       f"{head}{tail}",) + e.args[1:]
             e.step, e.substep = n + 1, substep
             raise
-        history = [state.phi] + history[:3]
+        incs = [inc] + incs[:3]
+        if xi_incs is not None:
+            xi_incs = [xi_next - state.xi] + xi_incs[:3]
         state = State(mu=mu_next, v=v_next, phi=phi_next, sigma=sigma_next,
                       xi=xi_next, t=t_next)
         mass_phi[n + 1] = grid.cell_volume * sum_phi

@@ -294,17 +294,15 @@ def closed_form_start(r, eps):
 
 def pow_cubic_resolvent(r, eps, tol, max_iter):
     """The regular resolvent's Newton solve with cubes taken by pow, from
-    the same closed-form start."""
+    the same closed-form start and with the same stopping test."""
     x = closed_form_start(r, eps)
-    f = x + eps * x**3 - r
-    for _ in range(max_iter):
-        if np.all(np.abs(f) <= tol):
+    for _ in range(max_iter + 1):
+        f = x + eps * x**3 - r
+        slack = 8.0 * np.spacing(np.abs(x) + eps * np.abs(x) ** 3 + np.abs(r))
+        if np.all(np.abs(f) <= np.maximum(tol, slack)):
             return x
         x = x - f / (1.0 + 3.0 * eps * x * x)
-        f = x + eps * x**3 - r
-    slack = 8.0 * np.spacing(np.abs(x) + eps * np.abs(x) ** 3 + np.abs(r))
-    assert np.all(np.abs(f) <= np.maximum(tol, slack))
-    return x
+    raise AssertionError("the pow Newton missed the slack test")
 
 
 @pytest.mark.parametrize("eps", [1.0, 1e-1, 1e-3, 1e-5])
@@ -386,6 +384,30 @@ def test_regular_resolvent_takes_no_newton_update_for_r_up_to_1(eps):
     x, cube = potentials._solve_cubic(r, eps, tol, 100)
     np.testing.assert_array_equal(bits(x), bits(closed_form_start(r, eps)))
     np.testing.assert_array_equal(bits(cube), bits(x * x * x))
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-1, 1e-3, 1e-5])
+def test_regular_resolvent_stops_at_roundoff_slack(eps, monkeypatch):
+    # a residual within roundoff of its terms ends the call, so a cell that
+    # starts above tol does not run the whole budget over the whole array
+    calls = []
+    plain = potentials._abs_max
+
+    def counted(v):
+        calls.append(1)
+        return plain(v)
+
+    monkeypatch.setattr(potentials, "_abs_max", counted)
+    tol = YosidaParams(epsilon=eps).newton_tol
+    rng = np.random.default_rng(43)
+    for r in (np.array([1e300, -1e300]), 1e3 * rng.standard_normal(4000)):
+        calls.clear()
+        x, cube = potentials._solve_cubic(r, eps, tol, 100)
+        # one residual test, and at most one update and a second test
+        assert 1 <= len(calls) <= 2
+        resid = x + eps * cube - r
+        slack = 8.0 * np.spacing(np.abs(x) + eps * np.abs(x) ** 3 + np.abs(r))
+        assert np.all(np.abs(resid) <= np.maximum(tol, slack))
 
 
 def test_cubic_and_warm_entropy_solves_reduce_over_every_axis():

@@ -491,14 +491,15 @@ def test_sweep_alpha_notes_each_runs_newton_iterations(tmp_path, capsys):
     assert totals[0] == 106 and totals[1:] == [102, 102]
 
 
-def run_with_phase_increments(monkeypatch, increments, starts=None):
-    """An alpha = 0 run whose phase step adds the given increments in turn;
-    each step's (phi_n, Newton start) pair goes to ``starts`` if given."""
+def run_with_phase_increments(monkeypatch, increments, starts=None, alpha=0.0):
+    """A run (alpha = 0 unless given) whose phase step adds the given
+    increments in turn; each step's (phi_n, Newton start) pair goes to
+    ``starts`` if given."""
     params, pot, controls, init, g, T, scheme = small_scenario(
-        **{"model.alpha": 0.0, "time.T": len(increments) * 1e-3})
+        **{"model.alpha": alpha, "time.T": len(increments) * 1e-3})
     calls = []
 
-    def step_phi(state, params, potential, scheme, grid, guess=None):
+    def step_phi(state, params, potential, scheme, grid, guess=None, xi_guess=None):
         calls.append(None)
         if starts is not None:
             starts.append((state.phi, guess))
@@ -533,6 +534,30 @@ def test_limit_start_is_exact_on_a_modulated_sawtooth(monkeypatch):
     # not on n^3: with E the shift n -> n + 1, the start falls short by
     # (E - 1)^3 (E + 1)^2 n^3 = 3! 2^2 = 24 times the mode
     for err in start_errors(lambda n: n ** 3 * g):
+        np.testing.assert_allclose(err, -24.0 * g, rtol=1e-9)
+
+
+def test_alpha_start_is_exact_on_a_cubic_trend(monkeypatch):
+    rng = np.random.default_rng(7)
+    a, b, c, d, g = (s * rng.standard_normal(16)
+                     for s in (0.1, 1e-2, 1e-4, 2e-5, 1e-4))
+    nsteps = 12
+
+    def start_errors(f):
+        # phi_n = phi_0 + f(n) - f(0); each step's start against its answer
+        increments = [f(n + 1) - f(n) for n in range(nsteps)]
+        starts = []
+        run_with_phase_increments(monkeypatch, increments, starts, alpha=0.1)
+        return [guess - phi - inc for (phi, guess), inc in
+                zip(starts[3:], increments[3:])]
+
+    # a cubic trend: exact to roundoff from step 4 on
+    errors = start_errors(lambda n: a + b * n + c * n * n + d * n ** 3)
+    assert len(errors) == nsteps - 3
+    assert max(np.max(np.abs(err)) for err in errors) <= 1e-14
+    # not on n^4: with E the shift n -> n + 1, the start falls short by
+    # (E - 1)^4 n^4 = 4! = 24 times the mode
+    for err in start_errors(lambda n: n ** 4 * g):
         np.testing.assert_allclose(err, -24.0 * g, rtol=1e-9)
 
 
