@@ -24,6 +24,7 @@ stack and a fixed buffer instead of every snapshot of every run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,18 +249,27 @@ def fit_rate(points):
     Needs at least two points with distinct positive abscissae and positive
     values; anything else raises DegenerateFit.  The residual is the
     Euclidean norm of the log-space misfit, zero for an exact power law.
+
+    Two unknowns have the closed form of the normal equations on centred
+    logs: slope = sum(dx * dy) / sum(dx^2), intercept = mean(ly) - slope *
+    mean(lx).  It agrees with a LAPACK least-squares solve to roundoff and
+    calls no LAPACK: the first such call in a process touches about 1 MB of
+    BLAS workspace, more than the alpha = 0 reference stack of a sweep.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
         raise DegenerateFit(f"rate fit needs at least 2 points, got {len(pts)}")
     if any(x <= 0.0 or y <= 0.0 for x, y in pts):
         raise DegenerateFit("rate fit needs positive parameters and values")
-    lx = np.log([x for x, _ in pts])
-    ly = np.log([y for _, y in pts])
-    if np.ptp(lx) == 0.0:
+    lx = [math.log(x) for x, _ in pts]
+    ly = [math.log(y) for _, y in pts]
+    if max(lx) == min(lx):
         raise DegenerateFit("rate fit needs at least two distinct parameters")
-    A = np.column_stack([lx, np.ones_like(lx)])
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    res = float(np.linalg.norm(A @ coef - ly))
-    return RateFit(slope=float(coef[0]), intercept=float(coef[1]),
-                   residual=res, npoints=len(pts))
+    mx, my = math.fsum(lx) / len(pts), math.fsum(ly) / len(pts)
+    dx = [x - mx for x in lx]
+    slope = (math.fsum(a * (y - my) for a, y in zip(dx, ly))
+             / math.fsum(a * a for a in dx))
+    intercept = my - slope * mx
+    res = math.sqrt(math.fsum((slope * x + intercept - y) ** 2
+                              for x, y in zip(lx, ly)))
+    return RateFit(slope=slope, intercept=intercept, residual=res, npoints=len(pts))

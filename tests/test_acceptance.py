@@ -14,7 +14,7 @@ import json
 import time
 from pathlib import Path
 
-from chrelax import default_config
+from chrelax import default_config, fit_rate
 from chrelax.config import build_scenario
 from chrelax.experiments import (
     _reference,
@@ -147,10 +147,17 @@ def test_criterion_5_alpha_sweep_rate():
         for kind in ("regular", "logarithmic"):
             report = sweep_alpha(criterion_5_config(kind))
             v = verdict_map(report)
+            # the coarse rungs are pre-asymptotic and pull the global fit
+            # down, so the 0.24 verdict would pass a rate halved in the fine
+            # ones; alpha = 2^-6 ... 2^-9 fit 0.527 (regular) and 0.538
+            # (logarithmic) in the pinned tables
+            fine = fit_rate([(r[0], r[-1]) for r in report.rows[-4:]]).slope
             print(f"criterion 5 ({kind}): slope {report.fit.slope:.3f} "
-                  f"(>= 0.24), monotone worst {v['composite_nonincreasing'].observed:.2e}")
+                  f"(>= 0.24), finest four {fine:.3f} (0.4..0.65), "
+                  f"monotone worst {v['composite_nonincreasing'].observed:.2e}")
             assert v["composite_nonincreasing"].passed
             assert report.fit.slope >= 0.24
+            assert 0.4 <= fine <= 0.65
             assert_matches_fingerprint(f"criterion5_{kind}", report)
     print(f"criterion 5: {b.elapsed:.1f}s")
 

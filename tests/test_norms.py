@@ -9,6 +9,10 @@ copies in ``tests/test_stream.py``.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +327,66 @@ def test_fit_rate_degenerate_inputs():
         fit_rate([(-0.1, 1.0), (0.2, 1.0)])
     with pytest.raises(DegenerateFit):
         fit_rate([(0.1, 1.0), (0.1, 2.0)])
+
+
+def lstsq_fit(points):
+    """Slope, intercept and residual of the log-log fit by LAPACK's
+    least-squares solve, the reference for the closed form."""
+    lx, ly = np.log(np.array(points, dtype=float)).T
+    A = np.column_stack([lx, np.ones_like(lx)])
+    coef = np.linalg.lstsq(A, ly, rcond=None)[0]
+    return coef[0], coef[1], np.linalg.norm(A @ coef - ly)
+
+
+def test_fit_rate_matches_lapack_least_squares():
+    rng = np.random.default_rng(7)
+    sets = [list(zip(rng.uniform(1e-4, 2.0, n), rng.uniform(1e-6, 10.0, n)))
+            for n in range(2, 13) for _ in range(20)]
+    sets += [[(x, c * x**s) for x in 2.0 ** -np.arange(2, 2 + n)]
+             for n, c, s in [(2, 1.0, 0.5), (4, 3.0, 0.25), (8, 0.1, 1.0),
+                             (12, 7.0, -0.75)]]
+    for pts in sets:
+        fit = fit_rate(pts)
+        slope, intercept, residual = lstsq_fit(pts)
+        assert fit.npoints == len(pts)
+        assert fit.slope == pytest.approx(slope, rel=1e-12, abs=1e-12)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=1e-12)
+        assert fit.residual == pytest.approx(residual, rel=1e-12, abs=1e-12)
+
+
+# one fit after the 1-D solves a sweep makes, in a fresh process; prints the
+# growth of the process's peak resident set (VmHWM) in KiB.  ru_maxrss will
+# not do: a child inherits the high-water mark of the test process that
+# forked it, which hides any growth below that.
+FIT_RSS = """
+import numpy as np
+from chrelax import Grid, fit_rate
+
+def peak_kib():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+g = Grid(64)
+rhs = np.cos(np.pi * g.coordinates()[0])
+for _ in range(50):
+    g.cosine_solve(1.0, 1e-3, rhs)
+before = peak_kib()
+fit_rate([(2.0**-k, 2.0**(-0.5 * k)) for k in range(2, 6)])
+print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak resident set from Linux's /proc")
+def test_fit_rate_leaves_peak_memory_alone():
+    # a LAPACK least-squares solve touches about 1 MB of BLAS workspace on
+    # its first call, more than a 1-D sweep's reference stack; the closed
+    # form allocates nothing that shows
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", FIT_RSS], env=env,
+                          capture_output=True, text=True, check=True)
+    grew = int(done.stdout)
+    print(f"fit_rate grew the peak resident set by {grew} KiB")
+    assert grew < 256

@@ -671,10 +671,11 @@ def test_warm_resolvent_changes_the_run_only_at_its_tolerance():
     # only the initial state's xi is solved cold: every phase residual
     # starts warm and passes its check
     assert calls["cold"] == 1
-    # started at the current Newton iterate, a warm call makes 1.5 loop
-    # evaluations on average (2.0 from a hint at phi_n), plus one for F1'_eps
+    # started from the predicted selection, a warm call makes 1.38 loop
+    # evaluations on average (1.01 on the linearised later residuals), plus
+    # one for F1'_eps if it were evaluated apart
     assert calls["slope"] <= 2.6 * calls["warm"]
-    # F1'_eps is the last loop evaluation's, not a further one (1.51 here)
+    # F1'_eps is the last loop evaluation's, not a further one (1.38 here)
     assert calls["slope"] <= 1.55 * calls["warm"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(potentials, "_entropy_near", lambda *a: None)
