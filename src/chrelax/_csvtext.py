@@ -1,12 +1,16 @@
-"""Exact vectorised ``'%.17g'`` text for CSV rows: ``write_csv_rows``.
+"""Exact vectorised ``'%.17g'`` text for CSV rows: ``CsvRows``.
 
 The writer of field dumps and of the diagnostics CSV.  Its numbers are the
 text of ``'%.17g' % value`` byte for byte.  The kernel ``_g17`` takes the
-17 significant digits of |x| in [1e-6, 1e17) (and of +-0) from an exact
-product of x and a power of ten (Dekker 1971), rounded half to even as
-dtoa rounds (Gay 1990), and lays out the text of a block of rows in a
-fixed column layout, joined by one masked compress.  Other values
-(non-finite, or outside that range) go through ``'%.17g' %`` one by one.
+17 significant digits of |x| in [1e-6, 1e17) (and of +-0) as one int64
+from an exact product of x and a power of ten (Dekker 1971), rounded half
+to even as dtoa rounds (Gay 1990), and splits it by integer division into
+a leading digit and four groups of four digits, whose text comes from a
+table (``_csvtables``).  ``CsvRows`` lays a table's rows out once in fixed
+columns: each row's prefix, right-aligned, then one slot per value.  A
+mask picks the columns of each value's text, and one masked compress per
+block of rows yields the block's bytes.  Other values (non-finite, or
+outside that range) go through ``'%.17g' %`` one by one.
 
 The module is imported on the first write, not with the package: without
 cached bytecode, compiling it would add to every import of chrelax.
@@ -14,216 +18,200 @@ cached bytecode, compiling it would add to every import of chrelax.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-# Values formatted per block by write_csv_rows: rows of c values go
-# CSV_BLOCK_ROWS // c rows at a time, through one buffer of (prefix + 50
-# bytes per value + 2) bytes per row and a mask of the same shape.  The
-# second dump of a 64x64 field peaks at 0.51 MB under tracemalloc with 1024
-# rows per block, 0.26 MB with 512 and 0.14 MB with 256; its text takes
-# 1.8, 2.2 and 3.1 ms on a 2-vCPU VM, as a block costs about 0.1 ms of
-# numpy calls.  The peak RSS of the 2-D benchmark run moved by less than
-# its run-to-run spread (0.1 MB) between 256 and 1024 rows (Python 3.11,
-# numpy 2.4, glibc malloc).
+# Rows of c values are formatted CSV_BLOCK_ROWS // c rows at a time, through
+# one text buffer and one mask of the rows' width; the kernel's temporaries
+# grow with the block too.  CHANGES.md records the time and memory measured.
 CSV_BLOCK_ROWS = 1024
 
 # Veltkamp's constant 2^27 + 1: a * _SPLIT splits a double into two halves
 # of 26 bits whose pairwise products are exact (Dekker 1971).
 _SPLIT = 134217729.0
 
-# The text of one value in write_csv_rows' fixed column layout: the sign,
-# the "0." and zeros before the digits of exponents -4 to -1, the 17
-# digits, a point, the 17 digits again, both exponent suffixes and the
-# separator.  A mask picks the columns of each value's text: the digits
-# before the point from the first copy, those after it from the second,
-# so that the mask is a few runs and the compress stays fast.
-_SLOT = b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"e-05e-06,"
-_BODY = len(_SLOT) - 1  # the columns before the separator
-_LEAD, _POINT, _TAIL, _EXP = 6, 23, 24, 41  # where each part starts
+# The slot of one value: every column its text can take, in text order.
+# A value's mask picks "0." (or the sign and "0.") and the zeros before the
+# lead digit for a decimal exponent X in [-4, -1]; the sign, the digits up
+# to the point from the first copy, the point and the rest from the second
+# copy for X >= 0; the same with an exponent suffix for X in {-5, -6}.  Each
+# of these forms ends on its own line end, read as "," in all but a row's
+# last slot, so that a typical value's text is two or three runs of columns.
+# The lead digit, written with the three zeros before it, and the digit
+# groups of both copies are uint32 on 4-byte boundaries.
+_SLOT = (b"0.-0.000" + b"0" * 17 + b"\r\n " + b"." + b"0" * 16 + b"\r\n"
+         + b"e-056\r\n  ")
+_WIDTH = len(_SLOT)  # 56
+_SIGN, _LEAD, _HEAD, _POINT, _TAIL, _EXP = 2, 8, 9, 28, 29, 47
+_ENDS = (25, 45, 52)  # line ends of the X in [-4, -1], X >= 0 and X < -4 forms
+_FALLBACK = 24  # columns for a '%.17g' % text, which ends at _ENDS[0]
+_CLASSES = 24 * 18 * 2  # mask rows of (X + 6, digit count, sign)
 
 
-@functools.cache
-def _g17_tables():
-    """The tables of ``_g17``, built on its first call (about 21 KB).
-
-    - the powers 10^0 to 10^22 (exact doubles) and their Veltkamp halves;
-    - the ASCII text of every digit pair 00 to 99, one uint16 per pair;
-    - per pair position 1 to 8 and pair value, the significant digit count
-      of the 17 digits if that pair is the last nonzero one (1 for a zero
-      pair: the count of the leading digit alone);
-    - the slot mask of every (decimal exponent + 6) * 18 + digit count.
-    """
-    pow10 = np.array([float(10**q) for q in range(23)])
-    t = pow10 * _SPLIT
-    pow10_hi = t - (t - pow10)
-    pow10_lo = pow10 - pow10_hi
-    digit = np.frombuffer(b"0123456789", np.uint8)
-    text = np.empty((10, 10, 2), np.uint8)  # text[a, b] = "ab"
-    text[..., 0] = digit[:, None]
-    text[..., 1] = digit
-    text = text.view(np.uint16).reshape(-1)
-    counts = np.empty((8, 100), np.uint8)
-    for pos in range(8):  # the leading digit, 2 * pos digits, then the pair's
-        counts[pos] = 1 + 2 * pos + 2
-        counts[pos, ::10] = 1 + 2 * pos + 1
-    counts[:, 0] = 1
-    masks = np.zeros((23, 18, _BODY), bool)
-    for X in range(-6, 17):
-        for k in range(1, 18):
-            m = masks[X + 6, k]
-            if X < -4:  # d.ddde-0X
-                m[_LEAD] = True
-                m[_POINT] = k > 1
-                m[_TAIL + 1:_TAIL + k] = True
-                m[_EXP:_EXP + 4] = X == -5
-                m[_EXP + 4:_EXP + 8] = X == -6
-            elif X < 0:  # 0.000ddd, with -X - 1 zeros after the point
-                m[1:2 - X] = True
-                m[_LEAD:_LEAD + k] = True
-            else:  # the integer digits in full, then the point and the rest
-                m[_LEAD:_LEAD + X + 1] = True
-                m[_POINT] = k > X + 1
-                m[_TAIL + X + 1:_TAIL + k] = True
-    tables = (pow10, pow10_hi, pow10_lo, text, counts.reshape(-1),
-              masks.reshape(-1, _BODY))
-    for a in tables:
-        a.flags.writeable = False
-    return tables
-
-
-def _times_pow10(a, X, tables):
-    """a * 10^(16 - X) for float64 exponents X in [-6, 16], exactly, as the
-    pair (p, e): p = fl(a * 10^(16 - X)) and p + e == a * 10^(16 - X)
+def _times_pow10(a, i, powers):
+    """a * 10^(16 - X) for indices i = X + 6 in [0, 23], exactly, as the
+    pair (p, e): p = fl(a * 10^(16 - X)) and p + e is the exact product
     (Dekker's TwoProduct; no FMA needed)."""
-    pow10, pow10_hi, pow10_lo = tables[:3]
-    q = (16 - X).astype(np.intp)
-    b, b_hi, b_lo = pow10[q], pow10_hi[q], pow10_lo[q]
+    b, b_hi, b_lo = powers.take(i, axis=1)
     t = a * _SPLIT
-    a_hi = t - (t - a)
-    a_lo = a - a_hi
+    a_hi = t - a
+    np.subtract(t, a_hi, out=a_hi)
+    a_lo = np.subtract(a, a_hi, out=t)
     p = a * b
-    return p, a_hi * b_hi - p + a_hi * b_lo + a_lo * b_hi + a_lo * b_lo
+    # e = a_hi b_hi - p + a_hi b_lo + a_lo b_hi + a_lo b_lo, in that order
+    e = np.multiply(a_hi, b_hi, out=b)
+    e -= p
+    a_hi *= b_lo
+    e += a_hi
+    b_hi *= a_lo
+    e += b_hi
+    a_lo *= b_lo
+    e += a_lo
+    return p, e
 
 
 def _g17(x, tables):
-    """The ``'%.17g'`` text of each value of the float64 vector x, in the
-    slot layout of ``_SLOT``: (chars, mask, slow), where chars[i] holds the
-    17 digit characters of x[i] and mask[i] the slot columns of its text.
-    The values at the indices ``slow`` (non-finite, or with a decimal
-    exponent outside [-6, 16]) are left to the caller.
+    """The ``'%.17g'`` text of each value of the float64 vector x, as
+    (text, cls, slow): per value five uint32 of text, "000" and the leading
+    digit then the four groups of the other 16 digits; each value's row in
+    the mask table; and the indices of the values left to the caller
+    (non-finite, or with a decimal exponent outside [-6, 16]).
 
     For a nonzero x with decimal exponent X in [-6, 16], |x| * 10^(16 - X)
     lies in [1e16, 1e17) and 10^(16 - X) is an exact double, so the exact
     product p + e gives the 17 significant digits D = p + rint(e): p is an
     even integer (it is above 2^53), and rint rounds half to even as dtoa
-    does.  X starts from floor(log10 |x|), which can be off by one; the
-    exact product against 1e16 and 1e17 corrects it.  No D rounds up to
-    10^17, a carry into the next exponent: that takes a double less than
-    5e-18 relative below a power of ten.  The doubles next to 10^0 ... 10^17
-    are 1.1e-16 relative away or more, and the largest doubles below the
-    inexact powers 10^-5 ... 10^-1 are 8.3e-17 away or more.
+    does.  No D rounds up to 10^17, a carry into the next exponent: that
+    takes a double less than 5e-18 relative below a power of ten.  The
+    doubles next to 10^0 ... 10^17 are 1.1e-16 relative away or more, and
+    the largest doubles below the inexact powers 10^-5 ... 10^-1 are
+    8.3e-17 away or more.
+
+    X is first taken from log10 of |x| clamped to [1e-6, 1e17], and can be
+    one off, so that D < 10^16 or D >= 10^17; a clamped value gives D = 0
+    (inf, >= 1e17) or D = 10^16 (zero, nan, below 1e-6).  The few values
+    whose D rounded to a double is at most 10^16 or at least 10^17 are
+    taken again from the exact X.
     """
-    text, counts, masks = tables[3:]
+    powers, words, _ = tables
     n = len(x)
     a = np.abs(x)
-    slow = ~(a < 1e17)  # nan, inf and the magnitudes above the range
-    zero = a == 0.0
-    a[slow | zero] = 1.0
+    np.fmax(a, 1e-6, out=a)  # zero and nan too
+    np.fmin(a, 1e17, out=a)  # inf too: its index is 23, whose power is 0
     X = np.log10(a)
-    np.clip(np.floor(X, out=X), -6, 16, out=X)
-    p, e = _times_pow10(a, X, tables)
-    # the sign of p + e - 1e16 and of p + e - 1e17: each difference with p
-    # is exact where it is small (Sterbenz), and the sum keeps its sign
-    below = (p - 1e16) + e < 0
-    above = (p - 1e17) + e >= 0  # never at X = 16: a < 1e17
-    slow |= below & (X == -6)  # a decimal exponent below -6
-    fix = np.flatnonzero((below | above) & ~slow)
-    if fix.size:
-        X[fix] += np.where(above[fix], 1.0, -1.0)
-        p[fix], e[fix] = _times_pow10(a[fix], X[fix], tables)
-    # D = p + rint(e) as its leading digit and eight pairs of digits, one
-    # row each, in float64: every step below is exact
-    digits = np.empty((9, n))
-    hi = np.floor(p / 1e8)  # can be one off, so lo can leave [0, 1e8)
-    lo = p - hi * 1e8
-    lo += np.rint(e)
-    off = np.floor(lo / 1e8)  # -1, 0 or 1
-    hi += off
-    lo -= off * 1e8
-    np.floor(hi / 1e8, out=digits[0])
-    hi -= digits[0] * 1e8
-    fours = np.empty((4, n))
-    np.floor(hi / 1e4, out=fours[0])
-    np.subtract(hi, fours[0] * 1e4, out=fours[1])
-    np.floor(lo / 1e4, out=fours[2])
-    np.subtract(lo, fours[2] * 1e4, out=fours[3])
-    np.floor(fours / 100, out=digits[1::2])
-    np.subtract(fours, digits[1::2] * 100, out=digits[2::2])
-    digits = digits.astype(np.intp)
-    chars = text.take(digits.T).view(np.uint8)[:, 1:]
-    chars[zero, 0] = 48  # a zero went through as 1: the single digit 0
-    # the significant digit count: the largest count over the pairs
-    digits[1:] += np.arange(0, 800, 100)[:, None]
-    k = counts.take(digits[1:]).max(axis=0)
-    mask = masks.take(((X + 6) * 18 + k).astype(np.intp), axis=0)
-    mask[:, 0] = np.signbit(x)
-    return chars, mask, np.flatnonzero(slow)
+    X += 6.0
+    i = X.astype(np.intp)  # truncates: X + 6 >= 0 but for roundoff
+    p, e = _times_pow10(a, i, powers)
+    r = np.rint(e)
+    D = np.add(p, r, dtype=np.int64, casting="unsafe")
+    r += p  # D rounded to a double: at most 10^16 or at least 10^17 with D
+    r -= 5.5e16
+    recheck = np.flatnonzero(np.abs(r, out=r) >= 4.5e16)
+    slow = recheck[:0]
+    if recheck.size:
+        xr, pr, er, ir = x[recheck], p[recheck], e[recheck], i[recheck]
+        zero = xr == 0.0
+        # the sign of p + e - 1e16 and of p + e - 1e17: each difference with
+        # p is exact where it is small (Sterbenz), and the sum keeps its sign
+        below = (pr - 1e16) + er < 0
+        above = (pr - 1e17) + er >= 0  # never at X = 16: a < 1e17
+        out = ~(np.abs(xr) < 1e17) | below & (X[recheck] < 1.0) & ~zero
+        ir += above.view(np.uint8)
+        ir -= below.view(np.uint8)
+        ir[zero | out] = 6
+        i[recheck] = ir
+        pr, er = _times_pow10(np.where(zero | out, 1.0, np.abs(xr)), ir, powers)
+        D[recheck] = np.add(pr, np.rint(er), dtype=np.int64, casting="unsafe")
+        D[recheck[zero]] = 0
+        slow = recheck[out]
+    # D as its leading digit and four groups: two 8-digit halves first,
+    # in the second column of each pair of groups
+    groups = np.empty((5, n), np.int64)
+    pairs = groups[1:].reshape(2, 2, n)
+    nine = D // 10**8
+    np.subtract(D, nine * 10**8, out=pairs[1, 1])
+    np.floor_divide(nine, 10**8, out=groups[0])
+    np.subtract(nine, groups[0] * 10**8, out=pairs[0, 1])
+    np.floor_divide(pairs[:, 1], 10**4, out=pairs[:, 0])
+    pairs[:, 1] -= pairs[:, 0] * 10**4
+    found = words.take(groups).view(np.uint8).reshape(5, n, 8)
+    cls = i * 36
+    cls += np.diagonal(found[1:, :, 4:], axis1=0, axis2=2).max(axis=1)
+    cls += np.signbit(x).view(np.uint8)
+    return found[..., :4].view(np.uint32)[..., 0], cls, slow
+
+
+class CsvRows:
+    """The fixed column layout of the CSV rows of a table of ``columns``
+    values per row, with each row's prefix text in place.
+
+    ``write`` writes row i as its prefix, the next lengths[i] bytes of
+    ``prefix`` (the rows' prefixes concatenated), then the values of row i
+    as ``'%.17g'`` formats them, joined by ',' and ended by CRLF: what
+    ``csv.writer`` writes for these strings.
+    """
+
+    def __init__(self, prefix, lengths, columns):
+        lengths = np.asarray(lengths, np.intp)
+        longest = int(lengths.max(initial=0))
+        self._wp = wp = longest + (-_HEAD - longest) % 4  # wp + _HEAD = 0 mod 4
+        self._width = wp + _WIDTH * columns + (-_WIDTH * columns - wp) % 4
+        # the prefixes, right-aligned, and the prefix columns of the row mask
+        # by prefix length, each row one void item, so that a block's rows
+        # copy in one strided loop
+        by_length = np.arange(wp - 1.0, -1.0, -1.0) < np.arange(wp + 1.0)[:, None]
+        head = np.zeros((len(lengths), wp), np.uint8)
+        head[by_length.take(lengths, axis=0)] = np.frombuffer(prefix, np.uint8)
+        self._head, self._lengths = head.view(f"V{wp}"), lengths
+        self._head_masks = by_length.view(f"V{wp}")[:, 0]
+        self._slots = np.frombuffer(_SLOT * columns, np.uint8).reshape(
+            columns, _WIDTH).copy()
+        self._slots[:-1, _ENDS] = ord(",")
+
+    def write(self, fh, values):
+        """Write the rows of the float64 array ``values`` (of this layout's
+        shape) to the binary file fh, CSV_BLOCK_ROWS // columns at a time."""
+        n, c = values.shape
+        from ._csvtables import TABLES as tables  # built on the first write
+
+        wp, width = self._wp, self._width
+        rows = max(1, min(n, CSV_BLOCK_ROWS // c))
+        buf = np.zeros((rows, width), np.uint8)
+        mask = np.zeros((rows, width), bool)
+        body = buf[:, wp:wp + _WIDTH * c].reshape(rows, c, _WIDTH)
+        mbody = mask[:, wp:wp + _WIDTH * c].reshape(rows, c, _WIDTH)
+        # the slots' fixed text, left in place but where a fallback text goes
+        body.view(f"V{_WIDTH}")[..., 0] = self._slots.view(f"V{_WIDTH}")[:, 0]
+        head, head_mask = buf[:, :wp].view(f"V{wp}"), mask[:, :wp].view(f"V{wp}")
+        slot_masks = mask[:, wp:wp + _WIDTH * c].view(f"V{_WIDTH}")
+        words = buf.view(np.uint32)[:, (wp + _HEAD) // 4 - 1:]
+        lead = words[:, 0:_WIDTH * c // 4:_WIDTH // 4]  # "000" and the lead digit
+        both = np.lib.stride_tricks.as_strided(  # the two copies of the groups
+            words[:, 1:], shape=(rows, c, 2, 4), strides=(width, _WIDTH, _TAIL - _HEAD, 4))
+        for start in range(0, n, rows):
+            k = min(rows, n - start)
+            b, m = buf[:k], mask[:k]
+            head[:k] = self._head[start:start + k]
+            head_mask[:k, 0] = self._head_masks.take(self._lengths[start:start + k])
+            x = values[start:start + k].reshape(-1)
+            text, cls, slow = _g17(x, tables)
+            lead[:k] = text[0].reshape(k, c)
+            both[:k] = text[1:].T.reshape(k, c, 1, 4)
+            if slow.size:
+                r, j = np.divmod(slow, c)
+                texts = [b"%.17g" % v for v in x[slow].tolist()]
+                cls[slow] = _CLASSES + np.array([len(t) for t in texts])
+                body[r, j, :_FALLBACK] = np.frombuffer(
+                    b"".join(t.ljust(_FALLBACK) for t in texts), np.uint8
+                ).reshape(-1, _FALLBACK)
+            slot_masks[:k] = tables[2].take(cls, axis=0).reshape(k, c)
+            if c > 1:  # "," ends all but the last slot, in one column
+                mbody[:k, :-1, [e + 1 for e in _ENDS]] = False
+            fh.write(b[m])
+            if slow.size:
+                body[r, j] = self._slots[j]
 
 
 def write_csv_rows(fh, values, prefix, lengths):
-    """Write CSV rows of ``'%.17g'`` text to the binary file fh.
-
-    Row i is its prefix, the next lengths[i] bytes of ``prefix`` (the rows'
-    prefixes, concatenated), then the values of row i of the 2-D float64
-    array ``values`` as ``'%.17g'`` formats them, joined by ',' and ended by
-    CRLF: what ``csv.writer`` writes for these strings.  ``_g17`` formats a
-    block of about CSV_BLOCK_ROWS values at a time into one buffer with a
-    fixed column layout per row (the prefix, padded to the longest, then one
-    ``_SLOT`` per value and CRLF); one masked compress of the buffer then
-    yields the block's text.  Values outside ``_g17``'s range are formatted
-    by ``'%.17g' %`` into their slots.
-    """
-    n, c = values.shape
-    if n == 0:
-        return
-    tables = _g17_tables()
-    lengths = np.asarray(lengths)
-    text = np.frombuffer(prefix, np.uint8)
-    at = 0  # where the block's prefixes start in text
-    wp, ws = int(lengths.max()), len(_SLOT)
-    slots = slice(wp, wp + ws * c)
-    template = np.frombuffer(bytes(wp) + _SLOT * c + b"\r\n", np.uint8)
-    rows = min(n, max(1, CSV_BLOCK_ROWS // c))
-    buf = np.empty((rows, len(template)), np.uint8)
-    mask = np.zeros(buf.shape, bool)
-    mask[:, wp + _BODY:slots.stop - 1:ws] = True  # separators
-    mask[:, -2:] = True  # CRLF
-    width = max(wp, _BODY)
-    heads = np.arange(width + 1.0)[:, None] > np.arange(width)  # row i: i columns
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        b, m = buf[:stop - start], mask[:stop - start]
-        b[:] = template
-        lens = lengths[start:stop]
-        m[:, :wp] = own = heads[:, :wp].take(lens, axis=0)
-        size = int(lens.sum())
-        b[:, :wp][own] = text[at:at + size]
-        at += size
-        x = values[start:stop].reshape(-1)
-        chars, vmask, slow = _g17(x, tables)
-        # views: the split last axis is contiguous, so these write into buf
-        body = b[:, slots].reshape(len(b), c, ws)
-        mbody = m[:, slots].reshape(len(b), c, ws)
-        chars = chars.reshape(len(b), c, 17)
-        body[:, :, _LEAD:_POINT] = chars
-        body[:, :, _TAIL:_TAIL + 17] = chars
-        mbody[:, :, :_BODY] = vmask.reshape(len(b), c, _BODY)
-        if slow.size:
-            r, j = np.divmod(slow, c)
-            texts = [b"%.17g" % v for v in x[slow].tolist()]
-            body[r, j, :_BODY] = np.frombuffer(
-                b"".join(t.ljust(_BODY) for t in texts), np.uint8).reshape(-1, _BODY)
-            mbody[r, j, :_BODY] = heads[[len(t) for t in texts], :_BODY]
-        fh.write(b[m])
+    """``CsvRows(prefix, lengths, values.shape[1]).write(fh, values)``: the
+    rows of the 2-D float64 array ``values`` to the binary file fh."""
+    CsvRows(prefix, lengths, values.shape[1]).write(fh, values)

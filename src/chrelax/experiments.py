@@ -16,6 +16,7 @@ study keeps a running phase range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,7 +32,6 @@ from .norms import (
     contdep_lhs,
     contdep_rhs,
     fit_rate,
-    record_count,
 )
 from .potentials import SplitPotential, YosidaParams
 from .stepper import run
@@ -95,14 +95,9 @@ def _run_scenario(sc, params=None, scheme=None, controls=None, observe=None):
 
 
 def _reference(sc):
-    """An empty ReferenceSeries on the scenario's record schedule, which
-    must be uniform: the study norms weight every record interval alike."""
-    nsteps = int(round(sc.T / sc.scheme.dt))
-    every = sc.scheme.record_every
-    if nsteps % every:
-        raise InvalidParams(f"the studies need time.record_every = {every} "
-                            f"to divide the {nsteps} steps of T/dt")
-    return ReferenceSeries(sc.grid, sc.scheme.dt, every, record_count(nsteps, every))
+    """An empty ReferenceSeries on the scenario's record schedule."""
+    return ReferenceSeries(sc.grid, sc.scheme.dt, sc.scheme.record_every,
+                           int(round(sc.T / sc.scheme.dt)))
 
 
 def _stream_against(sc, ref, **changes):
@@ -173,8 +168,19 @@ def sweep_alpha(cfg):
         verdicts=verdicts,
         notes=["newton iterations (total/max per step): " + ", ".join(
             f"{name} {int(t.newton_iters.sum())}/{int(t.newton_iters.max())}"
-            for name, t in runs)],
+            for name, t in runs), _local_slopes(rows)],
     )
+
+
+def _local_slopes(rows):
+    """The note of the slopes of log composite against log alpha between
+    neighbouring rungs, coarse to fine: where they settle is where the
+    ladder's asymptotic regime starts, which the global fit blurs."""
+    slopes = [
+        f"{a:g}-{b:g} {math.log(c / d) / math.log(a / b):.3f}" if c > 0 and d > 0
+        else f"{a:g}-{b:g} n/a"
+        for (a, *_, c), (b, *_, d) in zip(rows, rows[1:])]
+    return "local slopes between neighbouring rungs: " + (", ".join(slopes) or "none")
 
 
 def sweep_eps(cfg):

@@ -23,10 +23,10 @@ by Richardson sweeps when the shift is near constant, by the conjugate
 gradients of ``solve_spd`` otherwise (the rule is stated in
 ``_shifted_cg``).
 
-Fields are written as CSV by ``_csvtext.write_csv_rows``, an exact
-vectorised ``'%.17g'`` writer: values with a decimal exponent in [-6, 16]
-(1e-6 <= |u| < 1e17) and +-0 take its kernel, the rest (non-finite or out
-of range) ``'%.17g' %`` one at a time.
+Fields are written as CSV by ``_csvtext.CsvRows``, an exact vectorised
+``'%.17g'`` writer whose row layout each grid builds once: values with a
+decimal exponent in [-6, 16] (1e-6 <= |u| < 1e17) and +-0 take its
+kernel, the rest (non-finite or out of range) ``'%.17g' %`` one at a time.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class Grid:
             (int(np.prod(n[ax + 1:])), h, n[ax] if ax == 1 else 0)
             for ax, h in enumerate(self.h))
         self._coordinates = None  # built on first use
-        self._csv_prefix = None  # built on the first dump
+        self._csv_rows = None  # the CSV row layout, built on the first dump
         self._cosine = None  # built on the first cosine solve
         self._denoms = {}  # (shift, scale) -> cosine_solve's divisor
 
@@ -416,19 +416,19 @@ class Grid:
 
         The bytes are those of ``csv.writer`` given each coordinate and
         value as ``'%.17g'`` formats it (CRLF line ends, no quoting: no
-        number needs it).  The values go through
-        ``_csvtext.write_csv_rows``, whose vectorised kernel formats every
-        value with a decimal exponent in [-6, 16] (1e-6 <= |u| < 1e17, and
-        +-0) and leaves the others to ``'%.17g' %``, one at a time.  A field
-        of another real dtype is written as its float64 values, as
-        ``'%.17g'`` formats its elements.  The coordinate text is formatted
+        number needs it).  The values go through ``_csvtext.CsvRows``, whose
+        vectorised kernel formats every value with a decimal exponent in
+        [-6, 16] (1e-6 <= |u| < 1e17, and +-0) and leaves the others to
+        ``'%.17g' %``, one at a time.  A field of another real dtype is
+        written as its float64 values, as ``'%.17g'`` formats its elements.
+        The row layout, with the coordinate text of every row, is built
         once per grid, on the first dump.
         """
-        from ._csvtext import write_csv_rows  # compiled on the first write
+        from ._csvtext import CsvRows  # compiled on the first write
 
         self.check(u)
         u = u.astype(np.float64, casting="same_kind", copy=False)
-        if self._csv_prefix is None:
+        if self._csv_rows is None:
             axes = [[b"%.17g," % c for c in axis.tolist()] for axis in self._centres()]
             if self.dim == 1:
                 (xs,) = axes
@@ -438,10 +438,10 @@ class Grid:
                 text = b"".join(x.join([b""] + ys) for x in xs)
                 lengths = np.add.outer([len(x) for x in xs],
                                        [len(y) for y in ys]).reshape(-1)
-            self._csv_prefix = (text, lengths)
+            self._csv_rows = CsvRows(text, lengths, 1)
         with open(path, "wb") as fh:
             fh.write(b"x,value\r\n" if self.dim == 1 else b"x,y,value\r\n")
-            write_csv_rows(fh, u.reshape(-1, 1), *self._csv_prefix)
+            self._csv_rows.write(fh, u.reshape(-1, 1))
 
     def load_field(self, path):
         """Read a field previously written by dump_field."""

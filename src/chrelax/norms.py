@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFit, ScheduleMismatch
+from .errors import DegenerateFit, InvalidParams, ScheduleMismatch
 
 STREAM_BLOCK = 64  # record points a CompositeStream reduces at a time
 
@@ -51,16 +51,22 @@ def record_count(nsteps, record_every):
 
 
 class ReferenceSeries:
-    """mu, phi and sigma of a reference run at its npoints record points,
-    record_every steps of dt apart, stacked (npoints, 3, ncells) and filled
-    one record point per call, so a run can stream into it through
-    ``run(observe=...)``.  It is the schedule a CompositeStream runs on.
-    A state of another grid raises GridMismatch."""
+    """mu, phi and sigma of a reference run of nsteps steps of dt at its
+    record points, every record_every-th step, stacked (npoints, 3, ncells)
+    and filled one record point per call, so a run can stream into it
+    through ``run(observe=...)``.  It is the schedule a CompositeStream runs
+    on.  A stride that does not divide nsteps raises InvalidParams: the
+    norms weight every record interval alike.  A state of another grid
+    raises GridMismatch."""
 
-    def __init__(self, grid, dt, record_every, npoints):
+    def __init__(self, grid, dt, record_every, nsteps):
+        if nsteps % record_every:
+            raise InvalidParams(
+                f"the space-time norms need record_every = {record_every} to "
+                f"divide the {nsteps} steps of the run")
         self.grid = grid
         self.dt = dt * record_every  # time between record points
-        self.rows = np.empty((npoints, 3, grid.ncells))
+        self.rows = np.empty((record_count(nsteps, record_every), 3, grid.ncells))
         self.count = 0
 
     def __call__(self, state):

@@ -151,14 +151,6 @@ class SplitPotential:
         out = np.where(inside, val, np.inf)
         return _like(r, out)
 
-    def f2(self, r):
-        a = _as_array(r)
-        if self.kind == "regular":
-            return _like(r, 0.25 - 0.5 * a * a)
-        if self.kind == "logarithmic":
-            return _like(r, -self.k1 * a * a)
-        return _like(r, self.k2 * (1.0 - a * a))
-
     def f2_prime(self, r):
         a = _as_array(r)
         if self.kind == "regular":

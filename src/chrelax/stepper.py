@@ -28,10 +28,8 @@ at step 1, 2 phi_1 - phi_0 at step 2, 3 phi_2 - 3 phi_1 + phi_0 at step
   4 phi_n - 6 phi_{n-1} + 4 phi_{n-2} - phi_{n-3},
 
 which is exact on cubics in the step index.  (A five-point start, exact
-on quartics, amplifies roundoff: on the 1-D logarithmic benchmark run
-(seed 0) it took 2135 Newton iterations and 5294 phase cosine solves,
-against 2008 and 2680 from four points.)  An alpha = 0 run switches at
-step 5 to
+on quartics, amplifies roundoff and is not used; CHANGES.md records the
+counts.)  An alpha = 0 run switches at step 5 to
 
   phi_n + 2 (phi_{n-1} - phi_{n-2}) - (phi_{n-3} - phi_{n-4}),
 
@@ -52,9 +50,8 @@ transform.  A per-cell shift is solved iteratively, preconditioned with
 the cosine solve at mean(shift), by Richardson sweeps or conjugate
 gradients (``Grid._shifted_cg`` states the rule).  From the four-point
 start the first residual lies close enough to tol that eta exceeds the
-Richardson spread, and most corrections take one cosine solve: 1505 of
-2008 on the 1-D logarithmic benchmark run (seed 0), against 15 of 2025
-from the three-point start.  The linear substeps are solved to cg_tol,
+Richardson spread, so that a correction can take a single cosine solve
+(CHANGES.md records how many do).  The linear substeps are solved to cg_tol,
 in increment form (unknown minus its previous value), which keeps the
 absolute residual, and with it the drift of the conserved quantities,
 far below the relative tolerance.
@@ -364,7 +361,10 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
     for non-finite values; substep failures propagate with the step, the
     substep (phi, mu or sigma) and the solver residual in the message and
     as ``step``/``substep`` attributes.  The run is deterministic:
-    identical inputs produce bit-identical trajectories.
+    identical inputs produce bit-identical trajectories on one host, numpy
+    build and SIMD dispatch, whatever the number of BLAS threads; across
+    numpy's SIMD dispatch levels they agree within the bound of the
+    committed solution fingerprint, not bit for bit.
 
     The Trajectory keeps only the initial and the final state.  A caller
     that needs the record points passes ``observe``: ``observe(state)``
@@ -382,20 +382,18 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
     potential step sets mu' from -(phi' - phi)/(dt P), so on smooth modes
     each phase increment feeds into the next with a factor of about
     -1/(tau P): the limit scheme is smooth only while tau P stays well
-    above 1.  On the ``alpha-ladder`` benchmark config (seed 0: n = 64,
-    dt = 1e-3, tau = 1, constant P = p0) the increments are smooth at
-    tau p0 = 2.  At tau p0 = 1, the benchmark's own setting, they form a
-    bounded sawtooth, alternating between about 8e-4 and 2e-4 late in the
-    run.  The alpha = 0 phase Newton starts from an extrapolation that
-    follows that sawtooth, so nearly every step there takes one Newton
-    iteration (508 in 500 steps); the polynomial start of alpha > 0 runs
-    would take two at every step.  The start moves only the Newton's first
+    above 1.  At tau P near 1 they form a bounded period-2 sawtooth.  The
+    alpha = 0 phase Newton starts from an extrapolation that follows that
+    sawtooth as well as the smooth trend, so that such a step can end
+    after one Newton iteration.  The start moves only the Newton's first
     iterate: the scheme, phi -> mu -> sigma as the paper states it, and
-    with it the sawtooth, stay as they are.  At tau p0 = 0.5 the increments
-    double and flip sign at every step, and the run raises SchemeUnstable
-    (at step 9 there) once its phase increments have grown and reversed
-    direction for UNSTABLE_STEPS steps in a row, instead of letting them
-    grow until the resolvent fails.
+    with it the sawtooth, stay as they are.  Where the increments grow
+    instead (tau P = 0.5 doubles them and flips their sign at every
+    step), the run raises SchemeUnstable once its phase increments have
+    grown and reversed direction for UNSTABLE_STEPS steps in a row,
+    instead of letting them grow until the resolvent fails.  CHANGES.md
+    records the iteration counts and failing steps measured on the
+    benchmark configs.
     """
     problems = validate(params, potential, init, controls, grid)
     if problems:

@@ -5,6 +5,8 @@ run on deliberately tiny scenarios and the assertions target structure,
 determinism, and the documented refusal conditions.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,20 @@ def test_sweep_alpha_rows_fit_and_composite():
         assert all(v >= 0.0 for v in row[1:])
     names = [v.name for v in report.verdicts]
     assert names == ["composite_nonincreasing", "rate_slope"]
+
+
+def test_sweep_alpha_notes_the_local_slopes():
+    cfg = tiny_config(**{
+        "time.T": 0.01, "study.alphas": [0.25, 0.125, 0.0625]})
+    report = sweep_alpha(cfg)
+    (a, *_, c), (b, *_, d), (e, *_, f) = report.rows
+    slopes = [math.log(c / d) / math.log(a / b), math.log(d / f) / math.log(b / e)]
+    assert report.notes[1] == (
+        "local slopes between neighbouring rungs: "
+        f"0.25-0.125 {slopes[0]:.3f}, 0.125-0.0625 {slopes[1]:.3f}")
+    # the two-point fits are the global fit of a two-rung ladder
+    pair = sweep_alpha(tiny_config(**{"time.T": 0.01, "study.alphas": [0.25, 0.125]}))
+    assert pair.fit.slope == pytest.approx(slopes[0], rel=1e-12)
 
 
 # -- invariant battery ----------------------------------------------------------

@@ -324,6 +324,36 @@ def test_dump_field_bytes_match_csv_writer(tmp_path):
                 g.load_field(path).view(np.int64), u.view(np.int64))
 
 
+@pytest.mark.parametrize("grid", [Grid(3 * CSV_BLOCK_ROWS + 20),
+                                  Grid((3 * CSV_BLOCK_ROWS // 64 + 1, 64))])
+def test_dump_layout_keeps_no_state_between_dumps(grid, tmp_path):
+    # block b writes the fallback text of 5e-324, 1e300, nan and the kernel's
+    # -0.0 into its rows 4b to 4b + 3, where every other block holds values
+    # in range; then a field in range there, then the first field again
+    rng = np.random.default_rng(36)
+    blocks = -(-grid.ncells // CSV_BLOCK_ROWS)
+    assert blocks >= 3
+    rows = (np.arange(blocks)[:, None] * (CSV_BLOCK_ROWS + 4) + np.arange(4)).reshape(-1)
+    special = rng.standard_normal(grid.ncells)
+    special[rows] = np.tile([5e-324, 1e300, np.nan, -0.0], blocks)
+    plain = rng.standard_normal(grid.ncells)
+    for k, u in enumerate((special, plain, special)):
+        path = tmp_path / f"f{k}.csv"
+        grid.dump_field(u, path)
+        assert path.read_bytes() == csv_writer_dump(grid, u), k
+
+
+def test_grids_of_other_shapes_keep_their_own_layout(tmp_path):
+    rng = np.random.default_rng(37)
+    grids = [Grid(7), Grid((3, 4), length=(1.0, 0.3)), Grid(50), Grid((4, 3))]
+    for turn in range(2):
+        for g in grids:
+            u = rng.standard_normal(g.ncells)
+            path = tmp_path / f"f{turn}.csv"
+            g.dump_field(u, path)
+            assert path.read_bytes() == csv_writer_dump(g, u), g
+
+
 def percent_dump(grid, u):
     """The field file as a per-value writer writes it: each value through
     tolist() and then '%.17g' %."""

@@ -46,7 +46,7 @@ def stream_norms(grid, dt, rows, ref_rows, record_every=1):
 
 
 def stream_states(grid, dt, states, ref_states, record_every=1):
-    ref = ReferenceSeries(grid, dt, record_every, len(ref_states))
+    ref = ReferenceSeries(grid, dt, record_every, (len(ref_states) - 1) * record_every)
     for s in ref_states:
         ref(s)
     stream = CompositeStream(ref)

@@ -78,6 +78,16 @@ def test_domains_and_constants():
     assert obs.domain == (-1.0, 1.0)
 
 
+def concave_part(pot, r):
+    """F2 of the split F = F1 + F2, which the solver reads only through
+    ``f2_prime``."""
+    if pot.kind == "regular":
+        return 0.25 - 0.5 * r * r
+    if pot.kind == "logarithmic":
+        return -pot.k1 * r * r
+    return pot.k2 * (1.0 - r * r)
+
+
 def test_smooth_parts_closed_form():
     rng = np.random.default_rng(11)
     r = rng.uniform(-2.0, 2.0, size=64)
@@ -85,12 +95,18 @@ def test_smooth_parts_closed_form():
     log = SplitPotential.logarithmic(k1=2.0)
     obs = SplitPotential.obstacle(k2=1.5)
     np.testing.assert_allclose(reg.f1(r), r**4 / 4.0, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(reg.f2(r), 0.25 - r**2 / 2.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(concave_part(reg, r), 0.25 - r**2 / 2.0, rtol=0, atol=1e-15)
     np.testing.assert_allclose(reg.f2_prime(r), -r, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(log.f2(r), -2.0 * r**2, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(concave_part(log, r), -2.0 * r**2, rtol=0, atol=1e-15)
     np.testing.assert_allclose(log.f2_prime(r), -4.0 * r, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(obs.f2(r), 1.5 * (1.0 - r**2), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(concave_part(obs, r), 1.5 * (1.0 - r**2), rtol=0, atol=1e-15)
     np.testing.assert_allclose(obs.f2_prime(r), -3.0 * r, rtol=0, atol=1e-15)
+    # f2_prime is the derivative of F2: central differences of a quadratic
+    # are exact but for roundoff
+    h = 1e-3
+    for pot in (reg, log, obs):
+        slope = (concave_part(pot, r + h) - concave_part(pot, r - h)) / (2 * h)
+        np.testing.assert_allclose(pot.f2_prime(r), slope, rtol=0, atol=1e-10)
 
 
 def test_entropy_endpoint_values():

@@ -5,7 +5,7 @@ once, live here as reference copies (``tests/test_norms.py`` checks them
 against hand-computed oracles).  A ``CompositeStream`` fed against a
 ``ReferenceSeries``, by hand or by a run's observer, must match the
 stacked composites to 1e-12 relative, on block boundaries and on record
-schedules whose last interval is short.
+strides above one; a stride that does not divide the run is refused.
 """
 
 import math
@@ -18,6 +18,7 @@ import pytest
 from chrelax import (
     Grid,
     GridMismatch,
+    InvalidParams,
     ScheduleMismatch,
     SchemeUnstable,
     SeriesNorms,
@@ -128,7 +129,7 @@ def random_states(grid, rng, npoints):
 
 def reference(grid, states):
     """A ReferenceSeries filled with ``states``, one record point per step."""
-    ref = ReferenceSeries(grid, DT, 1, len(states))
+    ref = ReferenceSeries(grid, DT, 1, len(states) - 1)
     for s in states:
         ref(s)
     return ref
@@ -234,12 +235,18 @@ def test_streamed_runs_match_the_stacked_composites(record_every, monkeypatch):
     monkeypatch.setattr(norms_module, "STREAM_BLOCK", 2)
     params, pot, controls, init, g, T, scheme = small_scenario(
         **{"time.record_every": record_every})
+    if 10 % record_every:
+        # the last interval of the 10 steps would be short: the norms would
+        # weight it as a full one, so the reference refuses the stride
+        with pytest.raises(InvalidParams, match="record_every = 3 to divide the 10"):
+            ReferenceSeries(g, scheme.dt, record_every, 10)
+        return
     limit_params = replace(params, alpha=0.0)
     s_limit = observed(limit_params, pot, controls, init, g, T, scheme)
     s_alpha = observed(params, pot, controls, init, g, T, scheme)
     npoints = len(s_limit)
     assert npoints == record_count(10, record_every)
-    ref = ReferenceSeries(g, scheme.dt, record_every, npoints)
+    ref = ReferenceSeries(g, scheme.dt, record_every, 10)
     run(limit_params, pot, controls, init, g, T, scheme, observe=ref)
     assert ref.count == npoints
     stream = CompositeStream(ref)
@@ -275,7 +282,7 @@ def test_stream_rejects_runs_that_miss_the_reference_points(monkeypatch):
     with pytest.raises(ScheduleMismatch):
         long(states[0])
     # a reference that is still being filled cannot be compared against
-    partial = ReferenceSeries(g, DT, 1, 5)
+    partial = ReferenceSeries(g, DT, 1, 4)
     partial(states[0])
     monkeypatch.setattr(norms_module, "STREAM_BLOCK", 2)
     early = CompositeStream(partial)
@@ -292,7 +299,7 @@ def test_stream_and_reference_reject_states_of_another_grid(ncells):
     rng = np.random.default_rng(5)
     states = random_states(g, rng, 3)
     alien = State(*(rng.standard_normal(ncells) for _ in range(5)), t=DT)
-    ref = ReferenceSeries(g, DT, 1, 3)
+    ref = ReferenceSeries(g, DT, 1, 2)
     ref(states[0])
     with pytest.raises(GridMismatch, match=f"shape \\({ncells},\\)"):
         ref(alien)
@@ -311,23 +318,24 @@ def test_stream_and_reference_reject_states_of_another_grid(ncells):
 def test_stream_takes_its_schedule_from_the_reference():
     # a run of another horizon or record stride than the reference's run
     # records more or fewer points, and the stream refuses it
-    params, pot, controls, init, g, T, scheme = small_scenario()
-    ref = ReferenceSeries(g, scheme.dt, scheme.record_every, record_count(10, 3))
+    params, pot, controls, init, g, T, scheme = small_scenario(
+        **{"time.record_every": 5})
+    ref = ReferenceSeries(g, scheme.dt, scheme.record_every, 10)
     run(params, pot, controls, init, g, T, scheme, observe=ref)
-    with pytest.raises(ScheduleMismatch, match="more than the reference's 5"):
+    with pytest.raises(ScheduleMismatch, match="more than the reference's 3"):
         run(params, pot, controls, init, g, 2 * T, scheme,
             observe=CompositeStream(ref))
-    with pytest.raises(ScheduleMismatch, match="more than the reference's 5"):
+    with pytest.raises(ScheduleMismatch, match="more than the reference's 3"):
         run(params, pot, controls, init, g, T, replace(scheme, record_every=2),
             observe=CompositeStream(ref))
     short = CompositeStream(ref)
     run(params, pot, controls, init, g, T / 2, scheme, observe=short)
-    with pytest.raises(ScheduleMismatch, match="3 of the reference's 5"):
+    with pytest.raises(ScheduleMismatch, match="2 of the reference's 3"):
         short.finish()
     # the matching run is accepted, with the reference's record spacing
     same = CompositeStream(ref)
     run(params, pot, controls, init, g, T, scheme, observe=same)
-    assert same.dt == ref.dt == scheme.dt * 3
+    assert same.dt == ref.dt == scheme.dt * 5
     assert contdep_lhs(same.finish()) == 0.0
 
 
