@@ -1,16 +1,16 @@
 """Exact vectorised ``'%.17g'`` text for CSV rows: ``CsvRows``.
 
-The writer of field dumps and of the diagnostics CSV.  Its numbers are the
-text of ``'%.17g' % value`` byte for byte.  The kernel ``_g17`` takes the
-17 significant digits of |x| in [1e-6, 1e17) (and of +-0) as one int64
-from an exact product of x and a power of ten (Dekker 1971), rounded half
-to even as dtoa rounds (Gay 1990), and splits it by integer division into
-a leading digit and four groups of four digits, whose text comes from a
-table (``_csvtables``).  ``CsvRows`` lays a table's rows out once in fixed
-columns: each row's prefix, right-aligned, then one slot per value.  A
-mask picks the columns of each value's text, and one masked compress per
-block of rows yields the block's bytes.  Other values (non-finite, or
-outside that range) go through ``'%.17g' %`` one by one.
+The writer of field dumps: rows of a fixed prefix and one value.  Its
+numbers are the text of ``'%.17g' % value`` byte for byte.  The kernel
+``_g17`` takes the 17 significant digits of |x| in [1e-6, 1e17) (and of
++-0) as one int64 from an exact product of x and a power of ten (Dekker
+1971), rounded half to even as dtoa rounds (Gay 1990), and splits it by
+integer division into a leading digit and four groups of four digits,
+whose text comes from a table (``_csvtables``).  ``CsvRows`` lays the rows
+out once in fixed columns: each row's prefix, right-aligned, then the
+value's slot.  A mask picks the columns of each value's text, and one
+masked compress per block of rows yields the block's bytes.  Other values
+(non-finite, or outside that range) go through ``'%.17g' %`` one by one.
 
 The module is imported on the first write, not with the package: without
 cached bytecode, compiling it would add to every import of chrelax.
@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Rows of c values are formatted CSV_BLOCK_ROWS // c rows at a time, through
-# one text buffer and one mask of the rows' width; the kernel's temporaries
-# grow with the block too.  CHANGES.md records the time and memory measured.
+# Rows are formatted CSV_BLOCK_ROWS at a time, through one text buffer and
+# one mask of the rows' width; the kernel's temporaries grow with the block
+# too.  CHANGES.md records the time and memory measured.
 CSV_BLOCK_ROWS = 1024
 
 # Veltkamp's constant 2^27 + 1: a * _SPLIT splits a double into two halves
@@ -34,8 +34,8 @@ _SPLIT = 134217729.0
 # lead digit for a decimal exponent X in [-4, -1]; the sign, the digits up
 # to the point from the first copy, the point and the rest from the second
 # copy for X >= 0; the same with an exponent suffix for X in {-5, -6}.  Each
-# of these forms ends on its own line end, read as "," in all but a row's
-# last slot, so that a typical value's text is two or three runs of columns.
+# of these forms ends on its own line end, so that a typical value's text is
+# two or three runs of columns.
 # The lead digit, written with the three zeros before it, and the digit
 # groups of both copies are uint32 on 4-byte boundaries.
 _SLOT = (b"0.-0.000" + b"0" * 17 + b"\r\n " + b"." + b"0" * 16 + b"\r\n"
@@ -141,20 +141,20 @@ def _g17(x, tables):
 
 
 class CsvRows:
-    """The fixed column layout of the CSV rows of a table of ``columns``
-    values per row, with each row's prefix text in place.
+    """The fixed column layout of CSV rows of one value each, with each
+    row's prefix text in place.
 
     ``write`` writes row i as its prefix, the next lengths[i] bytes of
-    ``prefix`` (the rows' prefixes concatenated), then the values of row i
-    as ``'%.17g'`` formats them, joined by ',' and ended by CRLF: what
-    ``csv.writer`` writes for these strings.
+    ``prefix`` (the rows' prefixes concatenated), then value i as
+    ``'%.17g'`` formats it, ended by CRLF: what ``csv.writer`` writes for
+    these strings.
     """
 
-    def __init__(self, prefix, lengths, columns):
+    def __init__(self, prefix, lengths):
         lengths = np.asarray(lengths, np.intp)
         longest = int(lengths.max(initial=0))
         self._wp = wp = longest + (-_HEAD - longest) % 4  # wp + _HEAD = 0 mod 4
-        self._width = wp + _WIDTH * columns + (-_WIDTH * columns - wp) % 4
+        self._width = wp + _WIDTH + (-_WIDTH - wp) % 4
         # the prefixes, right-aligned, and the prefix columns of the row mask
         # by prefix length, each row one void item, so that a block's rows
         # copy in one strided loop
@@ -163,55 +163,41 @@ class CsvRows:
         head[by_length.take(lengths, axis=0)] = np.frombuffer(prefix, np.uint8)
         self._head, self._lengths = head.view(f"V{wp}"), lengths
         self._head_masks = by_length.view(f"V{wp}")[:, 0]
-        self._slots = np.frombuffer(_SLOT * columns, np.uint8).reshape(
-            columns, _WIDTH).copy()
-        self._slots[:-1, _ENDS] = ord(",")
 
     def write(self, fh, values):
-        """Write the rows of the float64 array ``values`` (of this layout's
-        shape) to the binary file fh, CSV_BLOCK_ROWS // columns at a time."""
-        n, c = values.shape
+        """Write the rows of the float64 vector ``values`` (one per row of
+        this layout) to the binary file fh, CSV_BLOCK_ROWS at a time."""
+        n = len(values)
         from ._csvtables import TABLES as tables  # built on the first write
 
         wp, width = self._wp, self._width
-        rows = max(1, min(n, CSV_BLOCK_ROWS // c))
+        rows = max(1, min(n, CSV_BLOCK_ROWS))
         buf = np.zeros((rows, width), np.uint8)
         mask = np.zeros((rows, width), bool)
-        body = buf[:, wp:wp + _WIDTH * c].reshape(rows, c, _WIDTH)
-        mbody = mask[:, wp:wp + _WIDTH * c].reshape(rows, c, _WIDTH)
-        # the slots' fixed text, left in place but where a fallback text goes
-        body.view(f"V{_WIDTH}")[..., 0] = self._slots.view(f"V{_WIDTH}")[:, 0]
+        slot_text = np.frombuffer(_SLOT, np.uint8)
+        slot = buf[:, wp:wp + _WIDTH]
+        slot[:] = slot_text  # left in place but where a fallback text goes
         head, head_mask = buf[:, :wp].view(f"V{wp}"), mask[:, :wp].view(f"V{wp}")
-        slot_masks = mask[:, wp:wp + _WIDTH * c].view(f"V{_WIDTH}")
+        slot_mask = mask[:, wp:wp + _WIDTH].view(f"V{_WIDTH}")
         words = buf.view(np.uint32)[:, (wp + _HEAD) // 4 - 1:]
-        lead = words[:, 0:_WIDTH * c // 4:_WIDTH // 4]  # "000" and the lead digit
+        lead = words[:, 0]  # "000" and the lead digit
         both = np.lib.stride_tricks.as_strided(  # the two copies of the groups
-            words[:, 1:], shape=(rows, c, 2, 4), strides=(width, _WIDTH, _TAIL - _HEAD, 4))
+            words[:, 1:], shape=(rows, 2, 4), strides=(width, _TAIL - _HEAD, 4))
         for start in range(0, n, rows):
             k = min(rows, n - start)
-            b, m = buf[:k], mask[:k]
             head[:k] = self._head[start:start + k]
             head_mask[:k, 0] = self._head_masks.take(self._lengths[start:start + k])
-            x = values[start:start + k].reshape(-1)
+            x = values[start:start + k]
             text, cls, slow = _g17(x, tables)
-            lead[:k] = text[0].reshape(k, c)
-            both[:k] = text[1:].T.reshape(k, c, 1, 4)
+            lead[:k] = text[0]
+            both[:k] = text[1:].T[:, None]
             if slow.size:
-                r, j = np.divmod(slow, c)
                 texts = [b"%.17g" % v for v in x[slow].tolist()]
                 cls[slow] = _CLASSES + np.array([len(t) for t in texts])
-                body[r, j, :_FALLBACK] = np.frombuffer(
+                slot[slow, :_FALLBACK] = np.frombuffer(
                     b"".join(t.ljust(_FALLBACK) for t in texts), np.uint8
                 ).reshape(-1, _FALLBACK)
-            slot_masks[:k] = tables[2].take(cls, axis=0).reshape(k, c)
-            if c > 1:  # "," ends all but the last slot, in one column
-                mbody[:k, :-1, [e + 1 for e in _ENDS]] = False
-            fh.write(b[m])
+            slot_mask[:k, 0] = tables[2].take(cls, axis=0)
+            fh.write(buf[:k][mask[:k]])
             if slow.size:
-                body[r, j] = self._slots[j]
-
-
-def write_csv_rows(fh, values, prefix, lengths):
-    """``CsvRows(prefix, lengths, values.shape[1]).write(fh, values)``: the
-    rows of the 2-D float64 array ``values`` to the binary file fh."""
-    CsvRows(prefix, lengths, values.shape[1]).write(fh, values)
+                slot[slow] = slot_text

@@ -21,6 +21,10 @@ from .config import build_scenario, parse_config
 from .errors import ChRelaxError, ConfigError
 from .stepper import run
 
+# diagnostics rows formatted per write; a small block keeps few of the rows'
+# Python floats and texts alive at once
+_DIAGNOSTIC_BLOCK_ROWS = 128
+
 
 class _UsageError(Exception):
     pass
@@ -63,17 +67,21 @@ def write_report(report, outdir):
 
 
 def _write_diagnostics(traj, outdir, digest):
-    # the rows csv.writer would write (CRLF, nothing to quote), each
-    # prefixed by its step number
-    from ._csvtext import write_csv_rows  # compiled on the first write
+    """Write the per-step time and mass series as CSV; returns the path.
 
+    Each row is the step number and the four values as ``'%.17g'`` formats
+    them: what ``csv.writer`` writes for these strings (CRLF, nothing to
+    quote).  Rows are formatted a block at a time.
+    """
     path = os.path.join(outdir, f"diagnostics_{digest}.csv")
     table = np.column_stack(
         (traj.step_times, traj.mass_phi, traj.mass_sigma, traj.mass_v))
-    steps = [b"%d," % k for k in range(len(table))]
     with open(path, "wb") as fh:
         fh.write(b"step,t,mass_phi,mass_sigma,mass_v\r\n")
-        write_csv_rows(fh, table, b"".join(steps), [len(s) for s in steps])
+        for start in range(0, len(table), _DIAGNOSTIC_BLOCK_ROWS):
+            block = table[start:start + _DIAGNOSTIC_BLOCK_ROWS].tolist()
+            fh.write(b"".join(b"%d,%.17g,%.17g,%.17g,%.17g\r\n" % (k, *row)
+                              for k, row in enumerate(block, start)))
     return path
 
 

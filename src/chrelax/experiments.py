@@ -34,7 +34,7 @@ from .norms import (
     fit_rate,
 )
 from .potentials import SplitPotential, YosidaParams
-from .stepper import run
+from .stepper import run, step_count
 
 MONOTONE_SLACK = 1e-12  # relative slack when checking nonincreasing ladders
 MONOTONE_FLOOR = 1e-13  # absolute floor; increases at roundoff level are ties
@@ -72,15 +72,6 @@ class StudyReport:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    r_min: float
-    r_max: float
-    xi_sup: float
-    margin: float
-    epsilon: float
-
-
 def _run_scenario(sc, params=None, scheme=None, controls=None, observe=None):
     return run(
         params if params is not None else sc.params,
@@ -97,7 +88,7 @@ def _run_scenario(sc, params=None, scheme=None, controls=None, observe=None):
 def _reference(sc):
     """An empty ReferenceSeries on the scenario's record schedule."""
     return ReferenceSeries(sc.grid, sc.scheme.dt, sc.scheme.record_every,
-                           int(round(sc.T / sc.scheme.dt)))
+                           step_count(sc.T, sc.scheme.dt))
 
 
 def _stream_against(sc, ref, **changes):
@@ -248,7 +239,7 @@ def contdep(cfg):
 
     base = _reference(sc)
     _run_scenario(sc, observe=base)
-    nsteps = int(round(sc.T / sc.scheme.dt))
+    nsteps = step_count(sc.T, sc.scheme.dt)
 
     def perturbed(delta):
         return Controls(
@@ -266,8 +257,14 @@ def contdep(cfg):
                 "dependence ratio is undefined"
             )
         rows.append((d, lhs, rhs, lhs / rhs))
+    if not any(r[1] for r in rows):
+        raise InvalidParams(
+            "the control perturbation leaves the solution unchanged on every "
+            "rung; the dependence ratio is undefined"
+        )
     ratios = [r[3] for r in rows]
-    spread = max(ratios) / min(ratios)
+    # a rung whose perturbation changes nothing makes the spread unbounded
+    spread = max(ratios) / min(ratios) if min(ratios) > 0.0 else math.inf
     verdicts = [
         Verdict("ratio_spread", spread <= 2.0, "<= 2", spread),
         _monotone_verdict("lhs_decreases", [r[1] for r in rows]),
@@ -309,25 +306,20 @@ def separation(cfg):
         )
 
     def measure(eps):
+        # the row (r_min, r_max, xi_sup, margin, epsilon) of one run
         seen = _PhaseRange()
         _run_scenario(sc, scheme=replace(sc.scheme, eps=eps), observe=seen)
-        return SeparationReport(
-            r_min=seen.r_min, r_max=seen.r_max, xi_sup=seen.xi_sup,
-            margin=min(1.0 + seen.r_min, 1.0 - seen.r_max), epsilon=eps,
-        )
+        return (seen.r_min, seen.r_max, seen.xi_sup,
+                min(1.0 + seen.r_min, 1.0 - seen.r_max), eps)
 
-    eps = sc.scheme.eps
-    base = measure(eps)
-    halved = measure(0.5 * eps)
-    margin_shift = abs(halved.margin - base.margin) / max(base.margin, 1e-300)
-    xi_growth = (halved.xi_sup - base.xi_sup) / max(base.xi_sup, 1e-300)
+    rows = [measure(sc.scheme.eps), measure(0.5 * sc.scheme.eps)]
+    (_, _, xi_sup, margin, _), (_, _, xi_sup_half, margin_half, _) = rows
+    margin_shift = abs(margin_half - margin) / max(margin, 1e-300)
+    xi_growth = (xi_sup_half - xi_sup) / max(xi_sup, 1e-300)
     verdicts = [
-        Verdict("margin", base.margin >= 1e-3, ">= 1e-3", base.margin),
+        Verdict("margin", margin >= 1e-3, ">= 1e-3", margin),
         Verdict("margin_stable", margin_shift <= 0.10, "<= 0.10", margin_shift),
         Verdict("xi_sup_stable", xi_growth <= 0.05, "<= 0.05", xi_growth),
-    ]
-    rows = [
-        (r.r_min, r.r_max, r.xi_sup, r.margin, r.epsilon) for r in (base, halved)
     ]
     return StudyReport(
         study="separation", digest=cfg.digest(),
@@ -379,10 +371,11 @@ def conservation_drift(cfg):
     return drift_mass, drift_sigma, t
 
 
-def dt_order(cfg, dts=(4e-3, 2e-3, 1e-3, 5e-4), dt_ref=1.25e-4, n=32, T=0.2):
-    """Observed self-convergence order of phi at the final time."""
+def dt_order(cfg):
+    """Observed self-convergence order of phi at the final time, over the
+    ladder dt = 4e-3 ... 5e-4 against a run at dt = 1.25e-4."""
     base = default_config().with_updates({
-        "grid.n": [n], "time.T": T, "time.dt": dt_ref,
+        "grid.n": [32], "time.T": 0.2, "time.dt": 1.25e-4,
         "potential.kind": "regular",
         "potential.epsilon": 1e-3,  # pinned so the ladder only varies dt
         "init.phi0.kind": "cosine_bump", "init.phi0.amplitude": 0.4,
@@ -398,16 +391,17 @@ def dt_order(cfg, dts=(4e-3, 2e-3, 1e-3, 5e-4), dt_ref=1.25e-4, n=32, T=0.2):
     sc_ref = build_scenario(base)
     phi_ref = _run_scenario(sc_ref).final.phi
     pts = []
-    for dt in dts:
+    for dt in (4e-3, 2e-3, 1e-3, 5e-4):
         sc = build_scenario(base.with_updates({"time.dt": dt}))
         phi = _run_scenario(sc).final.phi
         pts.append((dt, sc.grid.h_norm(phi - phi_ref)))
     return fit_rate(pts), pts
 
 
-def yosida_battery(seed=0, npoints=1000, eps_ladder=(1e-1, 1e-2, 1e-3)):
+def yosida_battery(seed=0, npoints=1000):
     """Worst violation of the envelope, Lipschitz, domination and
-    monotone-convergence properties over a random point battery."""
+    monotone-convergence properties over a random point battery, on the
+    ladder eps = 1e-1, 1e-2, 1e-3."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for pot in (SplitPotential.regular(), SplitPotential.logarithmic(2.0),
@@ -418,7 +412,7 @@ def yosida_battery(seed=0, npoints=1000, eps_ladder=(1e-1, 1e-2, 1e-3)):
             inner, np.clip(wide, -1.0, 1.0)])
         strict = wide if pot.kind == "regular" else inner
         gaps_prev = None
-        for eps in sorted(eps_ladder, reverse=True):
+        for eps in (1e-1, 1e-2, 1e-3):
             yp = YosidaParams(eps)
             x = np.asarray(pot.resolvent(pts, yp))
             lo, hi = pot.domain

@@ -215,15 +215,15 @@ class Grid:
 
     # -- linear solves ------------------------------------------------------
 
-    def solve_spd(self, apply, rhs, tol=1e-10, max_iter=None, precond=None):
+    def solve_spd(self, apply, rhs, tol=1e-10, max_iter=None, *, precond):
         """Preconditioned conjugate gradients for an SPD operator.
 
         ``apply`` maps a field to a field and must be symmetric positive
         definite in the discrete inner product.  Stops when the residual
         has dropped below ``tol`` relative to ``rhs``.  ``precond`` maps a
         residual to an approximate solution (an SPD approximate inverse).
-        Raises CgNoConvergence when the budget (default 10 * ncells + 50
-        iterations) runs out.
+        Raises CgNoConvergence when the operator loses definiteness and when
+        the budget (default 10 * ncells + 50 iterations) runs out.
 
         ``solve_shifted`` runs it on a per-cell shift too wide for
         Richardson sweeps (see ``_shifted_cg``).
@@ -237,7 +237,7 @@ class Grid:
         target_sq = (tol * bnorm) ** 2
         x = np.zeros_like(rhs)
         r = rhs.copy()
-        z = precond(r) if precond is not None else r
+        z = precond(r)
         p = z.copy()
         rz = float(r @ z)
         rr = float(r @ r)
@@ -256,8 +256,8 @@ class Grid:
             rr = float(r @ r)
             if rr <= target_sq:
                 return x
-            z = precond(r) if precond is not None else r
-            rz_new = rr if precond is None else float(r @ z)
+            z = precond(r)
+            rz_new = float(r @ z)
             p = z + (rz_new / rz) * p
             rz = rz_new
         raise CgNoConvergence(
@@ -406,7 +406,7 @@ class Grid:
             return self._cosine_divide(denom, r)
 
         x = self.solve_spd(lambda p: shift * p - scale * self.laplacian(p),
-                           rhs, tol, max_iter, precond)
+                           rhs, tol, max_iter, precond=precond)
         return x, count
 
     # -- I/O -----------------------------------------------------------------
@@ -438,10 +438,10 @@ class Grid:
                 text = b"".join(x.join([b""] + ys) for x in xs)
                 lengths = np.add.outer([len(x) for x in xs],
                                        [len(y) for y in ys]).reshape(-1)
-            self._csv_rows = CsvRows(text, lengths, 1)
+            self._csv_rows = CsvRows(text, lengths)
         with open(path, "wb") as fh:
             fh.write(b"x,value\r\n" if self.dim == 1 else b"x,y,value\r\n")
-            self._csv_rows.write(fh, u.reshape(-1, 1))
+            self._csv_rows.write(fh, u)
 
     def load_field(self, path):
         """Read a field previously written by dump_field."""

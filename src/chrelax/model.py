@@ -230,8 +230,8 @@ def validate(params, potential, init, controls, grid):
 
     An empty list means the setup satisfies every structural hypothesis the
     scheme needs (positivity of tau and chi, admissible initial phase range
-    for the constrained potentials, a strictly positive proliferation rate
-    whenever the parabolic limit is requested).
+    for the constrained potentials, and for the parabolic limit alpha = 0 a
+    proliferation rate bounded below by p0 > 0 with tau * p0 >= 1).
     """
     problems = []
     if not params.tau > 0.0:
@@ -240,10 +240,16 @@ def validate(params, potential, init, controls, grid):
         problems.append(f"chi must be positive, got {params.chi}")
     if params.alpha < 0.0:
         problems.append(f"alpha must be nonnegative, got {params.alpha}")
-    if params.alpha == 0.0 and not params.proliferation.lower_bound > 0.0:
+    p_min = params.proliferation.lower_bound
+    if params.alpha == 0.0 and not p_min > 0.0:
         problems.append(
             "the parabolic limit (alpha = 0) needs a proliferation rate bounded "
             "away from zero; use a constant P with p0 > 0"
+        )
+    elif params.alpha == 0.0 and params.tau * p_min < 1.0:
+        problems.append(
+            "the parabolic limit (alpha = 0) needs tau * min P >= 1, below which "
+            f"its phase increments grow; got tau * min P = {params.tau * p_min:.6g}"
         )
     fields = {
         "mu0": init.mu0.build(grid),

@@ -27,8 +27,11 @@ constant 1/eps.  It is evaluated through the resolvent r -> x solving
 which for the regular kind is a scalar cubic, started from its closed-form
 root and checked by Newton's residual test (see ``_solve_cubic``), for the
 logarithmic kind a scalar transcendental equation solved by safeguarded
-Newton, and for the obstacle kind the projection onto [-1, 1].  All
-operations act pointwise and accept floats or numpy arrays of any shape.
+Newton, and for the obstacle kind the projection onto [-1, 1].  The
+Newton solves take RESOLVENT_TOL as the tolerance of their residual
+x + eps s(x) - r and RESOLVENT_MAX_ITER updates as their budget, and raise
+NewtonDivergence when the budget runs out.  All operations act pointwise
+and accept floats or numpy arrays of any shape.
 
 The logarithmic resolvent can start warm.  Given ``near = (r0,
 F1'_eps(r0))`` at a nearby point r0, it starts from the linearisation
@@ -57,21 +60,20 @@ from .errors import InvalidParams, NewtonDivergence, OutsideSubdifferentialDomai
 LOG2X2 = 2.0 * np.log(2.0)
 
 
+# the resolvent's residual tolerance and Newton budget, for every kind
+RESOLVENT_TOL = 1e-12
+RESOLVENT_MAX_ITER = 100
+
+
 @dataclass(frozen=True)
 class YosidaParams:
-    """Regularisation weight plus the scalar Newton solve controls."""
+    """The regularisation weight eps of F1'_eps, positive and finite."""
 
     epsilon: float
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 100
 
     def __post_init__(self):
         if not (self.epsilon > 0.0 and np.isfinite(self.epsilon)):
             raise InvalidParams(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not (self.newton_tol > 0.0):
-            raise InvalidParams("newton_tol must be positive")
-        if self.newton_max_iter < 1:
-            raise InvalidParams("newton_max_iter must be at least 1")
 
 
 def _as_array(r):
@@ -168,24 +170,11 @@ class SplitPotential:
         domain of F1.  ``near`` is an optional start hint for the
         logarithmic kind (see the module docstring).
         """
-        return _like(r, self._resolve(_as_array(r), yp, near)[0])
-
-    def _resolve(self, a, yp, near):
-        # (J(a), F1'_eps(a)) from the solves that evaluate the section at
-        # J(a), the cubic and the warm entropy one; else (J(a), None)
-        eps = yp.epsilon
-        if self.kind == "obstacle":
-            return np.clip(a, -1.0, 1.0), None
-        if self.kind == "regular":
-            return _solve_cubic(a, eps, yp.newton_tol, yp.newton_max_iter)
-        warm = None if near is None else _entropy_near(a, eps, yp.newton_tol, near)
-        if warm is None:
-            return _solve_entropy(a, eps, yp.newton_tol, yp.newton_max_iter), None
-        return warm
+        return _like(r, self._evaluate(_as_array(r), yp, near)[0])
 
     def yosida_prime(self, r, yp):
         """F1'_eps(r) = (r - resolvent(r)) / eps, Lipschitz with constant 1/eps."""
-        return _like(r, self._root_and_prime(_as_array(r), yp)[1])
+        return _like(r, self._evaluate(_as_array(r), yp)[1])
 
     def yosida_curvature(self, r, yp):
         """Pointwise derivative of F1'_eps, used in the phase-step Jacobian.
@@ -194,37 +183,29 @@ class SplitPotential:
         slope of the piecewise-linear Yosida derivative (0 inside the
         interval, 1/eps outside).
         """
-        return self.yosida_parts(r, yp)[1]
-
-    def yosida_parts(self, r, yp, near=None):
-        """(F1'_eps(r), its derivative) from a single resolvent evaluation;
-        the same values as yosida_prime and yosida_curvature, or, from the
-        start hint ``near`` (see ``resolvent``), the same up to the
-        resolvent's tolerance."""
         a = _as_array(r)
-        x, fp = self._root_and_prime(a, yp, near)
-        curv = self._curvature_at(a, x, yp)
-        if isinstance(r, np.ndarray) and r.ndim:  # a field: no conversions
-            return fp, curv
-        return _like(r, fp), _like(r, curv)
+        return _like(r, self._curvature_at(a, self._evaluate(a, yp)[0], yp))
 
-    def _root_and_prime(self, a, yp, near=None):
-        # (J(a), F1'_eps(a)) for an array a.  With _curvature_at these are
-        # the pieces of yosida_parts; the phase step calls them apart, as it
-        # reads the curvature only where it solves a correction
-        x, fp = self._resolve(a, yp, near)
-        return x, self._prime_at(a, x, yp) if fp is None else fp
-
-    def _prime_at(self, a, x, yp):
-        # F1'_eps(a) given the resolvent x = J(a), where the solve did not
-        # evaluate it: the cold entropy solve and the obstacle projection
-        if self.kind == "logarithmic":
-            interior = np.abs(x) < 1.0
-            if interior.all():  # no cell on the bounds: the section itself
-                return _entropy_slope(x)
-            xs = np.where(interior, x, 0.0)
-            return np.where(interior, np.log1p(xs) - np.log1p(-xs), (a - x) / yp.epsilon)
-        return (a - x) / yp.epsilon
+    def _evaluate(self, a, yp, near=None):
+        # (J(a), F1'_eps(a)) for an array a from one resolvent solve, with
+        # near as in resolvent; the phase step calls it and _curvature_at
+        # apart, as it reads the curvature only where it solves a correction
+        eps = yp.epsilon
+        if self.kind == "regular":
+            return _solve_cubic(a, eps, RESOLVENT_TOL, RESOLVENT_MAX_ITER)
+        if self.kind == "obstacle":
+            x = np.clip(a, -1.0, 1.0)
+            return x, (a - x) / eps
+        if near is not None:
+            warm = _entropy_near(a, eps, RESOLVENT_TOL, near)
+            if warm is not None:
+                return warm
+        x = _solve_entropy(a, eps, RESOLVENT_TOL, RESOLVENT_MAX_ITER)
+        interior = np.abs(x) < 1.0
+        if interior.all():  # no cell on the bounds: the section itself
+            return x, _entropy_slope(x)
+        xs = np.where(interior, x, 0.0)
+        return x, np.where(interior, np.log1p(xs) - np.log1p(-xs), (a - x) / eps)
 
     def _curvature_at(self, a, x, yp):
         # derivative of F1'_eps at a given the resolvent x = J(a)
@@ -294,8 +275,8 @@ def _solve_cubic(r, eps, tol, max_iter):
     after at most one update.  Where 1.5 sqrt(3 eps) r is subnormal the
     start keeps only that product's bits: up to (4/(3 sqrt(3 eps)) + 1/2)
     times the smallest subnormal off, far inside tol."""
-    # cubes as products: within 1 ulp of x**3, and numpy's pow is slow on
-    # negative bases (300 us against 5 us for x*x*x at 4096 cells)
+    # cubes as products: within 1 ulp of x**3, and faster than numpy's pow
+    # on negative bases
     s = math.sqrt(3.0 * eps)
     x = (2.0 / s) * np.sinh(np.arcsinh((1.5 * s) * r) / 3.0)
     for it in range(max_iter + 1):

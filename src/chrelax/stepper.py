@@ -202,7 +202,7 @@ def step_phi(state, params, potential, scheme, grid, guess=None, *, xi_guess=Non
     tol = max(scheme.newton_tol, floor)
 
     def residual(z, near):
-        j, fp = potential._root_and_prime(z, yp, near)  # J(z), F1'_eps(z)
+        j, fp = potential._evaluate(z, yp, near)  # J(z), F1'_eps(z)
         return tau * (z - state.phi) / dt - grid.laplacian(z) + fp - g, j, fp
 
     x = np.asarray(state.phi if guess is None else guess, dtype=float)
@@ -273,7 +273,7 @@ def _proliferation(state, phi_next, params):
             state.sigma + params.chi * (1.0 - phi_next))
 
 
-def step_mu(state, phi_next, params, scheme, u1, grid, prolif=None):
+def step_mu(state, phi_next, params, scheme, u1, grid, prolif):
     """Implicit potential update for any alpha >= 0; returns (mu_next, v_next).
 
     The unknown is the increment of v in the SPD system
@@ -283,13 +283,12 @@ def step_mu(state, phi_next, params, scheme, u1, grid, prolif=None):
     equation (-lap + P) mu' = P (sigma + chi(1 - phi')) - h u1
     - (phi' - phi)/dt, so mu' does not depend on v; P must then be bounded
     away from zero or the operator degenerates on constants.  ``prolif``
-    is ``_proliferation(state, phi_next, params)``, evaluated here when not
-    given.
+    is ``_proliferation(state, phi_next, params)``.
     """
     dt, alpha = scheme.dt, params.alpha
     if not alpha >= 0.0:
         raise InvalidParams(f"step_mu needs alpha >= 0, got {alpha}")
-    P, drive = _proliferation(state, phi_next, params) if prolif is None else prolif
+    P, drive = prolif
     if alpha == 0.0 and not np.min(P) > 0.0:
         raise InvalidParams(
             f"alpha = 0 potential step needs min P(phi) > 0, got {float(np.min(P))}")
@@ -310,7 +309,7 @@ def step_mu(state, phi_next, params, scheme, u1, grid, prolif=None):
 step_mu_limit = step_mu
 
 
-def step_sigma(state, phi_next, mu_next, params, scheme, u2, grid, prolif=None):
+def step_sigma(state, phi_next, mu_next, params, scheme, u2, grid, prolif):
     """Implicit nutrient update; returns sigma_next.
 
     Increment form of
@@ -319,7 +318,7 @@ def step_sigma(state, phi_next, mu_next, params, scheme, u2, grid, prolif=None):
     with ``prolif`` as in ``step_mu``.
     """
     dt = scheme.dt
-    P, drive = _proliferation(state, phi_next, params) if prolif is None else prolif
+    P, drive = prolif
     rhs = dt * (
         grid.laplacian(state.sigma - params.chi * phi_next)
         - P * (drive - mu_next)
@@ -354,6 +353,23 @@ def _require_finite(**fields):
     return sums
 
 
+def step_count(T, dt):
+    """The number of steps of size dt from t = 0 to the horizon T.
+
+    Raises InvalidParams for a non-finite T / dt, for a T shorter than one
+    step and for a T that is not an integer multiple of dt (to 1e-9
+    relative).
+    """
+    if not math.isfinite(T / dt):
+        raise InvalidParams(f"horizon T = {T} is not a finite number of steps dt = {dt}")
+    nsteps = int(round(T / dt))
+    if nsteps < 1:
+        raise InvalidParams(f"horizon T = {T} is shorter than one step dt = {dt}")
+    if abs(nsteps * dt - T) > 1e-9 * max(T, dt):
+        raise InvalidParams(f"horizon T = {T} is not an integer multiple of dt = {dt}")
+    return nsteps
+
+
 def run(params, potential, controls, init, grid, T, scheme, observe=None):
     """Integrate from t = 0 to t = T; returns a Trajectory.
 
@@ -381,28 +397,22 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
     step (v at t = 0 is mu0_prime).  The phase step lags mu, and the
     potential step sets mu' from -(phi' - phi)/(dt P), so on smooth modes
     each phase increment feeds into the next with a factor of about
-    -1/(tau P): the limit scheme is smooth only while tau P stays well
-    above 1.  At tau P near 1 they form a bounded period-2 sawtooth.  The
-    alpha = 0 phase Newton starts from an extrapolation that follows that
-    sawtooth as well as the smooth trend, so that such a step can end
+    -1/(tau P): the limit scheme is smooth while tau P stays above 1, and
+    at tau P = 1 they form a bounded period-2 sawtooth.  Below that they
+    grow, so ``validate`` refuses an alpha = 0 run with tau * min P < 1.
+    The alpha = 0 phase Newton starts from an extrapolation that follows
+    the sawtooth as well as the smooth trend, so that such a step can end
     after one Newton iteration.  The start moves only the Newton's first
     iterate: the scheme, phi -> mu -> sigma as the paper states it, and
-    with it the sawtooth, stay as they are.  Where the increments grow
-    instead (tau P = 0.5 doubles them and flips their sign at every
-    step), the run raises SchemeUnstable once its phase increments have
-    grown and reversed direction for UNSTABLE_STEPS steps in a row,
-    instead of letting them grow until the resolvent fails.  CHANGES.md
-    records the iteration counts and failing steps measured on the
-    benchmark configs.
+    with it the sawtooth, stay as they are.  Should the increments grow
+    all the same, the run raises SchemeUnstable once its phase increments
+    have grown and reversed direction for UNSTABLE_STEPS steps in a row,
+    instead of letting them grow until the resolvent fails.
     """
     problems = validate(params, potential, init, controls, grid)
     if problems:
         raise InvalidParams("; ".join(problems))
-    nsteps = int(round(T / scheme.dt))
-    if nsteps < 1 or abs(nsteps * scheme.dt - T) > 1e-9 * max(T, scheme.dt):
-        raise InvalidParams(
-            f"horizon T = {T} is not an integer multiple of dt = {scheme.dt}"
-        )
+    nsteps = step_count(T, scheme.dt)
 
     state = initial_state(init, potential, scheme.yosida, grid)
     traj = Trajectory()

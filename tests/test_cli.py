@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -196,6 +200,23 @@ def test_diagnostics_bytes_match_csv_writer(tmp_path):
         assert fh.read() == buf.getvalue().encode()
 
 
+def test_simulate_without_dumps_never_imports_the_csv_kernel(tmp_path):
+    # the diagnostics rows are formatted by '%.17g' %, so only field dumps
+    # compile the kernel and build its tables
+    path = write_cfg(tmp_path, TINY)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys; from chrelax.cli import dispatch; "
+            "assert dispatch(sys.argv[1:]) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('chrelax._csv')))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "--config", path,
+         "--out", str(tmp_path / "out")],
+        env=env, check=True, capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_simulate_dump_fields_round_trip(tmp_path):
     path = write_cfg(tmp_path, TINY + "output.dump_fields = true\n")
     out = tmp_path / "results"
@@ -208,6 +229,16 @@ def test_simulate_dump_fields_round_trip(tmp_path):
     assert "phi_000000.csv" in files and "phi_000005.csv" in files
     phi0 = Grid(8).load_field(rundirs[0] / "phi_000000.csv")
     np.testing.assert_array_equal(phi0, np.full(8, 0.25))
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-alpha"])
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_non_finite_horizon_is_a_config_error(tmp_path, capsys, command, horizon):
+    text = TINY.replace("time.T = 5e-3", f"time.T = {horizon}")
+    path = write_cfg(tmp_path, text)
+    assert dispatch([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: horizon T = {horizon} is not a finite number of steps")
 
 
 def test_simulate_defaults_to_configured_outdir(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from chrelax import (
     InvalidParams,
     default_config,
 )
+from chrelax import experiments
 from chrelax.experiments import (
     _nonincreasing,
     contdep,
@@ -158,6 +159,26 @@ def contdep_config():
         "study.perturb_u1.center_x": 0.3,
         "study.perturb_u1.width": 0.1,
         "study.deltas": [1.0, 0.5]})
+
+
+def test_contdep_refuses_a_perturbation_that_changes_nothing():
+    # h = 0 multiplies u1 by zero: every perturbed run equals the base run
+    cfg = tiny_config(**{
+        "grid.n": [16], "time.T": 0.01, "potential.kind": "regular",
+        "model.h.kind": "zero", "study.perturb_u1.kind": "constant",
+        "study.perturb_u1.value": 1.0, "study.deltas": [1.0, 0.5]})
+    with pytest.raises(InvalidParams, match="leaves the solution unchanged"):
+        contdep(cfg)
+
+
+def test_contdep_spread_is_unbounded_when_one_rung_changes_nothing(monkeypatch):
+    lhs = iter([1e-3, 0.0])
+    monkeypatch.setattr(experiments, "contdep_lhs", lambda norms: next(lhs))
+    report = contdep(contdep_config())
+    spread = report.verdicts[0]
+    assert spread.name == "ratio_spread"
+    assert spread.observed == math.inf and not spread.passed
+    assert not report.passed
 
 
 def test_contdep_rows_and_ratio():

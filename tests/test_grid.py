@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from chrelax import CgNoConvergence, Grid, GridMismatch, InvalidParams
-from chrelax._csvtext import CSV_BLOCK_ROWS, write_csv_rows
+from chrelax._csvtext import CSV_BLOCK_ROWS, CsvRows
 from conftest import laplacian_diag
 
 
@@ -226,13 +226,18 @@ def helmholtz(grid):
     return lambda u: u - grid.laplacian(u)
 
 
+def identity(r):
+    """The preconditioner of plain conjugate gradients."""
+    return r
+
+
 def test_cg_matches_dense_lu():
     for g in (Grid(16), Grid((8, 8))):
         rng = np.random.default_rng(7)
         b = rng.standard_normal(g.ncells)
         A = np.eye(g.ncells) - dense_laplacian(g)
         want = np.linalg.solve(A, b)
-        got = g.solve_spd(helmholtz(g), b, tol=1e-12)
+        got = g.solve_spd(helmholtz(g), b, tol=1e-12, precond=identity)
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10)
         diag = 1.0 + laplacian_diag(g)
         pre = g.solve_spd(helmholtz(g), b, tol=1e-12, precond=lambda r: r / diag)
@@ -245,14 +250,14 @@ def test_cg_trivial_cases():
     b = rng.standard_normal(g.ncells)
     # identity operator returns the right-hand side
     np.testing.assert_allclose(
-        g.solve_spd(lambda u: u, b), b, rtol=0, atol=1e-12)
+        g.solve_spd(lambda u: u, b, precond=identity), b, rtol=0, atol=1e-12)
     # zero right-hand side short-circuits to zero
-    out = g.solve_spd(helmholtz(g), g.field())
+    out = g.solve_spd(helmholtz(g), g.field(), precond=identity)
     assert np.all(out == 0.0)
     # constants are eigenvectors of the shifted operator
     c = g.field(4.0)
     np.testing.assert_allclose(
-        g.solve_spd(helmholtz(g), c), c, rtol=1e-12, atol=1e-12)
+        g.solve_spd(helmholtz(g), c, precond=identity), c, rtol=1e-12, atol=1e-12)
 
 
 def test_cg_residual_meets_tolerance():
@@ -271,7 +276,7 @@ def test_cg_budget_exhaustion_reports_residual():
     rng = np.random.default_rng(25)
     b = rng.standard_normal(g.ncells)
     with pytest.raises(CgNoConvergence) as ei:
-        g.solve_spd(helmholtz(g), b, tol=1e-12, max_iter=2)
+        g.solve_spd(helmholtz(g), b, tol=1e-12, max_iter=2, precond=identity)
     assert ei.value.iterations == 2
     # the plain residual norm is not monotone in cg, only positive and finite
     assert ei.value.residual > 0.0 and np.isfinite(ei.value.residual)
@@ -281,7 +286,7 @@ def test_cg_rejects_indefinite_operator():
     g = Grid(8)
     b = g.field(1.0)
     with pytest.raises(CgNoConvergence) as ei:
-        g.solve_spd(lambda u: -u, b)
+        g.solve_spd(lambda u: -u, b, precond=identity)
     assert ei.value.iterations == 0
 
 
@@ -431,7 +436,7 @@ def test_csv_kernel_matches_percent_format():
     values = g17_oracle_values()
     assert values.size >= 10**6
     buf = io.BytesIO()
-    write_csv_rows(buf, values.reshape(-1, 1), b"", np.zeros(values.size, np.intp))
+    CsvRows(b"", np.zeros(values.size, np.intp)).write(buf, values)
     want = (("%.17g\r\n" * values.size) % tuple(values.tolist())).encode()
     if buf.getvalue() != want:
         pairs = zip(values.tolist(), buf.getvalue().split(), want.split())

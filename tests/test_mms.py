@@ -23,12 +23,15 @@ from chrelax import (
     Controls,
     Grid,
     InitialData,
+    InvalidParams,
     ModelParams,
     ProliferationSpec,
     SchemeConfig,
+    SchemeUnstable,
     SplitPotential,
     TruncationSpec,
     run,
+    stepper,
 )
 
 PI2 = math.pi**2
@@ -124,12 +127,33 @@ class Manufactured:
                    grid.h_norm(final.sigma - self.sigma(T, grid)))
 
 
+def observed_orders(alpha, tau, p0):
+    errors = [Manufactured(alpha, tau, p0).error(n) for n in NS]
+    return errors, [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
+
+
 @pytest.mark.parametrize("alpha, tau, p0", [
     (0.1, 1.0, 2.0),
     (0.0, 1.0, 1.0),  # tau P = 1: the limit scheme's bounded sawtooth
     (0.0, 1.0, 2.0),
 ], ids=["alpha=0.1", "alpha=0,tauP=1", "alpha=0,tauP=2"])
 def test_observed_order_two_under_dt_proportional_to_h2(alpha, tau, p0):
-    errors = [Manufactured(alpha, tau, p0).error(n) for n in NS]
-    orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
+    errors, orders = observed_orders(alpha, tau, p0)
     assert all(1.8 <= q <= 2.2 for q in orders), (errors, orders)
+
+
+def test_limit_run_is_refused_below_unit_tau_p_where_its_order_is_lost(monkeypatch):
+    # tau P = 1.25 keeps the order, as tau P = 1 and 2 do above
+    errors, orders = observed_orders(0.0, 1.0, 1.25)
+    assert all(1.8 <= q <= 2.2 for q in orders), (errors, orders)
+    # at tau P = 0.9 validate refuses the run
+    with pytest.raises(InvalidParams, match=r"tau \* min P >= 1"):
+        Manufactured(0.0, 1.0, 0.9).error(NS[0])
+    # and past validate the order is lost: the error stops falling or the
+    # growing increments trip the alpha = 0 guard
+    monkeypatch.setattr(stepper, "validate", lambda *args: [])
+    try:
+        errors, orders = observed_orders(0.0, 1.0, 0.9)
+    except SchemeUnstable:
+        return
+    assert not all(1.8 <= q <= 2.2 for q in orders), (errors, orders)

@@ -63,10 +63,6 @@ def test_constructor_rejections():
         SplitPotential.obstacle(k2=0.0)
     with pytest.raises(InvalidParams):
         YosidaParams(epsilon=0.0)
-    with pytest.raises(InvalidParams):
-        YosidaParams(epsilon=1e-3, newton_tol=0.0)
-    with pytest.raises(InvalidParams):
-        YosidaParams(epsilon=1e-3, newton_max_iter=0)
 
 
 def test_domains_and_constants():
@@ -286,7 +282,7 @@ def test_entropy_resolvent_bisection_fallback():
         got, [bisect_entropy_resolvent(v, eps) for v in r], rtol=0, atol=1e-12)
 
 
-def test_entropy_resolvent_stall_raises_like_reference():
+def test_entropy_resolvent_stall_raises_like_reference(monkeypatch):
     r = np.array([0.5, -0.2, 0.99, 3.0])
     for max_iter in (1, 2):
         with pytest.raises(NewtonDivergence) as got:
@@ -296,9 +292,9 @@ def test_entropy_resolvent_stall_raises_like_reference():
         assert "logarithmic" in str(got.value)
         assert got.value.iterations == max_iter
         assert got.value.residual == want.value.residual > 1e-12
+    monkeypatch.setattr(potentials, "RESOLVENT_MAX_ITER", 1)
     with pytest.raises(NewtonDivergence):
-        SplitPotential.logarithmic().resolvent(
-            r, YosidaParams(epsilon=1e-3, newton_max_iter=1))
+        SplitPotential.logarithmic().resolvent(r, YosidaParams(epsilon=1e-3))
 
 
 def closed_form_start(r, eps):
@@ -322,15 +318,17 @@ def pow_cubic_resolvent(r, eps, tol, max_iter):
 
 
 @pytest.mark.parametrize("eps", [1.0, 1e-1, 1e-3, 1e-5])
-def test_regular_resolvent_products_within_2_ulp_of_pow(eps):
+def test_regular_resolvent_products_within_2_ulp_of_pow(eps, monkeypatch):
     rng = np.random.default_rng(23)
     reg = SplitPotential.regular()
+    yp = YosidaParams(epsilon=eps)
+    max_iter = potentials.RESOLVENT_MAX_ITER
     for scale in (1e-3, 1.0, 50.0, 1e3):
         r = scale * rng.standard_normal(2000)
         for tol in (1e-12, 0.0):
-            yp = YosidaParams(epsilon=eps, newton_tol=max(tol, 1e-300))
-            want = pow_cubic_resolvent(r, eps, tol, yp.newton_max_iter)
-            got, cube = potentials._solve_cubic(r, eps, tol, yp.newton_max_iter)
+            monkeypatch.setattr(potentials, "RESOLVENT_TOL", max(tol, 1e-300))
+            want = pow_cubic_resolvent(r, eps, tol, max_iter)
+            got, cube = potentials._solve_cubic(r, eps, tol, max_iter)
             assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
             # the solve's cube is the section at its root, bit for bit
             np.testing.assert_array_equal(bits(cube), bits(got * got * got))
@@ -369,7 +367,7 @@ CUBIC_ULPS = 5.0
 @pytest.mark.parametrize("eps", [1.0, 1e-1, 1e-3, 1e-5])
 def test_regular_resolvent_within_a_few_ulp_of_the_exact_root(eps):
     rng = np.random.default_rng(41)
-    tol, max_iter = YosidaParams(epsilon=eps).newton_tol, 100
+    tol, max_iter = potentials.RESOLVENT_TOL, 100
     worst = 0.0
     for r in [scale * rng.standard_normal(64) for scale in 10.0 ** np.arange(-3, 4)] + [
             np.array([1e300, -1e300])]:
@@ -396,7 +394,7 @@ def test_regular_resolvent_within_a_few_ulp_of_the_exact_root(eps):
 @pytest.mark.parametrize("eps", [1.0, 1e-1, 1e-3, 1e-5])
 def test_regular_resolvent_takes_no_newton_update_for_r_up_to_1(eps):
     r = np.concatenate([np.linspace(-1.0, 1.0, 201), [0.5**20, -(0.5**40)]])
-    tol = YosidaParams(epsilon=eps).newton_tol
+    tol = potentials.RESOLVENT_TOL
     x, cube = potentials._solve_cubic(r, eps, tol, 100)
     np.testing.assert_array_equal(bits(x), bits(closed_form_start(r, eps)))
     np.testing.assert_array_equal(bits(cube), bits(x * x * x))
@@ -414,7 +412,7 @@ def test_regular_resolvent_stops_at_roundoff_slack(eps, monkeypatch):
         return plain(v)
 
     monkeypatch.setattr(potentials, "_abs_max", counted)
-    tol = YosidaParams(epsilon=eps).newton_tol
+    tol = potentials.RESOLVENT_TOL
     rng = np.random.default_rng(43)
     for r in (np.array([1e300, -1e300]), 1e3 * rng.standard_normal(4000)):
         calls.clear()
@@ -446,25 +444,26 @@ def test_cubic_and_warm_entropy_solves_reduce_over_every_axis():
     r0 = np.linspace(-0.9, 0.9, 24)
     near = cold_hint(pot, r0, yp)
     r = r0 + 1e-4 * np.cos(np.arange(r0.size))
-    x, slope = potentials._entropy_near(r, eps, yp.newton_tol, near)
+    tol = potentials.RESOLVENT_TOL
+    x, slope = potentials._entropy_near(r, eps, tol, near)
     x2, slope2 = potentials._entropy_near(
-        r.reshape(4, 6), eps, yp.newton_tol, tuple(a.reshape(4, 6) for a in near))
+        r.reshape(4, 6), eps, tol, tuple(a.reshape(4, 6) for a in near))
     np.testing.assert_array_equal(bits(x2), bits(x.reshape(4, 6)))
     np.testing.assert_array_equal(bits(slope2), bits(slope.reshape(4, 6)))
     x0, slope0 = potentials._entropy_near(
-        np.array(r[5]), eps, yp.newton_tol, tuple(np.array(a[5]) for a in near))
+        np.array(r[5]), eps, tol, tuple(np.array(a[5]) for a in near))
     assert np.ndim(x0) == 0 and np.isfinite(x0)
-    assert abs(x0 + eps * potentials._entropy_slope(x0) - r[5]) <= yp.newton_tol
+    assert abs(x0 + eps * potentials._entropy_slope(x0) - r[5]) <= tol
     # a NaN cell in a 2-D input sends it to the safeguarded solve
     bad = r.reshape(4, 6).copy()
     bad[2, 3] = np.nan
     assert potentials._entropy_near(
-        bad, eps, yp.newton_tol, tuple(a.reshape(4, 6) for a in near)) is None
+        bad, eps, tol, tuple(a.reshape(4, 6) for a in near)) is None
 
 
 def test_newton_residual_within_tolerance():
     rng = np.random.default_rng(19)
-    yp = YosidaParams(epsilon=1e-2, newton_tol=1e-12)
+    yp = YosidaParams(epsilon=1e-2)
     reg = SplitPotential.regular()
     r = rng.uniform(-3.0, 3.0, size=300)
     x = reg.resolvent(r, yp)
@@ -596,19 +595,6 @@ def test_curvature_matches_finite_difference(kind):
     assert np.all(pot.yosida_curvature(pts, yp) >= 0.0)
 
 
-@pytest.mark.parametrize("kind", ["regular", "logarithmic", "obstacle"])
-def test_yosida_parts_equal_separate_calls(kind):
-    pot = SplitPotential(kind)
-    yp = YosidaParams(epsilon=1e-3)
-    pts = np.linspace(-3.0, 3.0, 61) if kind == "regular" else np.linspace(
-        -1.2, 1.2, 61)
-    prime, curv = pot.yosida_parts(pts, yp)
-    np.testing.assert_array_equal(prime, pot.yosida_prime(pts, yp))
-    np.testing.assert_array_equal(curv, pot.yosida_curvature(pts, yp))
-    assert pot.yosida_parts(0.3, yp) == (
-        pot.yosida_prime(0.3, yp), pot.yosida_curvature(0.3, yp))
-
-
 def test_curvature_closed_forms():
     yp = YosidaParams(epsilon=0.5)
     reg = SplitPotential.regular()
@@ -620,17 +606,18 @@ def test_curvature_closed_forms():
     assert obs.yosida_curvature(4.0, yp) == pytest.approx(2.0, abs=0)
 
 
-def test_regular_resolvent_empty_input_and_stall():
+def test_regular_resolvent_empty_input_and_stall(monkeypatch):
     reg = SplitPotential.regular()
     empty = reg.resolvent(np.empty(0), YosidaParams(epsilon=1.0))
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
     # a non-finite cell fails every residual test and the slack test after
-    yp = YosidaParams(epsilon=1.0, newton_max_iter=3)
+    monkeypatch.setattr(potentials, "RESOLVENT_MAX_ITER", 3)
+    yp = YosidaParams(epsilon=1.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(NewtonDivergence, match="regular") as ei, np.errstate(
                 invalid="ignore"):
             reg.resolvent(np.array([50.0, bad]), yp)
-        assert ei.value.iterations == yp.newton_max_iter
+        assert ei.value.iterations == potentials.RESOLVENT_MAX_ITER
 
 
 def test_scalar_in_scalar_out():
@@ -649,6 +636,14 @@ def cold_hint(pot, r0, yp):
     return (r0, pot.yosida_prime(r0, yp))
 
 
+def parts(pot, r, yp, near=None):
+    """(F1'_eps(r), its derivative) from one resolvent evaluation, started
+    from ``near``, as the phase step takes them."""
+    a = np.asarray(r, dtype=float)
+    x, prime = pot._evaluate(a, yp, near)
+    return prime, pot._curvature_at(a, x, yp)
+
+
 @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
 def test_warm_entropy_resolvent_passes_the_residual_test(eps, monkeypatch):
     pot = SplitPotential.logarithmic()
@@ -659,10 +654,11 @@ def test_warm_entropy_resolvent_passes_the_residual_test(eps, monkeypatch):
     near = cold_hint(pot, r0, yp)
     cold = pot.resolvent(r, yp)
     scalar_hint = cold_hint(pot, 0.3, yp)
-    scalar_cold = pot.yosida_parts(0.3001, yp)
-    x, _ = potentials._entropy_near(r, eps, yp.newton_tol, near)
-    assert np.all(np.abs(x + eps * potentials._entropy_slope(x) - r) <= yp.newton_tol)
-    assert np.max(np.abs(x - cold)) <= 2.0 * yp.newton_tol
+    scalar_cold = pot.resolvent(0.3001, yp)
+    tol = potentials.RESOLVENT_TOL
+    x, _ = potentials._entropy_near(r, eps, tol, near)
+    assert np.all(np.abs(x + eps * potentials._entropy_slope(x) - r) <= tol)
+    assert np.max(np.abs(x - cold)) <= 2.0 * tol
 
     # the public entry points take the warm path
     def no_cold_solve(*args):
@@ -670,11 +666,11 @@ def test_warm_entropy_resolvent_passes_the_residual_test(eps, monkeypatch):
 
     monkeypatch.setattr(potentials, "_solve_entropy", no_cold_solve)
     np.testing.assert_array_equal(bits(pot.resolvent(r, yp, near)), bits(x))
-    prime, curv = pot.yosida_parts(r, yp, near)
-    np.testing.assert_array_equal(bits(prime), bits(pot._prime_at(r, x, yp)))
+    prime, curv = parts(pot, r, yp, near)
+    np.testing.assert_array_equal(bits(prime), bits(potentials._entropy_slope(x)))
     np.testing.assert_array_equal(bits(curv), bits(pot._curvature_at(r, x, yp)))
-    scalar = pot.yosida_parts(0.3001, yp, scalar_hint)
-    assert all(isinstance(v, float) for v in scalar)
+    scalar = pot.resolvent(0.3001, yp, scalar_hint)
+    assert isinstance(scalar, float)
     assert scalar == pytest.approx(scalar_cold, rel=1e-9)
 
 
@@ -695,7 +691,7 @@ def test_warm_start_is_the_linearised_resolvent(monkeypatch):
         return slope(x)
 
     monkeypatch.setattr(potentials, "_entropy_slope", counted)
-    assert potentials._entropy_near(r, eps, yp.newton_tol, near) is not None
+    assert potentials._entropy_near(r, eps, potentials.RESOLVENT_TOL, near) is not None
     assert len(evaluations) == 1
 
 
@@ -717,7 +713,7 @@ def test_warm_entropy_resolvent_falls_back_to_the_cold_solve():
     r0 = rng.uniform(-0.9, 0.9, 64)
     r = r0 + 1e-4 * rng.standard_normal(r0.size)
     near = cold_hint(pot, r0, yp)
-    assert potentials._entropy_near(r, eps, yp.newton_tol, near) is not None
+    assert potentials._entropy_near(r, eps, potentials.RESOLVENT_TOL, near) is not None
 
     far = np.full(4, 0.9)
     far_near = cold_hint(pot, np.full(4, -0.9), yp)
@@ -737,10 +733,11 @@ def test_warm_entropy_resolvent_falls_back_to_the_cold_solve():
         "no_verification": (far, far_near),
     }
     for name, (rr, hint) in cases.items():
-        assert potentials._entropy_near(rr, eps, yp.newton_tol, hint) is None, name
+        assert potentials._entropy_near(
+            rr, eps, potentials.RESOLVENT_TOL, hint) is None, name
         np.testing.assert_array_equal(
             bits(pot.resolvent(rr, yp, hint)), bits(pot.resolvent(rr, yp)), name)
-        for got, want in zip(pot.yosida_parts(rr, yp, hint), pot.yosida_parts(rr, yp)):
+        for got, want in zip(parts(pot, rr, yp, hint), parts(pot, rr, yp)):
             np.testing.assert_array_equal(bits(got), bits(want), name)
     empty = np.empty(0)
     assert pot.resolvent(empty, yp, (empty, empty)).shape == (0,)
@@ -756,6 +753,5 @@ def test_other_kinds_ignore_the_start_hint(kind):
     for hint in hints:
         np.testing.assert_array_equal(
             bits(pot.resolvent(r, yp, hint)), bits(pot.resolvent(r, yp)))
-        for got, want in zip(pot.yosida_parts(r, yp, near=hint),
-                             pot.yosida_parts(r, yp)):
+        for got, want in zip(parts(pot, r, yp, near=hint), parts(pot, r, yp)):
             np.testing.assert_array_equal(bits(got), bits(want))

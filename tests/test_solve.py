@@ -151,7 +151,7 @@ def test_wide_shift_is_one_solve_spd_call(n, transform, monkeypatch):
             preconds[-1] += 1
             return precond(r)
 
-        return solve(self, apply, rhs, tol, max_iter, applied)
+        return solve(self, apply, rhs, tol, max_iter, precond=applied)
 
     monkeypatch.setattr(Grid, "solve_spd", counted)
     _, iterations = grid._shifted_cg(shift, 0.2, b, 1e-13)
@@ -557,6 +557,83 @@ def test_outputs_identical_across_blas_threads(tmp_path, kind):
         assert any(f.name.startswith("diagnostics_") for f in files)
         outputs.append({f.relative_to(out): f.read_bytes() for f in files})
     assert outputs[0] == outputs[1]
+
+
+# -- agreement across numpy's SIMD dispatch -----------------------------------
+
+
+def dispatched_features():
+    """The SIMD features numpy dispatches to that this host has enabled, or
+    None for a numpy without __cpu_dispatch__ or __cpu_features__."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    dispatch = getattr(umath, "__cpu_dispatch__", None)
+    features = getattr(umath, "__cpu_features__", None)
+    if dispatch is None or features is None:
+        return None
+    return [name for name in dispatch if features.get(name)]
+
+
+SIMD_RUNS = {
+    "1d-logarithmic": (
+        "grid.n = 128\ntime.T = 0.05\ntime.dt = 1e-3\ntime.record_every = 25\n"
+        "potential.kind = logarithmic\nmodel.alpha = 0.1\n"
+        "init.phi0.kind = tanh_interface\ninit.phi0.width = 0.1\n"
+        "init.sigma0.kind = constant\ninit.sigma0.value = 0.2\n"
+        "controls.u2.kind = sinusoid\ncontrols.u2.amplitude = 0.3\n"),
+    "2d-regular": (
+        "grid.dim = 2\ngrid.n = 32\ntime.T = 0.01\ntime.dt = 1e-3\n"
+        "time.record_every = 5\npotential.kind = regular\nmodel.P.kind = ramp\n"
+        "model.alpha = 0.1\ninit.phi0.kind = cosine_bump\n"
+        "init.phi0.amplitude = 0.5\ninit.sigma0.kind = constant\n"
+        "init.sigma0.value = 0.5\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMD_RUNS))
+def test_outputs_within_fingerprint_bound_across_simd_dispatch(tmp_path, case):
+    # the same simulate as is and with every dispatched feature disabled,
+    # which leaves numpy's baseline kernels: every number of the diagnostics
+    # and the field dumps within the bound of test_seed_fingerprint
+    features = dispatched_features()
+    if features is None:
+        pytest.skip("this numpy has no __cpu_dispatch__ or __cpu_features__")
+    if not features:
+        pytest.skip("no dispatched SIMD feature is enabled on this host")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SIMD_RUNS[case] + "output.dump_fields = true\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    base["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    outputs = []
+    for label, env in (("as_is", base),
+                       ("baseline", dict(base, NPY_DISABLE_CPU_FEATURES=" ".join(features)))):
+        out = tmp_path / label
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from chrelax.cli import dispatch; "
+             "sys.exit(dispatch(sys.argv[1:]))",
+             "simulate", "--config", str(cfg), "--out", str(out)],
+            env=env, check=True, capture_output=True)
+        outputs.append({f.relative_to(out): f.read_text().splitlines()
+                        for f in sorted(out.rglob("*.csv"))})
+    as_is, baseline = outputs
+    assert sorted(as_is) == sorted(baseline)
+    assert any(f.name.startswith("diagnostics_") for f in as_is)
+    worst, where = 0.0, None
+    for name, lines in as_is.items():
+        assert len(lines) == len(baseline[name]), name
+        for row, other in zip(lines[1:], baseline[name][1:]):
+            for ref, got in zip(row.split(","), other.split(",")):
+                ref, got = float(ref), float(got)
+                dev = abs(got - ref) / max(abs(ref), 1e-3)
+                if dev > worst:
+                    worst, where = dev, name
+    print(f"{case}: largest deviation {worst:.3g} relative (1e-3 floor) in {where}, "
+          f"with {' '.join(features)} disabled")
+    assert worst <= 1e-9
 
 
 def record(names):

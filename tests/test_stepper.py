@@ -104,8 +104,9 @@ def test_one_step_matches_scalar_oracle(kind):
                            eps=scheme.eps)
     u1, u2 = 0.3, -0.2
     phi_n, xi_n, iters = step_phi(state, params, pot, scheme, g)
-    mu_n, v_n = step_mu(state, phi_n, params, scheme, g.field(u1), g)
-    sigma_n = step_sigma(state, phi_n, mu_n, params, scheme, g.field(u2), g)
+    prolif = stepper._proliferation(state, phi_n, params)
+    mu_n, v_n = step_mu(state, phi_n, params, scheme, g.field(u1), g, prolif)
+    sigma_n = step_sigma(state, phi_n, mu_n, params, scheme, g.field(u2), g, prolif)
 
     want = scalar_step(pot, params, scheme, (0.2, -0.1, 0.4, 0.6), u1, u2)
     np.testing.assert_allclose(mu_n, want[0], rtol=0, atol=1e-9)
@@ -145,7 +146,8 @@ def test_mu_update_is_integrated_velocity():
                   phi=0.5 * rng.standard_normal(16),
                   sigma=rng.standard_normal(16), xi=np.zeros(16), t=0.0)
     phi_n, _, _ = step_phi(state, params, pot, scheme, g)
-    mu_n, v_n = step_mu(state, phi_n, params, scheme, g.field(), g)
+    mu_n, v_n = step_mu(state, phi_n, params, scheme, g.field(), g,
+                        stepper._proliferation(state, phi_n, params))
     # mu' = mu + dt v' holds exactly by construction
     np.testing.assert_array_equal(mu_n, state.mu + scheme.dt * v_n)
 
@@ -156,7 +158,8 @@ def test_step_mu_rejects_negative_alpha():
     scheme = SchemeConfig(dt=1e-2, eps=1e-3)
     state = constant_state(g, 0.0, 0.0, 0.2, 0.1, pot, scheme.eps)
     with pytest.raises(InvalidParams, match="alpha >= 0"):
-        step_mu(state, state.phi, ModelParams(alpha=-1e-3), scheme, g.field(), g)
+        step_mu(state, state.phi, ModelParams(alpha=-1e-3), scheme, g.field(), g,
+                stepper._proliferation(state, state.phi, ModelParams(alpha=-1e-3)))
 
 
 def test_limit_step_scalar_oracle_and_guard():
@@ -169,14 +172,16 @@ def test_limit_step_scalar_oracle_and_guard():
                            eps=scheme.eps)
     phi_n = g.field(0.25)
     u1 = 0.4
-    got, _ = step_mu(state, phi_n, params, scheme, g.field(u1), g)
+    got, _ = step_mu(state, phi_n, params, scheme, g.field(u1), g,
+                     stepper._proliferation(state, phi_n, params))
     # with no Laplacian: P mu' = P (sigma + chi (1 - phi')) - h u1 - dphi/dt
     H = float(params.truncation(np.array([0.25]))[0])
     want = (2.0 * (0.7 + CHI * 0.75) - H * u1 - 0.05 / 0.05) / 2.0
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
     ramp = ModelParams(alpha=0.0, proliferation=ProliferationSpec("ramp", p0=1.0))
     with pytest.raises(InvalidParams, match="min P"):
-        step_mu(state, g.field(-1.0), ramp, scheme, g.field(), g)
+        step_mu(state, g.field(-1.0), ramp, scheme, g.field(), g,
+                stepper._proliferation(state, g.field(-1.0), ramp))
 
 
 def test_limit_step_agrees_with_small_alpha():
@@ -192,12 +197,13 @@ def test_limit_step_agrees_with_small_alpha():
     prolif = ProliferationSpec("constant", p0=1.0)
     phi_n, _, _ = step_phi(
         state, ModelParams(alpha=0.0, proliferation=prolif), pot, scheme, g)
+    shared = stepper._proliferation(state, phi_n, ModelParams(proliferation=prolif))
     mu_lim, _ = step_mu(
         state, phi_n, ModelParams(alpha=0.0, proliferation=prolif), scheme,
-        g.field(), g)
+        g.field(), g, shared)
     mu_small, _ = step_mu(
         state, phi_n, ModelParams(alpha=1e-8, proliferation=prolif), scheme,
-        g.field(), g)
+        g.field(), g, shared)
     assert g.h_norm(mu_lim - mu_small) <= 1e-4
 
 
@@ -209,9 +215,10 @@ def test_limit_and_sigma_zero_right_hand_sides():
                          proliferation=ProliferationSpec("constant", p0=1.0))
     zero = constant_state(g, 0.0, 0.0, 1.0, 0.0, pot, scheme.eps)
     # stationary phase at +1 with no nutrient: both sources cancel exactly
-    mu_n, _ = step_mu(zero, zero.phi, params, scheme, g.field(), g)
+    prolif = stepper._proliferation(zero, zero.phi, params)
+    mu_n, _ = step_mu(zero, zero.phi, params, scheme, g.field(), g, prolif)
     assert np.all(mu_n == 0.0)
-    sigma_n = step_sigma(zero, zero.phi, mu_n, params, scheme, g.field(), g)
+    sigma_n = step_sigma(zero, zero.phi, mu_n, params, scheme, g.field(), g, prolif)
     assert np.all(sigma_n == 0.0)
 
 
@@ -581,8 +588,8 @@ def test_phase_step_computes_the_curvature_once_per_newton_iteration(monkeypatch
 
     monkeypatch.setattr(SplitPotential, "_curvature_at", counted(
         "curvature", SplitPotential._curvature_at))
-    monkeypatch.setattr(SplitPotential, "_root_and_prime", counted(
-        "resolvent", SplitPotential._root_and_prime))
+    monkeypatch.setattr(SplitPotential, "_evaluate", counted(
+        "resolvent", SplitPotential._evaluate))
     traj = run(*scenario(PREDICTOR_RUNS["1d-log"]))
     nsteps = len(traj.step_times) - 1
     assert calls["curvature"] == int(np.sum(traj.newton_iters)) < 1.1 * nsteps
@@ -745,7 +752,7 @@ def test_poisoned_selection_prediction_falls_back(poison):
         got = step_phi(state, params, pot, scheme, g, guess, xi_guess=bad)
         assert cold == [1]
     assert got[2] == want[2]
-    tol = scheme.yosida.newton_tol
+    tol = potentials.RESOLVENT_TOL
     assert np.max(np.abs(got[0] - want[0])) <= tol
     assert np.max(np.abs(got[1] - want[1])) <= tol / eps
 

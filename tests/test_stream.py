@@ -460,12 +460,14 @@ def ladder_limit(**updates):
 
 
 def test_diverging_limit_run_fails_early_by_name():
-    # at tau P = 0.5 the phase increments double and flip sign at every step
-    with pytest.raises(SchemeUnstable, match=r"tau\*min P = 0\.5\b") as info:
-        run(*ladder_limit(**{"model.P.p0": 0.5}))
-    assert info.value.step < 20
-    assert info.value.substep == "phi"
-    assert "grew by a factor" in str(info.value)
+    # at tau P = 0.5 the phase increments would double and flip sign at every
+    # step: validate refuses the run, in build_scenario and in run itself
+    with pytest.raises(InvalidParams, match=r"tau \* min P = 0\.5\b"):
+        ladder_limit(**{"model.P.p0": 0.5})
+    params, *rest = ladder_limit()
+    below = replace(params, proliferation=replace(params.proliferation, p0=0.5))
+    with pytest.raises(InvalidParams, match=r"tau \* min P = 0\.5\b"):
+        run(below, *rest)
 
 
 def test_limit_sawtooth_at_unit_tau_p_runs_through():
