@@ -58,7 +58,15 @@ RICHARDSON_Q = 0.1
 
 
 class Grid:
-    """Uniform cell-centred grid in one or two space dimensions."""
+    """Uniform cell-centred grid in one or two space dimensions.
+
+    Every public method that takes a field validates it: a field is a numpy
+    array of shape ``(ncells,)``, and anything else raises GridMismatch
+    (see ``check``).  The private kernels behind them validate nothing.
+    ``stepper.run`` validates its initial data once and from then on passes
+    only arrays it made, so the public methods' guards are one shape test
+    each, done in place.
+    """
 
     def __init__(self, n, length=1.0):
         n = (int(n),) if np.ndim(n) == 0 else tuple(int(k) for k in n)
@@ -82,6 +90,8 @@ class Grid:
         self.ncells = int(np.prod(n))
         self._shape = (self.ncells,)  # of a flat field, for check()
         self.cell_volume = float(np.prod(self.h))
+        # 4 sum 1/h^2, an upper bound on the eigenvalues of -laplacian
+        self.lap_bound = sum(4.0 / (h * h) for h in self.h)
         # the faces, per axis of the flat field: the stride between the two
         # cells of a face, h, and on the last axis of a 2-D grid the row
         # length (no face joins a row's last cell to the next row)
@@ -92,17 +102,18 @@ class Grid:
         self._csv_rows = None  # the CSV row layout, built on the first dump
         self._cosine = None  # built on the first cosine solve
         self._denoms = {}  # (shift, scale) -> cosine_solve's divisor
+        self._hash = hash((self.n, self.length))
 
     def __repr__(self):
         return f"Grid(n={self.n}, length={self.length})"
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Grid) and self.n == other.n and self.length == other.length
         )
 
     def __hash__(self):
-        return hash((self.n, self.length))
+        return self._hash
 
     # -- fields ---------------------------------------------------------
 
@@ -129,30 +140,36 @@ class Grid:
         return [(np.arange(k) + 0.5) * h for k, h in zip(self.n, self.h)]
 
     def check(self, *fields):
+        """Raise GridMismatch unless every field is a numpy array of shape
+        ``(ncells,)``.  The public methods make the same test in place."""
         for u in fields:
-            if not isinstance(u, np.ndarray) or u.shape != self._shape:
-                raise GridMismatch(
-                    f"expected a flat field with {self.ncells} cells, got shape "
-                    f"{getattr(u, 'shape', None)}"
-                )
+            if not (isinstance(u, np.ndarray) and u.shape == self._shape):
+                raise self._mismatch(u)
+
+    def _mismatch(self, u):
+        return GridMismatch(
+            f"expected a flat field with {self.ncells} cells, got shape "
+            f"{getattr(u, 'shape', None)}"
+        )
 
     # -- operators --------------------------------------------------------
 
     def laplacian(self, u):
         """Mirror-ghost Neumann Laplacian in flux form."""
-        self.check(u)
+        if not (isinstance(u, np.ndarray) and u.shape == self._shape):
+            raise self._mismatch(u)
         # _differences inlined, as its generator costs about 1 us a call; the
         # values must stay the same for summation by parts with face_form.
         # Each interior flux enters two cells with opposite sign, so the
         # divergence telescopes and boundary fluxes never appear.  The first
         # axis's fluxes sit between stride zeros at each end, so one
         # difference of that padded array adds them all in
-        (stride, h, _), *rest = self._stencil
+        stride, h, _ = self._stencil[0]
         pad = np.zeros(u.size + stride)
         flux = np.subtract(u[stride:], u[:-stride], out=pad[stride:-stride])
         flux /= h * h
         out = pad[stride:] - pad[:-stride]
-        for stride, h, row in rest:  # the rows of a 2-D grid
+        for stride, h, row in self._stencil[1:]:  # the rows of a 2-D grid
             flux = u[stride:] - u[:-stride]
             flux[row - 1::row] = 0.0
             flux /= h * h
@@ -165,11 +182,13 @@ class Grid:
         return self.cell_volume * float(u @ v)
 
     def h_norm(self, u):
-        self.check(u)
+        if not (isinstance(u, np.ndarray) and u.shape == self._shape):
+            raise self._mismatch(u)
         return math.sqrt(self.cell_volume) * math.sqrt(float(u @ u))
 
     def integrate(self, u):
-        self.check(u)
+        if not (isinstance(u, np.ndarray) and u.shape == self._shape):
+            raise self._mismatch(u)
         return self.cell_volume * float(u.sum())
 
     def face_form(self, u, v):
@@ -196,7 +215,6 @@ class Grid:
 
     def v_norm(self, u):
         """Discrete H1 norm, sqrt(h_norm^2 + grad_energy)."""
-        self.check(u)
         return float(np.sqrt(self.h_norm(u) ** 2 + self.grad_energy(u)))
 
     def stacked_sq_norms(self, rows):
@@ -215,7 +233,7 @@ class Grid:
 
     # -- linear solves ------------------------------------------------------
 
-    def solve_spd(self, apply, rhs, tol=1e-10, max_iter=None, *, precond):
+    def solve_spd(self, apply, rhs, tol, max_iter, *, precond):
         """Preconditioned conjugate gradients for an SPD operator.
 
         ``apply`` maps a field to a field and must be symmetric positive
@@ -223,14 +241,13 @@ class Grid:
         has dropped below ``tol`` relative to ``rhs``.  ``precond`` maps a
         residual to an approximate solution (an SPD approximate inverse).
         Raises CgNoConvergence when the operator loses definiteness and when
-        the budget (default 10 * ncells + 50 iterations) runs out.
+        ``max_iter`` iterations run out.
 
         ``solve_shifted`` runs it on a per-cell shift too wide for
         Richardson sweeps (see ``_shifted_cg``).
         """
-        self.check(rhs)
-        if max_iter is None:
-            max_iter = 10 * self.ncells + 50
+        if not (isinstance(rhs, np.ndarray) and rhs.shape == self._shape):
+            raise self._mismatch(rhs)
         bnorm = math.sqrt(float(rhs @ rhs))
         if bnorm == 0.0:
             return np.zeros_like(rhs)
@@ -299,6 +316,8 @@ class Grid:
         the periodic one.  That costs O(N log N) time and O(N) memory.
         The divisor is kept per (shift, scale) pair.
         """
+        if not (isinstance(rhs, np.ndarray) and rhs.shape == self._shape):
+            raise self._mismatch(rhs)
         key = (float(shift), float(scale))
         denom = self._denoms.get(key)
         if denom is None:
@@ -343,6 +362,10 @@ class Grid:
         conjugate gradients (``_shifted_cg`` states the rule).
         """
         if isinstance(shift, np.ndarray) and shift.ndim:
+            if not (isinstance(rhs, np.ndarray) and rhs.shape == self._shape):
+                raise self._mismatch(rhs)
+            if shift.shape != self._shape:
+                raise self._mismatch(shift)
             return self._shifted_cg(shift, scale, rhs, tol)[0]
         return self.cosine_solve(shift, scale, rhs)
 
@@ -368,9 +391,9 @@ class Grid:
 
         Both raise CgNoConvergence on a non-finite rhs and when 10 * ncells
         + 50 iterations run out, Richardson also on a non-finite residual.
+        ``solve_shifted`` validates rhs and shift.
         """
-        self.check(rhs, shift)
-        mean = float(np.add.reduce(shift) / shift.size)
+        mean = float(np.add.reduce(shift)) / shift.size
         denom = self._cosine_denom(mean, scale)
         bnorm = math.sqrt(float(rhs @ rhs))
         if bnorm == 0.0:
@@ -380,9 +403,8 @@ class Grid:
                                   residual=math.nan, iterations=0)
         target_sq = (tol * bnorm) ** 2
         max_iter = 10 * self.ncells + 50
-        if max(float(np.maximum.reduce(shift)) - mean,
-               mean - float(np.minimum.reduce(shift))) <= RICHARDSON_Q * mean:
-            minus_d = mean - shift
+        minus_d = mean - shift
+        if float(np.maximum.reduce(np.abs(minus_d))) <= RICHARDSON_Q * mean:
             x = y = self._cosine_divide(denom, rhs)
             for it in range(1, max_iter + 1):
                 r = minus_d * y

@@ -194,33 +194,34 @@ def step_phi(state, params, potential, scheme, grid, guess=None, *, xi_guess=Non
     GAMMA * tol / |r| stays below GAMMA.  The stopping test is unchanged,
     and on the runs measured so is every step's Newton count.
     """
-    dt, tau = scheme.dt, params.tau
+    dt, tau, phi = scheme.dt, params.tau, state.phi
+    tau_dt = tau / dt
     yp = scheme.yosida
-    g = state.mu + params.chi * state.sigma - potential.f2_prime(state.phi)
-    op_scale = tau / dt + sum(4.0 / (h * h) for h in grid.h)
-    floor = EPS_MACH * op_scale * grid.h_norm(state.phi)
+    evaluate, laplacian, h_norm = potential._evaluate, grid.laplacian, grid.h_norm
+    g = state.mu + params.chi * state.sigma - potential.f2_prime(phi)
+    floor = EPS_MACH * (tau_dt + grid.lap_bound) * h_norm(phi)
     tol = max(scheme.newton_tol, floor)
 
     def residual(z, near):
-        j, fp = potential._evaluate(z, yp, near)  # J(z), F1'_eps(z)
-        return tau * (z - state.phi) / dt - grid.laplacian(z) + fp - g, j, fp
+        j, fp = evaluate(z, yp, near)  # J(z), F1'_eps(z)
+        return tau * (z - phi) / dt - laplacian(z) + fp - g, j, fp
 
-    x = np.asarray(state.phi if guess is None else guess, dtype=float)
-    near = (state.phi, state.xi) if xi_guess is None else (x, xi_guess)
+    x = np.asarray(phi if guess is None else guess, dtype=float)
+    near = (phi, state.xi) if xi_guess is None else (x, xi_guess)
     r, j, fp = residual(x, near)
-    rnorm = grid.h_norm(r)
+    rnorm = h_norm(r)
     for it in range(scheme.newton_max_iter):
         if rnorm <= tol:
             return x, fp, it
         eta = max(scheme.cg_tol, GAMMA * tol / rnorm)
         curv = potential._curvature_at(x, j, yp)
-        delta = grid.solve_shifted(tau / dt + curv, 1.0, -r, eta)
+        delta = grid.solve_shifted(tau_dt + curv, 1.0, -r, eta)
         near = (x, fp)
         s = 1.0
+        xn = x + delta  # the full step; x + s * delta once s is halved
         while True:
-            xn = x + s * delta
             rn, jn, fpn = residual(xn, near)
-            rn_norm = grid.h_norm(rn)
+            rn_norm = h_norm(rn)
             if math.isfinite(rn_norm) and rn_norm <= rnorm:
                 break
             if s <= 2.0**-30:
@@ -231,6 +232,7 @@ def step_phi(state, params, potential, scheme, grid, guess=None, *, xi_guess=Non
                     iterations=it + 1,
                 )
             s *= 0.5
+            xn = x + s * delta
         x, r, j, fp, rnorm = xn, rn, jn, fpn, rn_norm
     if rnorm <= tol:
         return x, fp, scheme.newton_max_iter
@@ -338,19 +340,16 @@ def _unstable(params, phi_next, growth):
     )
 
 
-def _require_finite(**fields):
-    # returns the sums that Grid.integrate takes; a non-finite cell makes the
+def _require_finite(name, u):
+    # returns the sum that Grid.integrate takes; a non-finite cell makes the
     # sum non-finite, and a finite field whose sum overflows gets the full
     # scan and passes it
-    sums = []
-    for name, u in fields.items():
-        sums.append(float(np.add.reduce(u)))
-        if not math.isfinite(sums[-1]):
-            bad = int(np.count_nonzero(~np.isfinite(u)))
-            if bad:
-                raise NonFiniteState(
-                    f"{name} is non-finite in {bad} of {u.size} cells")
-    return sums
+    total = float(np.add.reduce(u))
+    if not math.isfinite(total):
+        bad = int(np.count_nonzero(~np.isfinite(u)))
+        if bad:
+            raise NonFiniteState(f"{name} is non-finite in {bad} of {u.size} cells")
+    return total
 
 
 def step_count(T, dt):
@@ -373,10 +372,12 @@ def step_count(T, dt):
 def run(params, potential, controls, init, grid, T, scheme, observe=None):
     """Integrate from t = 0 to t = T; returns a Trajectory.
 
-    T must be an integer number of steps.  Each substep's output is checked
-    for non-finite values; substep failures propagate with the step, the
-    substep (phi, mu or sigma) and the solver residual in the message and
-    as ``step``/``substep`` attributes.  The run is deterministic:
+    T must be an integer number of steps.  The initial state is checked
+    against the grid once (``Grid.check``); every later field is one the
+    run made.  Each substep's output is checked for non-finite values;
+    substep failures propagate with the step, the substep (phi, mu or
+    sigma) and the solver residual in the message and as
+    ``step``/``substep`` attributes.  The run is deterministic:
     identical inputs produce bit-identical trajectories on one host, numpy
     build and SIMD dispatch, whatever the number of BLAS threads; across
     numpy's SIMD dispatch levels they agree within the bound of the
@@ -415,6 +416,7 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
     nsteps = step_count(T, scheme.dt)
 
     state = initial_state(init, potential, scheme.yosida, grid)
+    grid.check(state.mu, state.v, state.phi, state.sigma, state.xi)
     traj = Trajectory()
     mass_phi = np.empty(nsteps + 1)
     mass_sigma = np.empty(nsteps + 1)
@@ -445,7 +447,8 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
             u2 = controls.u2.sample(t_next, grid)
             phi_next, xi_next, newton_iters[n] = step_phi(
                 state, params, potential, scheme, grid, guess, xi_guess=xi_guess)
-            sum_phi, _ = _require_finite(phi=phi_next, xi=xi_next)
+            sum_phi = _require_finite("phi", phi_next)
+            _require_finite("xi", xi_next)
             inc = phi_next - state.phi
             if limit:
                 inc_norm = float(np.sqrt(np.dot(inc, inc)))
@@ -462,12 +465,13 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
             mu_next, v_next = step_mu(state, phi_next, params, scheme, u1, grid,
                                       prolif)
             if limit:
-                v_next = np.zeros_like(mu_next)
-            _, sum_v = _require_finite(mu=mu_next, v=v_next)
+                v_next = np.zeros(grid.ncells)
+            _require_finite("mu", mu_next)
+            sum_v = _require_finite("v", v_next)
             substep = "sigma"
             sigma_next = step_sigma(state, phi_next, mu_next, params, scheme, u2,
                                     grid, prolif)
-            [sum_sigma] = _require_finite(sigma=sigma_next)
+            sum_sigma = _require_finite("sigma", sigma_next)
         except ChRelaxError as e:
             head = e.args[0] if e.args else e.__class__.__name__
             residual = getattr(e, "residual", None)

@@ -22,7 +22,7 @@ def jacobi_solve_shifted(self, shift, scale, rhs, tol=1e-10):
     diag = shift + scale * laplacian_diag(self)
     return self.solve_spd(
         lambda w: shift * w - scale * self.laplacian(w), rhs, tol,
-        precond=lambda r: r / diag)
+        10 * self.ncells + 50, precond=lambda r: r / diag)
 
 
 @pytest.fixture

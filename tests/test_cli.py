@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from chrelax import Grid, RateFit, cli, experiments, parse_config
-from chrelax._csvtext import CSV_BLOCK_ROWS
-from chrelax.cli import _write_diagnostics, dispatch, write_report
+from chrelax.cli import (_DIAGNOSTIC_BLOCK_ROWS, _write_diagnostics, dispatch,
+                         write_report)
 from chrelax.experiments import StudyReport, Verdict
 
 TINY = (
@@ -183,7 +183,7 @@ def test_simulate_summary_reports_newton_iterations(tmp_path, capsys, monkeypatc
 
 
 def test_diagnostics_bytes_match_csv_writer(tmp_path):
-    n = 2 * CSV_BLOCK_ROWS + 5  # many write blocks, the last one partial
+    n = 16 * _DIAGNOSTIC_BLOCK_ROWS + 5  # many write blocks, the last one partial
     rng = np.random.default_rng(41)
     traj = SimpleNamespace(
         step_times=np.arange(n) * 1e-3, mass_phi=rng.standard_normal(n),

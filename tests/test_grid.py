@@ -77,6 +77,49 @@ def test_check_rejects_misshaped_fields():
         g.laplacian(np.zeros((8, 1)))
 
 
+# every public method that takes a field, called with the field u; the
+# two-field forms take u in either place
+ENTRY_POINTS = {
+    "laplacian": lambda g, u, path: g.laplacian(u),
+    "h_norm": lambda g, u, path: g.h_norm(u),
+    "integrate": lambda g, u, path: g.integrate(u),
+    "inner first": lambda g, u, path: g.inner(u, g.field()),
+    "inner second": lambda g, u, path: g.inner(g.field(), u),
+    "face_form first": lambda g, u, path: g.face_form(u, g.field()),
+    "face_form second": lambda g, u, path: g.face_form(g.field(), u),
+    "v_norm": lambda g, u, path: g.v_norm(u),
+    "solve_shifted scalar": lambda g, u, path: g.solve_shifted(1.0, 1.0, u),
+    "solve_shifted per-cell": lambda g, u, path: g.solve_shifted(
+        np.linspace(1.0, 2.0, g.ncells), 1.0, u),
+    "cosine_solve": lambda g, u, path: g.cosine_solve(1.0, 1.0, u),
+    "solve_spd": lambda g, u, path: g.solve_spd(
+        lambda w: w, u, 1e-10, 10, precond=lambda r: r),
+    "dump_field": lambda g, u, path: g.dump_field(u, path),
+}
+
+
+@pytest.mark.parametrize("n", [8, (4, 3)], ids=["1d", "2d"])
+@pytest.mark.parametrize("bad", ["short", "column", "list"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_rejects_misshaped_fields(entry, bad, n, tmp_path):
+    # a field is an ndarray of shape (ncells,); unchecked, the cosine solve
+    # would broadcast a column into a matrix
+    g = Grid(n)
+    u = {"short": np.ones(g.ncells - 1), "column": np.ones((g.ncells, 1)),
+         "list": [1.0] * g.ncells}[bad]
+    path = tmp_path / "u.csv"
+    with pytest.raises(GridMismatch, match=rf"^expected a flat field with {g.ncells} "):
+        ENTRY_POINTS[entry](g, u, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(7,), (8, 1)])
+def test_per_cell_shift_must_match_the_grid(shape):
+    g = Grid(8)
+    with pytest.raises(GridMismatch):
+        g.solve_shifted(np.ones(shape), 1.0, g.field(1.0))
+
+
 # -- quadrature and norms ----------------------------------------------
 
 
@@ -237,10 +280,12 @@ def test_cg_matches_dense_lu():
         b = rng.standard_normal(g.ncells)
         A = np.eye(g.ncells) - dense_laplacian(g)
         want = np.linalg.solve(A, b)
-        got = g.solve_spd(helmholtz(g), b, tol=1e-12, precond=identity)
+        got = g.solve_spd(helmholtz(g), b, tol=1e-12, max_iter=10 * g.ncells + 50,
+                          precond=identity)
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10)
         diag = 1.0 + laplacian_diag(g)
-        pre = g.solve_spd(helmholtz(g), b, tol=1e-12, precond=lambda r: r / diag)
+        pre = g.solve_spd(helmholtz(g), b, tol=1e-12, max_iter=10 * g.ncells + 50,
+                          precond=lambda r: r / diag)
         np.testing.assert_allclose(pre, want, rtol=1e-8, atol=1e-10)
 
 
@@ -250,14 +295,17 @@ def test_cg_trivial_cases():
     b = rng.standard_normal(g.ncells)
     # identity operator returns the right-hand side
     np.testing.assert_allclose(
-        g.solve_spd(lambda u: u, b, precond=identity), b, rtol=0, atol=1e-12)
+        g.solve_spd(lambda u: u, b, 1e-10, 10 * g.ncells + 50, precond=identity), b,
+        rtol=0, atol=1e-12)
     # zero right-hand side short-circuits to zero
-    out = g.solve_spd(helmholtz(g), g.field(), precond=identity)
+    out = g.solve_spd(helmholtz(g), g.field(), 1e-10, 10 * g.ncells + 50,
+                      precond=identity)
     assert np.all(out == 0.0)
     # constants are eigenvectors of the shifted operator
     c = g.field(4.0)
     np.testing.assert_allclose(
-        g.solve_spd(helmholtz(g), c, precond=identity), c, rtol=1e-12, atol=1e-12)
+        g.solve_spd(helmholtz(g), c, 1e-10, 10 * g.ncells + 50, precond=identity), c,
+        rtol=1e-12, atol=1e-12)
 
 
 def test_cg_residual_meets_tolerance():
@@ -266,7 +314,8 @@ def test_cg_residual_meets_tolerance():
     b = rng.standard_normal(g.ncells)
     tol = 1e-10
     diag = 1.0 + laplacian_diag(g)
-    x = g.solve_spd(helmholtz(g), b, tol=tol, precond=lambda r: r / diag)
+    x = g.solve_spd(helmholtz(g), b, tol=tol, max_iter=10 * g.ncells + 50,
+                    precond=lambda r: r / diag)
     resid = np.linalg.norm(b - helmholtz(g)(x)) / np.linalg.norm(b)
     assert resid <= tol
 
@@ -286,7 +335,7 @@ def test_cg_rejects_indefinite_operator():
     g = Grid(8)
     b = g.field(1.0)
     with pytest.raises(CgNoConvergence) as ei:
-        g.solve_spd(lambda u: -u, b, precond=identity)
+        g.solve_spd(lambda u: -u, b, 1e-10, 10 * g.ncells + 50, precond=identity)
     assert ei.value.iterations == 0
 
 

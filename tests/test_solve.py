@@ -87,7 +87,7 @@ def test_constant_shift_converges_in_one_iteration():
         calls.append(1)
         return 2.0 * w - 0.5 * g.laplacian(w)
 
-    x = g.solve_spd(counted, b, tol=1e-12,
+    x = g.solve_spd(counted, b, tol=1e-12, max_iter=10 * g.ncells + 50,
                     precond=lambda r: g.cosine_solve(2.0, 0.5, r))
     assert len(calls) == 1
     np.testing.assert_allclose(counted(x), b, rtol=0, atol=1e-12)
@@ -126,7 +126,7 @@ def test_variable_shift_is_cg_preconditioned_at_the_mean_shift(n, transform):
         calls.append(1)
         return shift * w - 0.1 * grid.laplacian(w)
 
-    want = grid.solve_spd(operator, b, 1e-10,
+    want = grid.solve_spd(operator, b, 1e-10, 10 * grid.ncells + 50,
                           precond=lambda r: grid.cosine_solve(mean, 0.1, r))
     got, iterations = grid._shifted_cg(shift, 0.1, b, 1e-10)
     assert iterations == len(calls) > 1
@@ -250,7 +250,7 @@ def test_shift_just_above_the_richardson_spread_takes_cg(n, transform):
         calls.append(1)
         return shift * w - 0.1 * grid.laplacian(w)
 
-    want = grid.solve_spd(operator, b, 1e-10,
+    want = grid.solve_spd(operator, b, 1e-10, 10 * grid.ncells + 50,
                           precond=lambda r: grid.cosine_solve(mean, 0.1, r))
     got, iterations = grid._shifted_cg(shift, 0.1, b, 1e-10)
     assert iterations == len(calls) > 1
@@ -327,6 +327,7 @@ def test_indefinite_variable_shift_with_positive_mean_fails(n, transform):
     mean = float(np.mean(shift))
     with pytest.raises(CgNoConvergence) as want:
         grid.solve_spd(lambda w: shift * w - 0.01 * grid.laplacian(w), b,
+                       1e-10, 10 * grid.ncells + 50,
                        precond=lambda r: grid.cosine_solve(mean, 0.01, r))
     with pytest.raises(CgNoConvergence,
                        match=r"^operator lost positive definiteness") as ei:

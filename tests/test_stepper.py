@@ -394,14 +394,14 @@ def test_limit_run_holds_v_at_zero_and_reports_substep_mu(monkeypatch):
 @np.errstate(over="ignore", invalid="ignore")  # the sums overflow or meet inf - inf
 def test_require_finite_scans_only_a_non_finite_sum():
     # the sum overflows, yet every cell is finite
-    stepper._require_finite(phi=np.array([1e308, 1e308]))
+    stepper._require_finite("phi", np.array([1e308, 1e308]))
     for bad in (np.nan, np.inf, -np.inf):
         u = np.array([1.0, bad, 2.0, bad, 1e308, 1e308])
         with pytest.raises(NonFiniteState,
                            match=r"^xi is non-finite in 2 of 6 cells$"):
-            stepper._require_finite(phi=np.ones(3), xi=u)
+            stepper._require_finite("xi", u)
     with pytest.raises(NonFiniteState, match=r"^v is non-finite in 2 of 3 cells$"):
-        stepper._require_finite(v=np.array([np.inf, 0.0, -np.inf]))
+        stepper._require_finite("v", np.array([np.inf, 0.0, -np.inf]))
 
 
 @pytest.mark.parametrize("case", ["1d-log", "2d-regular", "limit"])
@@ -421,6 +421,30 @@ def test_mass_series_are_the_integrals_bit_for_bit(case):
         want = np.array([g.integrate(getattr(s, name)) for s in states])
         got = getattr(traj, f"mass_{name}")
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), name)
+
+
+@pytest.mark.parametrize("case", ["1d-log", "2d-regular", "limit"])
+def test_run_checks_shapes_once_not_per_step(case, monkeypatch):
+    # run() checks its initial state against the grid; every later field is
+    # one it made, so no step calls Grid.check again
+    if case == "limit":
+        params, pot, controls, init, g, T, scheme = ladder_limit(**{"time.T": 0.1})
+    else:
+        params, pot, controls, init, g, T, scheme = scenario(PREDICTOR_RUNS[case])
+    calls = []
+    check = Grid.check
+
+    def counted(self, *fields):
+        calls.append(1)
+        return check(self, *fields)
+
+    monkeypatch.setattr(Grid, "check", counted)
+    counts = []
+    for nsteps in (10, 20):
+        calls.clear()
+        run(params, pot, controls, init, g, nsteps * scheme.dt, scheme)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_scheme_builds_its_yosida_params_once():
