@@ -46,7 +46,6 @@ from .model import (
     validate,
 )
 from .norms import (
-    AlphaErrorTerms,
     RateFit,
     SeriesNorms,
     alpha_error,

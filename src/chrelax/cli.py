@@ -135,9 +135,9 @@ def dispatch(argv):
         return 1
 
     try:
-        with open(ns.config) as fh:
+        with open(ns.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return 1
     except ConfigError as e:

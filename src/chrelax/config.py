@@ -295,7 +295,7 @@ def build_scenario(cfg):
         T=cfg["time.T"],
         scheme=build_scheme(cfg),
     )
-    problems = validate(sc.params, sc.potential, sc.init, sc.controls, grid)
+    problems = validate(sc.params, sc.potential, sc.init, grid)
     if problems:
         raise InvalidParams("; ".join(problems))
     return sc

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import build_scenario, default_config
+from .config import build_scenario, control_spec, default_config
 from .errors import InvalidParams
 from .grid import Grid
 from .model import Controls
@@ -72,17 +72,11 @@ class StudyReport:
         return " ".join(parts)
 
 
-def _run_scenario(sc, params=None, scheme=None, controls=None, observe=None):
-    return run(
-        params if params is not None else sc.params,
-        sc.potential,
-        controls if controls is not None else sc.controls,
-        sc.init,
-        sc.grid,
-        sc.T,
-        scheme if scheme is not None else sc.scheme,
-        observe=observe,
-    )
+def _run_scenario(sc, observe=None, **changes):
+    """Run the scenario with the fields named in ``changes`` replaced."""
+    sc = replace(sc, **changes)
+    return run(sc.params, sc.potential, sc.controls, sc.init, sc.grid, sc.T,
+               sc.scheme, observe=observe)
 
 
 def _reference(sc):
@@ -99,27 +93,26 @@ def _stream_against(sc, ref, **changes):
     return stream.finish(), traj
 
 
-def _nonincreasing(values):
+def _monotone_verdict(name, values):
+    """Verdict ``name`` that ``values`` do not increase beyond roundoff: its
+    observed value is the largest relative increase between neighbours."""
     worst = 0.0
     for a, b in zip(values, values[1:]):
-        if b - a <= MONOTONE_FLOOR:
-            continue
-        scale = max(abs(a), abs(b), 1e-300)
-        worst = max(worst, (b - a) / scale)
-    return worst <= MONOTONE_SLACK, worst
-
-
-def _monotone_verdict(name, values):
-    """Verdict ``name`` that ``values`` do not increase beyond roundoff."""
-    ok, worst = _nonincreasing(values)
-    return Verdict(name, ok, f"relative increase <= {MONOTONE_SLACK}", worst)
+        if b - a > MONOTONE_FLOOR:
+            worst = max(worst, (b - a) / max(abs(a), abs(b), 1e-300))
+    return Verdict(name, worst <= MONOTONE_SLACK,
+                   f"relative increase <= {MONOTONE_SLACK}", worst)
 
 
 def _ladder(cfg, key):
-    """The positive ladder under ``key``, in descending order."""
+    """The positive ladder under ``key``, in descending order, with no rung
+    repeated: a study compares neighbouring rungs by their ratio."""
     ladder = sorted((float(x) for x in cfg[key]), reverse=True)
     if not ladder or any(x <= 0.0 for x in ladder):
         raise InvalidParams(f"{key} must be a nonempty positive ladder")
+    for a, b in zip(ladder, ladder[1:]):
+        if a == b:
+            raise InvalidParams(f"{key} repeats the rung {a:g}")
     return ladder
 
 
@@ -141,9 +134,7 @@ def sweep_alpha(cfg):
     for a in alphas:
         n, traj = _stream_against(sc, limit, params=replace(sc.params, alpha=a))
         runs.append((f"alpha={a:g}", traj))
-        e = alpha_error(n, a)
-        rows.append((a, e.mu_weighted, e.conv_mu_linf_v, e.phi_linf_h,
-                     e.phi_l2_v, e.sigma_l2_h, e.conv_sigma_linf_v, e.composite))
+        rows.append((a, *alpha_error(n, a)))
     fit = fit_rate([(r[0], r[-1]) for r in rows])
     verdicts = [
         _monotone_verdict("composite_nonincreasing", [r[-1] for r in rows]),
@@ -182,13 +173,6 @@ def sweep_eps(cfg):
     if not sc.params.alpha > 0.0:
         raise InvalidParams("the eps sweep compares runs at a fixed alpha > 0")
     ladder = _ladder(cfg, "study.epsilons")
-    if len(ladder) == 1:
-        return StudyReport(
-            study="sweep-eps", digest=cfg.digest(),
-            columns=["epsilon", "d_phi", "d_mu", "d_sigma", "max_abs_phi"],
-            rows=[],
-            notes=["single-rung ladder: differences not applicable"],
-        )
 
     def cauchy_row(e):
         # the rung's run fills its reference; its eps/2 run streams against it
@@ -225,8 +209,6 @@ def contdep(cfg):
     """Continuous dependence on the controls: scale one perturbation pair
     down a delta ladder and compare the trajectory distance against the
     control distance; their ratio should stay within a fixed band."""
-    from .config import control_spec
-
     sc = build_scenario(cfg)
     bump1 = control_spec(cfg, "study.perturb_u1")
     bump2 = control_spec(cfg, "study.perturb_u2")

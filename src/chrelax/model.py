@@ -225,7 +225,7 @@ class State:
         )
 
 
-def validate(params, potential, init, controls, grid):
+def validate(params, potential, init, grid):
     """Cross-check a run setup; returns a list of violation strings.
 
     An empty list means the setup satisfies every structural hypothesis the

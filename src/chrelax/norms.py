@@ -199,26 +199,6 @@ def contdep_rhs(grid, dt, nsteps, controls_a, controls_b):
     return float(np.sqrt(acc1) + np.sqrt(acc2))
 
 
-@dataclass(frozen=True)
-class AlphaErrorTerms:
-    """Term-by-term composite distance between a relaxed run and its
-    parabolic limit."""
-
-    mu_weighted: float
-    conv_mu_linf_v: float
-    phi_linf_h: float
-    phi_l2_v: float
-    sigma_l2_h: float
-    conv_sigma_linf_v: float
-
-    @property
-    def composite(self):
-        return (
-            self.mu_weighted + self.conv_mu_linf_v + self.phi_linf_h
-            + self.phi_l2_v + self.sigma_l2_h + self.conv_sigma_linf_v
-        )
-
-
 def alpha_error(n, alpha):
     """Vanishing-inertia error terms from the CompositeStream norms ``n`` of
     a relaxed run (inertia alpha) against its parabolic limit:
@@ -228,15 +208,14 @@ def alpha_error(n, alpha):
       + |1*(sigma_a - sigma)|_{Linf V}.
 
     The first term weighs the relaxed potential itself, not a difference.
+    Returns the six terms t0 .. t5 in the order written above (Linf H
+    before L2 V for phi), then their composite t0 + t1 + t2 + t3 + t4 + t5,
+    added left to right: the row of the sweep-alpha table after alpha.
     """
-    return AlphaErrorTerms(
-        mu_weighted=float(np.sqrt(alpha)) * n["mu"].linf_h,
-        conv_mu_linf_v=n["conv_dmu"].linf_v,
-        phi_linf_h=n["dphi"].linf_h,
-        phi_l2_v=n["dphi"].l2_v,
-        sigma_l2_h=n["dsigma"].l2_h,
-        conv_sigma_linf_v=n["conv_dsigma"].linf_v,
-    )
+    t = (float(np.sqrt(alpha)) * n["mu"].linf_h, n["conv_dmu"].linf_v,
+         n["dphi"].linf_h, n["dphi"].l2_v, n["dsigma"].l2_h,
+         n["conv_dsigma"].linf_v)
+    return (*t, t[0] + t[1] + t[2] + t[3] + t[4] + t[5])
 
 
 @dataclass(frozen=True)

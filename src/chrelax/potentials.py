@@ -91,9 +91,11 @@ def _like(r, out):
 class SplitPotential:
     """One double well F = F1 + F2 with its convex-analysis toolbox.
 
-    Use the ``regular()``, ``logarithmic(k1)`` and ``obstacle(k2)``
-    constructors; the well-shape constraints (k1 > 1, k2 > 0) are checked
-    there and invalid parameters are rejected immediately.
+    The ``regular()``, ``logarithmic(k1)`` and ``obstacle(k2)`` constructors
+    name the kinds.  ``__post_init__`` checks the kind and the well-shape
+    constraints (k1 > 1, k2 > 0) on every construction, so a direct call,
+    as the config builds it, is checked too: invalid parameters raise
+    InvalidParams at once.
     """
 
     KINDS = ("regular", "logarithmic", "obstacle")

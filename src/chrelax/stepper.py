@@ -410,7 +410,7 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
     have grown and reversed direction for UNSTABLE_STEPS steps in a row,
     instead of letting them grow until the resolvent fails.
     """
-    problems = validate(params, potential, init, controls, grid)
+    problems = validate(params, potential, init, grid)
     if problems:
         raise InvalidParams("; ".join(problems))
     nsteps = step_count(T, scheme.dt)

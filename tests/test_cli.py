@@ -59,6 +59,21 @@ def test_unreadable_config_file(capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(TINY.encode() + b"# \xff\n")
+    assert dispatch(["simulate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config: ") and "utf-8" in err
+
+
+def test_repeated_rung_is_an_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY + "study.alphas = 0.25, 0.25, 0.125\n")
+    assert dispatch(["sweep-alpha", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: study.alphas repeats the rung 0.25\n"
+
+
 def test_config_issues_print_path_and_line(tmp_path, capsys):
     path = write_cfg(tmp_path, "grid.n = sixty\nbogus = 1\n")
     assert dispatch(["simulate", "--config", path]) == 1

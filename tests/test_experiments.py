@@ -6,6 +6,7 @@ determinism, and the documented refusal conditions.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from chrelax import (
 )
 from chrelax import experiments
 from chrelax.experiments import (
-    _nonincreasing,
+    _monotone_verdict,
     contdep,
     conservation_drift,
     invariant_suite,
@@ -45,14 +46,13 @@ def tiny_config(**extra):
 
 
 def test_nonincreasing_tolerates_roundoff_ties():
-    ok, worst = _nonincreasing([1.0, 0.5, 0.25])
-    assert ok and worst == 0.0
+    v = _monotone_verdict("m", [1.0, 0.5, 0.25])
+    assert v.passed and v.observed == 0.0
     # an absolute increase at roundoff level counts as a tie
-    ok, _ = _nonincreasing([1e-9, 1e-9 + 5e-14])
-    assert ok
-    ok, worst = _nonincreasing([1.0, 1.1])
-    assert not ok and worst == pytest.approx(0.1 / 1.1, rel=1e-12)
-    assert _nonincreasing([])[0] and _nonincreasing([0.3])[0]
+    assert _monotone_verdict("m", [1e-9, 1e-9 + 5e-14]).passed
+    v = _monotone_verdict("m", [1.0, 1.1])
+    assert not v.passed and v.observed == pytest.approx(0.1 / 1.1, rel=1e-12)
+    assert _monotone_verdict("m", []).passed and _monotone_verdict("m", [0.3]).passed
 
 
 # -- refusals ----------------------------------------------------------------
@@ -68,6 +68,23 @@ def test_sweep_alpha_refuses_nonconstant_proliferation():
 def test_sweep_alpha_refuses_bad_ladder():
     with pytest.raises(InvalidParams, match="positive ladder"):
         sweep_alpha(tiny_config(**{"study.alphas": [0.25, -1.0]}))
+
+
+@pytest.mark.parametrize("study, key", [
+    (sweep_alpha, "study.alphas"),
+    (sweep_eps, "study.epsilons"),
+    (contdep, "study.deltas"),
+], ids=["alphas", "epsilons", "deltas"])
+def test_ladders_refuse_a_repeated_rung_before_any_run(study, key, monkeypatch):
+    # a repeated rung would divide by log(a / a) = 0 in the local slopes
+    def no_run(*args, **kwargs):
+        raise AssertionError(f"{key}: a run started before the ladder was checked")
+
+    monkeypatch.setattr(experiments, "run", no_run)
+    cfg = contdep_config().with_updates({key: [0.25, 0.125, 0.25]})
+    with pytest.raises(InvalidParams,
+                       match=re.escape(f"{key} repeats the rung 0.25")):
+        study(cfg)
 
 
 def test_sweep_alpha_single_alpha_cannot_fit():
@@ -120,11 +137,14 @@ def test_studies_refuse_a_record_stride_that_misses_the_final_step():
 # -- sweep-eps ---------------------------------------------------------------
 
 
-def test_sweep_eps_single_rung_reports_note():
+def test_sweep_eps_single_rung_gives_one_row():
+    # every row compares eps with eps/2, so one rung is one row: the same
+    # row that rung gives in a longer ladder
     report = sweep_eps(tiny_config(**{"study.epsilons": [1e-3]}))
-    assert report.rows == []
+    assert [r[0] for r in report.rows] == [1e-3]
     assert report.passed
-    assert any("single-rung" in n for n in report.notes)
+    longer = sweep_eps(tiny_config(**{"study.epsilons": [1e-3, 1e-2]}))
+    assert report.rows == longer.rows[1:]
 
 
 def test_sweep_eps_rows_and_determinism():

@@ -8,7 +8,8 @@ nutrient equations (the method of manufactured solutions; Roache 2002).
 Since cos^3 = (3 cos + cos 3)/4, every field is a sum of cosine modes,
 and cosines are eigenvectors of the discrete no-flux Laplacian on the
 cell centres, so the space error is O(h^2).  The time error is O(dt), so
-under dt proportional to h^2 the observed order in h is 2.  The controls
+under dt proportional to h^2 the observed order in h is 2, and at a fixed
+fine h the observed order in dt is 1.  The controls
 and the initial data are duck-typed: anything with ``.sample(t, grid)``
 or ``.build(grid)`` will do, here a ``SimpleNamespace``.
 """
@@ -105,9 +106,9 @@ class Manufactured:
         return ((B(t, 1) + PI2 * B(t) - self.chi * PI2 * A(t)) * c1
                 + self.exchange(t, grid))
 
-    def error(self, n):
+    def error(self, n, nsteps):
         """Largest discrete L2 error of phi, mu and sigma at T on n cells,
-        with T / dt = n^2 / 8 steps."""
+        after nsteps steps."""
         grid = Grid(n)
         params = ModelParams(
             alpha=self.alpha, tau=self.tau, chi=self.chi,
@@ -121,25 +122,44 @@ class Manufactured:
             phi0=SimpleNamespace(build=lambda g: self.phi(0.0, g)),
             sigma0=SimpleNamespace(build=lambda g: self.sigma(0.0, g)))
         final = run(params, SplitPotential.regular(), controls, init, grid, T,
-                    SchemeConfig(dt=T / (n * n // 8), eps=EPS)).final
+                    SchemeConfig(dt=T / nsteps, eps=EPS)).final
         return max(grid.h_norm(final.phi - self.phi(T, grid)),
                    grid.h_norm(final.mu - self.mu(T, grid)),
                    grid.h_norm(final.sigma - self.sigma(T, grid)))
 
 
+def halving_orders(errors):
+    return [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
+
+
 def observed_orders(alpha, tau, p0):
-    errors = [Manufactured(alpha, tau, p0).error(n) for n in NS]
-    return errors, [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
+    # T / dt = n^2 / 8 steps: the time error follows the O(h^2) space error
+    m = Manufactured(alpha, tau, p0)
+    errors = [m.error(n, n * n // 8) for n in NS]
+    return errors, halving_orders(errors)
 
 
-@pytest.mark.parametrize("alpha, tau, p0", [
+PARAMETER_SETS = pytest.mark.parametrize("alpha, tau, p0", [
     (0.1, 1.0, 2.0),
     (0.0, 1.0, 1.0),  # tau P = 1: the limit scheme's bounded sawtooth
     (0.0, 1.0, 2.0),
 ], ids=["alpha=0.1", "alpha=0,tauP=1", "alpha=0,tauP=2"])
+
+
+@PARAMETER_SETS
 def test_observed_order_two_under_dt_proportional_to_h2(alpha, tau, p0):
     errors, orders = observed_orders(alpha, tau, p0)
     assert all(1.8 <= q <= 2.2 for q in orders), (errors, orders)
+
+
+@PARAMETER_SETS
+def test_observed_order_one_in_dt_at_fixed_fine_h(alpha, tau, p0):
+    # at n = 128 the space error stays well below the time error down to
+    # T / dt = 80; at n = 64 the alpha = 0 sets already reach it there
+    m = Manufactured(alpha, tau, p0)
+    errors = [m.error(128, nsteps) for nsteps in (10, 20, 40, 80)]
+    orders = halving_orders(errors)
+    assert all(0.9 <= q <= 1.15 for q in orders), (errors, orders)
 
 
 def test_limit_run_is_refused_below_unit_tau_p_where_its_order_is_lost(monkeypatch):
@@ -148,7 +168,7 @@ def test_limit_run_is_refused_below_unit_tau_p_where_its_order_is_lost(monkeypat
     assert all(1.8 <= q <= 2.2 for q in orders), (errors, orders)
     # at tau P = 0.9 validate refuses the run
     with pytest.raises(InvalidParams, match=r"tau \* min P >= 1"):
-        Manufactured(0.0, 1.0, 0.9).error(NS[0])
+        Manufactured(0.0, 1.0, 0.9).error(NS[0], NS[0] ** 2 // 8)
     # and past validate the order is lost: the error stops falling or the
     # growing increments trip the alpha = 0 guard
     monkeypatch.setattr(stepper, "validate", lambda *args: [])

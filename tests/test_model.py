@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from chrelax import (
-    Controls,
     ControlSpec,
     FieldSpec,
     Grid,
@@ -232,19 +231,19 @@ def test_cosine_bump_2d_separable():
 def test_validate_accepts_default_setup():
     g = Grid(16)
     assert validate(
-        ModelParams(), SplitPotential.regular(), default_init(), Controls(), g) == []
+        ModelParams(), SplitPotential.regular(), default_init(), g) == []
 
 
 def test_validate_flags_each_violation():
     g = Grid(16)
     init = default_init()
     pot = SplitPotential.regular()
-    assert len(validate(ModelParams(tau=0.0), pot, init, Controls(), g)) == 1
-    assert len(validate(ModelParams(chi=-1.0), pot, init, Controls(), g)) == 1
-    assert len(validate(ModelParams(alpha=-0.1), pot, init, Controls(), g)) == 1
+    assert len(validate(ModelParams(tau=0.0), pot, init, g)) == 1
+    assert len(validate(ModelParams(chi=-1.0), pot, init, g)) == 1
+    assert len(validate(ModelParams(alpha=-0.1), pot, init, g)) == 1
     # several violations accumulate
     assert len(validate(
-        ModelParams(tau=0.0, chi=0.0), pot, init, Controls(), g)) == 2
+        ModelParams(tau=0.0, chi=0.0), pot, init, g)) == 2
 
 
 def test_validate_limit_needs_positive_proliferation():
@@ -252,11 +251,11 @@ def test_validate_limit_needs_positive_proliferation():
     init = default_init()
     pot = SplitPotential.regular()
     ok = ModelParams(alpha=0.0, proliferation=ProliferationSpec("constant", p0=1.0))
-    assert validate(ok, pot, init, Controls(), g) == []
+    assert validate(ok, pot, init, g) == []
     for bad_p in (ProliferationSpec("ramp", p0=1.0),
                   ProliferationSpec("constant", p0=0.0)):
         bad = ModelParams(alpha=0.0, proliferation=bad_p)
-        msgs = validate(bad, pot, init, Controls(), g)
+        msgs = validate(bad, pot, init, g)
         assert len(msgs) == 1 and "limit" in msgs[0]
 
 
@@ -270,10 +269,10 @@ def test_validate_phase_range_per_potential():
         phi0=FieldSpec("constant", value=1.1), sigma0=FieldSpec())
     log, obs = SplitPotential.logarithmic(), SplitPotential.obstacle()
     # the entropy needs a strict interior start, the obstacle allows the bound
-    assert len(validate(ModelParams(), log, at_one, Controls(), g)) == 1
-    assert validate(ModelParams(), obs, at_one, Controls(), g) == []
-    assert len(validate(ModelParams(), obs, beyond, Controls(), g)) == 1
-    assert validate(ModelParams(), SplitPotential.regular(), beyond, Controls(), g) == []
+    assert len(validate(ModelParams(), log, at_one, g)) == 1
+    assert validate(ModelParams(), obs, at_one, g) == []
+    assert len(validate(ModelParams(), obs, beyond, g)) == 1
+    assert validate(ModelParams(), SplitPotential.regular(), beyond, g) == []
 
 
 def test_validate_rejects_nonfinite_fields():
@@ -281,7 +280,7 @@ def test_validate_rejects_nonfinite_fields():
     init = InitialData(
         mu0=FieldSpec("constant", value=math.nan), mu0_prime=FieldSpec(),
         phi0=FieldSpec(), sigma0=FieldSpec("constant", value=math.inf))
-    msgs = validate(ModelParams(), SplitPotential.regular(), init, Controls(), g)
+    msgs = validate(ModelParams(), SplitPotential.regular(), init, g)
     assert len(msgs) == 2
     assert any("mu0" in m for m in msgs) and any("sigma0" in m for m in msgs)
 

@@ -186,16 +186,16 @@ def test_alpha_error_self_term_only():
     g = Grid(8)
     rows = [(0.6, 0.0, -0.1, 0.2)] * 5
     norms = stream_norms(g, 0.1, rows, rows)
-    terms = alpha_error(norms, 0.25)
+    mu_w, conv_mu, phi_h, phi_v, sig_h, conv_sig, composite = alpha_error(norms, 0.25)
     # identical series: every difference term vanishes and only
     # sqrt(alpha) |mu|_{Linf H} = 0.5 * 0.6 survives
-    assert terms.conv_mu_linf_v == 0.0
-    assert terms.phi_linf_h == 0.0 and terms.phi_l2_v == 0.0
-    assert terms.sigma_l2_h == 0.0 and terms.conv_sigma_linf_v == 0.0
-    assert terms.mu_weighted == pytest.approx(0.3, rel=1e-13)
-    assert terms.composite == pytest.approx(0.3, rel=1e-13)
+    assert conv_mu == 0.0
+    assert phi_h == 0.0 and phi_v == 0.0
+    assert sig_h == 0.0 and conv_sig == 0.0
+    assert mu_w == pytest.approx(0.3, rel=1e-13)
+    assert composite == pytest.approx(0.3, rel=1e-13)
     # the weight scales like sqrt(alpha)
-    ratio = alpha_error(norms, 0.5).composite / terms.composite
+    ratio = alpha_error(norms, 0.5)[-1] / composite
     assert ratio == pytest.approx(math.sqrt(2.0), rel=1e-13)
 
 
@@ -203,16 +203,16 @@ def test_alpha_error_difference_terms_oracle():
     g = Grid(8)
     dt, nsnap = 0.1, 6
     T = dt * (nsnap - 1)
-    terms = alpha_error(stream_norms(
+    mu_w, _, phi_h, phi_v, sig_h, conv_sig, composite = alpha_error(stream_norms(
         g, dt, [(0.0, 0.0, 0.3, -0.2)] * nsnap, [(0.0, 0.0, 0.0, 0.0)] * nsnap),
         0.04)
-    assert terms.mu_weighted == 0.0
-    assert terms.phi_linf_h == pytest.approx(0.3, rel=1e-13)
-    assert terms.phi_l2_v == pytest.approx(0.3 * math.sqrt(T), rel=1e-13)
-    assert terms.sigma_l2_h == pytest.approx(0.2 * math.sqrt(T), rel=1e-13)
+    assert mu_w == 0.0
+    assert phi_h == pytest.approx(0.3, rel=1e-13)
+    assert phi_v == pytest.approx(0.3 * math.sqrt(T), rel=1e-13)
+    assert sig_h == pytest.approx(0.2 * math.sqrt(T), rel=1e-13)
     # |1*dsigma|(t_n) = 0.2 t_n peaks at T
-    assert terms.conv_sigma_linf_v == pytest.approx(0.2 * T, rel=1e-13)
-    assert terms.composite == pytest.approx(
+    assert conv_sig == pytest.approx(0.2 * T, rel=1e-13)
+    assert composite == pytest.approx(
         0.3 + 0.3 * math.sqrt(T) + 0.2 * math.sqrt(T) + 0.2 * T, rel=1e-13)
 
 
@@ -274,10 +274,11 @@ def test_stacked_norms_match_per_snapshot_loop(grid):
     mu_self = loop_series_norms(grid, series(s1, "mu"), dt)
     terms = alpha_error(norms, alpha)
     np.testing.assert_allclose(
-        [terms.mu_weighted, terms.conv_mu_linf_v, terms.phi_linf_h,
-         terms.phi_l2_v, terms.sigma_l2_h, terms.conv_sigma_linf_v],
+        terms[:6],
         [math.sqrt(alpha) * mu_self[0], conv_mu[1], nphi[0], nphi[3],
          nsig[2], conv_sig[1]], rtol=1e-12, atol=0)
+    # the composite is the six terms added left to right
+    assert terms[6] == terms[0] + terms[1] + terms[2] + terms[3] + terms[4] + terms[5]
 
 
 def test_series_norms_reject_misshaped_stack():

@@ -115,8 +115,7 @@ def stacked_alpha_error(grid, dt, s_alpha, s_limit, alpha):
 
 
 def terms_list(t):
-    return [t.mu_weighted, t.conv_mu_linf_v, t.phi_linf_h, t.phi_l2_v,
-            t.sigma_l2_h, t.conv_sigma_linf_v]
+    return list(t[:6])
 
 
 DT = 0.01  # time between the record points of the random series
