@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import pickle  # numpy has imported it already
 import sys
 
 import numpy as np
@@ -85,27 +86,109 @@ def _write_diagnostics(traj, outdir, digest):
     return path
 
 
+_FIELDS = ("mu", "v", "phi", "sigma", "xi")  # a record point's fields, in order
+
+
+def _write_record(grid, rundir, step, fields):
+    """Write one record point's fields (in ``_FIELDS`` order) as CSV files."""
+    for name, u in zip(_FIELDS, fields):
+        grid.dump_field(u, os.path.join(rundir, f"{name}_{step:06d}.csv"))
+
+
 def _field_dumper(grid, dt, rundir):
-    """Observer that writes each record point's fields as CSV files."""
+    """Start the field writer of a run; returns ``(observe, join)``.
+
+    The writer is one process, forked here before the run.  ``observe``
+    sends it each record point through a blocking pipe: the step as 8
+    little-endian bytes, then the float64 bytes of mu, v, phi, sigma and xi.
+    The child reads one whole record point at a time and writes it with
+    ``_write_record``, while the solver steps on.  A full pipe blocks the
+    observer, so no more than one record point plus the pipe's buffer is in
+    flight; the fields are copied at once, and the state is left alone.
+
+    ``join(report)`` closes the pipe, reads the error pipe until the writer
+    has gone and reaps it with ``waitpid``.  A write that failed in the
+    child comes back through the error pipe as the child's exception (an
+    OSError with the path and the cause), and ``join`` raises it when
+    ``report`` is true.  The child always leaves through ``os._exit``, so it
+    flushes no inherited stdio and runs no atexit hook.
+
+    The fork is safe because the child calls no BLAS: ``dump_field`` uses
+    only elementwise numpy and file writes, and OpenBLAS's thread pool sits
+    idle between calls.  Python 3.12 and later warn (DeprecationWarning)
+    when a process with threads forks, as OpenBLAS's pool makes this one.
+    Where ``os.fork`` does not exist, ``observe`` calls ``_write_record``
+    in process.
+    """
     os.makedirs(rundir, exist_ok=True)
 
-    def dump(state):
-        step = int(round(state.t / dt))
-        for name in ("mu", "v", "phi", "sigma", "xi"):
-            path = os.path.join(rundir, f"{name}_{step:06d}.csv")
-            grid.dump_field(getattr(state, name), path)
+    def record(state):
+        return int(round(state.t / dt)), [getattr(state, name) for name in _FIELDS]
 
-    return dump
+    if not hasattr(os, "fork"):
+        return (lambda state: _write_record(grid, rundir, *record(state)),
+                lambda report: None)
+    data_r, data_w = os.pipe()
+    error_r, error_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the writer
+        status = 1
+        try:
+            os.close(data_w)
+            os.close(error_r)
+            with open(data_r, "rb") as pipe:
+                while data := pipe.read(8 * (1 + len(_FIELDS) * grid.ncells)):
+                    _write_record(grid, rundir, int.from_bytes(data[:8], "little"),
+                                  np.frombuffer(data, offset=8).reshape(len(_FIELDS), -1))
+            status = 0
+        except BaseException as e:
+            os.write(error_w, pickle.dumps(e))
+        finally:
+            os._exit(status)
+    os.close(data_r)
+    os.close(error_w)
+
+    def observe(state):
+        step, fields = record(state)
+        data = memoryview(b"".join(
+            [step.to_bytes(8, "little")] + [u.tobytes() for u in fields]))
+        while data:
+            data = data[os.write(data_w, data):]
+
+    def join(report):
+        os.close(data_w)
+        with open(error_r, "rb") as pipe:
+            error = pipe.read()  # up to the writer's exit
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if report and error:
+            raise pickle.loads(error)
+        if report and status:
+            raise OSError(f"the field writer of {rundir} exited with status {status}")
+
+    return observe, join
 
 
 def _simulate(cfg, outdir):
+    """Run one config and write its diagnostics and, with
+    ``output.dump_fields``, every record point's fields.
+
+    The field writer is joined on every path (see ``_field_dumper``).  When
+    the run raises, its error is the one that propagates, unless it is the
+    BrokenPipeError of a writer that failed first: then the writer's error
+    is raised in its place.
+    """
     sc = build_scenario(cfg)
     digest = cfg.digest()
     rundir = os.path.join(outdir, digest)
-    dump = (_field_dumper(sc.grid, sc.scheme.dt, rundir)
-            if cfg["output.dump_fields"] else None)
-    traj = run(sc.params, sc.potential, sc.controls, sc.init, sc.grid, sc.T,
-               sc.scheme, observe=dump)
+    dump, join = (_field_dumper(sc.grid, sc.scheme.dt, rundir)
+                  if cfg["output.dump_fields"] else (None, lambda report: None))
+    try:
+        traj = run(sc.params, sc.potential, sc.controls, sc.init, sc.grid, sc.T,
+                   sc.scheme, observe=dump)
+    except BaseException as e:
+        join(report=isinstance(e, BrokenPipeError))
+        raise
+    join(report=True)
     path = _write_diagnostics(traj, outdir, digest)
     its = traj.newton_iters
     print(f"simulate: {len(its)} steps, {int(its.sum())} Newton iterations "

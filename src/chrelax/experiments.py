@@ -105,11 +105,11 @@ def _monotone_verdict(name, values):
 
 
 def _ladder(cfg, key):
-    """The positive ladder under ``key``, in descending order, with no rung
-    repeated: a study compares neighbouring rungs by their ratio."""
+    """The positive, finite ladder under ``key``, in descending order, with
+    no rung repeated: a study compares neighbouring rungs by their ratio."""
     ladder = sorted((float(x) for x in cfg[key]), reverse=True)
-    if not ladder or any(x <= 0.0 for x in ladder):
-        raise InvalidParams(f"{key} must be a nonempty positive ladder")
+    if not ladder or not all(0.0 < x < math.inf for x in ladder):
+        raise InvalidParams(f"{key} must be a nonempty positive ladder of finite rungs")
     for a, b in zip(ladder, ladder[1:]):
         if a == b:
             raise InvalidParams(f"{key} repeats the rung {a:g}")

@@ -83,10 +83,12 @@ class Grid:
             raise InvalidParams("length must give one extent per axis")
         if any(not (L > 0.0) for L in length):
             raise InvalidParams(f"box lengths must be positive, got {length}")
+        self.h = tuple(L / k for L, k in zip(length, n))
+        if not all(0.0 < h * h < math.inf and math.isfinite(4.0 / (h * h)) for h in self.h):
+            raise InvalidParams(f"cell sizes {self.h} leave 4/h^2 not finite")
         self.n = n
         self.length = length
         self.dim = len(n)
-        self.h = tuple(L / k for L, k in zip(length, n))
         self.ncells = int(np.prod(n))
         self._shape = (self.ncells,)  # of a flat field, for check()
         self.cell_volume = float(np.prod(self.h))

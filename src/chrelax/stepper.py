@@ -108,8 +108,9 @@ EPS_MACH = float(np.finfo(float).eps)
 class SchemeConfig:
     """Discretisation controls for one run.
 
-    ``cg_tol`` is the CG tolerance of the linear substeps and the floor of
-    the phase Newton's forcing tolerance (see ``step_phi``).
+    ``cg_tol`` is the relative CG tolerance of the linear substeps, in
+    (0, 1), and the floor of the phase Newton's forcing tolerance (see
+    ``step_phi``).
     """
 
     dt: float
@@ -126,10 +127,12 @@ class SchemeConfig:
             raise InvalidParams(f"eps must be positive, got {self.eps}")
         if self.record_every < 1:
             raise InvalidParams("record_every must be at least 1")
-        for name in ("newton_tol", "cg_tol"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise InvalidParams(f"{name} must be positive and finite, got {value}")
+        if not (self.newton_tol > 0.0 and math.isfinite(self.newton_tol)):
+            raise InvalidParams(
+                f"newton_tol must be positive and finite, got {self.newton_tol}")
+        if not 0.0 < self.cg_tol < 1.0:
+            raise InvalidParams(
+                f"cg_tol must be positive and below 1 (it is relative), got {self.cg_tol}")
         if self.newton_max_iter < 1:
             raise InvalidParams(
                 f"newton_max_iter must be at least 1, got {self.newton_max_iter}")

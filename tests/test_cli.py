@@ -5,16 +5,19 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chrelax import Grid, RateFit, cli, experiments, parse_config
+from chrelax import (Grid, NonFiniteState, RateFit, build_scenario, cli, experiments,
+                     parse_config, run, stepper)
 from chrelax.cli import (_DIAGNOSTIC_BLOCK_ROWS, _write_diagnostics, dispatch,
                          write_report)
 from chrelax.experiments import StudyReport, Verdict
+from chrelax.model import State
 
 TINY = (
     "grid.n = 8\ntime.T = 5e-3\ntime.dt = 1e-3\npotential.kind = regular\n"
@@ -32,6 +35,11 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -- usage and config errors -------------------------------------------------
@@ -72,6 +80,32 @@ def test_repeated_rung_is_an_error(tmp_path, capsys):
     assert dispatch(["sweep-alpha", "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err == "error: study.alphas repeats the rung 0.25\n"
+
+
+@pytest.mark.parametrize("ladder", ["0.25, inf", "0.25, nan, 0.125"])
+def test_non_finite_rung_is_an_error_before_any_run(tmp_path, capsys, monkeypatch, ladder):
+    runs = []
+    monkeypatch.setattr(experiments, "run", lambda *args, **kwargs: runs.append(args))
+    cfg = write_cfg(tmp_path, TINY + f"study.alphas = {ladder}\n")
+    assert dispatch(["sweep-alpha", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: study.alphas must be a nonempty positive ladder of finite rungs\n"
+    assert runs == []
+
+
+@pytest.mark.parametrize("setting,message", [
+    ("solver.cg_tol = 1e300", "cg_tol must be positive and below 1"),
+    ("solver.cg_tol = 1", "cg_tol must be positive and below 1"),
+    ("grid.length = 1e300", "leave 4/h^2 not finite"),
+    ("grid.length = 1e-300", "leave 4/h^2 not finite"),
+])
+def test_out_of_range_tolerance_or_cell_size_is_an_error(tmp_path, capsys, setting, message):
+    path = write_cfg(tmp_path, TINY + setting + "\n")
+    out = tmp_path / "out"
+    assert dispatch(["simulate", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not list(out.rglob("*.csv"))  # refused before the run
 
 
 def test_config_issues_print_path_and_line(tmp_path, capsys):
@@ -244,6 +278,123 @@ def test_simulate_dump_fields_round_trip(tmp_path):
     assert "phi_000000.csv" in files and "phi_000005.csv" in files
     phi0 = Grid(8).load_field(rundirs[0] / "phi_000000.csv")
     np.testing.assert_array_equal(phi0, np.full(8, 0.25))
+
+
+# -- the field writer -------------------------------------------------------
+
+
+DUMPING = TINY + "output.dump_fields = true\n"
+
+
+def in_process_dumps(text, rundir):
+    """{file name: bytes} of every record point of the config ``text``, each
+    field written by ``Grid.dump_field`` from the observer of ``run``."""
+    sc = build_scenario(parse_config(text))
+    rundir.mkdir()
+
+    def dump(state):
+        step = int(round(state.t / sc.scheme.dt))
+        for name in ("mu", "v", "phi", "sigma", "xi"):
+            sc.grid.dump_field(getattr(state, name), rundir / f"{name}_{step:06d}.csv")
+
+    run(sc.params, sc.potential, sc.controls, sc.init, sc.grid, sc.T, sc.scheme,
+        observe=dump)
+    return {p.name: p.read_bytes() for p in rundir.iterdir()}
+
+
+def dumped(out, text):
+    return {p.name: p.read_bytes()
+            for p in (out / parse_config(text).digest()).iterdir()}
+
+
+@pytest.mark.parametrize("step", [0, 5])  # the first and the last record point
+def test_blocked_field_write_is_one_error_line(tmp_path, capsys, step):
+    path = write_cfg(tmp_path, DUMPING)
+    out = tmp_path / "results"
+    blocked = out / parse_config(DUMPING).digest() / f"phi_{step:06d}.csv"
+    blocked.mkdir(parents=True)
+    assert dispatch(["simulate", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and str(blocked) in err
+    assert err.count("\n") == 1
+    assert_no_child_process()
+
+
+def test_writer_error_wins_over_the_broken_pipe(tmp_path, capsys, monkeypatch):
+    # the writer fails on the first record point and has exited when the
+    # second is sent, so the observer's write raises BrokenPipeError
+    state = State(*[np.zeros(8)] * 5, t=0.0)  # TINY's grid has 8 cells
+
+    def two_records(*args, observe):
+        observe(state)
+        deadline = time.monotonic() + 30.0
+        # WNOWAIT leaves the writer to be reaped by the join
+        while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT | os.WNOHANG) is None:
+            assert time.monotonic() < deadline, "the writer did not exit"
+            time.sleep(1e-3)
+        observe(state)
+
+    monkeypatch.setattr(cli, "run", two_records)
+    path = write_cfg(tmp_path, DUMPING)
+    out = tmp_path / "results"
+    blocked = out / parse_config(DUMPING).digest() / "mu_000000.csv"
+    blocked.mkdir(parents=True)
+    assert dispatch(["simulate", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and str(blocked) in err
+    assert "Broken pipe" not in err
+    assert_no_child_process()
+
+
+def test_run_error_wins_and_earlier_record_points_are_written(tmp_path, capsys, monkeypatch):
+    expected = in_process_dumps(DUMPING, tmp_path / "expected")
+    plain, calls = stepper.step_sigma, []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NonFiniteState("injected")
+        return plain(*args)
+
+    monkeypatch.setattr(stepper, "step_sigma", failing)
+    path = write_cfg(tmp_path, DUMPING)
+    out = tmp_path / "results"
+    assert dispatch(["simulate", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: step 3 (t = 0.003), substep sigma: injected\n"
+    files = dumped(out, DUMPING)
+    assert sorted(files) == sorted(f"{name}_{step:06d}.csv" for step in (0, 1, 2)
+                                   for name in ("mu", "v", "phi", "sigma", "xi"))
+    assert files == {name: expected[name] for name in files}
+    assert_no_child_process()
+
+
+def test_forked_and_in_process_writers_write_the_same_bytes(tmp_path, monkeypatch):
+    path = write_cfg(tmp_path, DUMPING)
+    assert dispatch(["simulate", "--config", path, "--out", str(tmp_path / "forked")]) == 0
+    assert_no_child_process()
+    forked = dumped(tmp_path / "forked", DUMPING)
+    assert len(forked) == 30
+    assert forked == in_process_dumps(DUMPING, tmp_path / "expected")
+    monkeypatch.delattr(os, "fork")
+    assert dispatch(["simulate", "--config", path, "--out", str(tmp_path / "local")]) == 0
+    assert dumped(tmp_path / "local", DUMPING) == forked
+
+
+def test_dumping_simulate_formats_fields_outside_its_process(tmp_path):
+    # the writer process imports the CSV kernel; the solver's process never does
+    path = write_cfg(tmp_path, DUMPING)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys; from chrelax.cli import dispatch; "
+            "assert dispatch(sys.argv[1:]) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('chrelax._csv')))")
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "--config", path, "--out", str(out)],
+        env=env, check=True, capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert len(dumped(out, DUMPING)) == 30
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep-alpha"])
