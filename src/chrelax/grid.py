@@ -23,10 +23,9 @@ by Richardson sweeps when the shift is near constant, by the conjugate
 gradients of ``solve_spd`` otherwise (the rule is stated in
 ``_shifted_cg``).
 
-Fields are written as CSV by ``_csvtext.CsvRows``, an exact vectorised
-``'%.17g'`` writer whose row layout each grid builds once: values with a
-decimal exponent in [-6, 16] (1e-6 <= |u| < 1e17) and +-0 take its
-kernel, the rest (non-finite or out of range) ``'%.17g' %`` one at a time.
+Fields are written as CSV: the bytes ``csv.writer`` writes for each
+cell's coordinates and value as ``'%.17g'`` formats them, a block of rows
+at a time (``dump_field``).
 """
 
 from __future__ import annotations
@@ -55,6 +54,10 @@ DENOM_CACHE_MAX = 8
 # Richardson took at most 0.93 of CG's time (CHANGES.md); the CG used now
 # applies one Laplacian more per iteration.
 RICHARDSON_Q = 0.1
+
+# dump_field formats this many rows per '%' and write, so that only one
+# block's values and text are alive at once.
+CSV_BLOCK_ROWS = 1024
 
 
 class Grid:
@@ -101,7 +104,7 @@ class Grid:
             (int(np.prod(n[ax + 1:])), h, n[ax] if ax == 1 else 0)
             for ax, h in enumerate(self.h))
         self._coordinates = None  # built on first use
-        self._csv_rows = None  # the CSV row layout, built on the first dump
+        self._csv_prefixes = None  # each row's coordinate text, built on the first dump
         self._cosine = None  # built on the first cosine solve
         self._denoms = {}  # (shift, scale) -> cosine_solve's divisor
         self._hash = hash((self.n, self.length))
@@ -438,34 +441,29 @@ class Grid:
     def dump_field(self, u, path):
         """Write one field as CSV with 17 significant digits per value.
 
-        The bytes are those of ``csv.writer`` given each coordinate and
-        value as ``'%.17g'`` formats it (CRLF line ends, no quoting: no
-        number needs it).  The values go through ``_csvtext.CsvRows``, whose
-        vectorised kernel formats every value with a decimal exponent in
-        [-6, 16] (1e-6 <= |u| < 1e17, and +-0) and leaves the others to
-        ``'%.17g' %``, one at a time.  A field of another real dtype is
-        written as its float64 values, as ``'%.17g'`` formats its elements.
-        The row layout, with the coordinate text of every row, is built
-        once per grid, on the first dump.
+        The bytes are those of ``csv.writer`` given each cell's coordinates
+        and value as ``'%.17g'`` formats them: a header row, then one row
+        per cell in row-major order, CRLF line ends and no quoting (no
+        number needs it).  A field of another real dtype is written as its
+        float64 values.  Rows are formatted and written CSV_BLOCK_ROWS at a
+        time; each row's coordinate text is built once per grid, on the
+        first dump.
         """
-        from ._csvtext import CsvRows  # compiled on the first write
-
         self.check(u)
         u = u.astype(np.float64, casting="same_kind", copy=False)
-        if self._csv_rows is None:
+        if self._csv_prefixes is None:
             axes = [[b"%.17g," % c for c in axis.tolist()] for axis in self._centres()]
-            if self.dim == 1:
-                (xs,) = axes
-                text, lengths = b"".join(xs), np.array([len(x) for x in xs])
-            else:  # row-major: cell (i, j) is prefixed by xs[i] + ys[j]
-                xs, ys = axes
-                text = b"".join(x.join([b""] + ys) for x in xs)
-                lengths = np.add.outer([len(x) for x in xs],
-                                       [len(y) for y in ys]).reshape(-1)
-            self._csv_rows = CsvRows(text, lengths)
+            # row-major: cell (i, j) is prefixed by xs[i] + ys[j]
+            self._csv_prefixes = (axes[0] if self.dim == 1
+                                  else [x + y for x in axes[0] for y in axes[1]])
         with open(path, "wb") as fh:
             fh.write(b"x,value\r\n" if self.dim == 1 else b"x,y,value\r\n")
-            self._csv_rows.write(fh, u)
+            for start in range(0, self.ncells, CSV_BLOCK_ROWS):
+                values = u[start:start + CSV_BLOCK_ROWS].tolist()
+                rows = [None] * (2 * len(values))
+                rows[::2] = self._csv_prefixes[start:start + len(values)]
+                rows[1::2] = values
+                fh.write(b"%s%.17g\r\n" * len(values) % tuple(rows))
 
     def load_field(self, path):
         """Read a field previously written by dump_field."""

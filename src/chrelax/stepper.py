@@ -101,6 +101,10 @@ UNSTABLE_STEPS = 4
 # forcing constant of the inexact phase Newton (see step_phi)
 GAMMA = 0.01
 
+# the most steps a run takes: run allocates about 40 bytes per step up front
+# (three mass series, the Newton counts and the step times), 0.4 GB here
+MAX_STEPS = 10**7
+
 EPS_MACH = float(np.finfo(float).eps)
 
 
@@ -359,14 +363,17 @@ def step_count(T, dt):
     """The number of steps of size dt from t = 0 to the horizon T.
 
     Raises InvalidParams for a non-finite T / dt, for a T shorter than one
-    step and for a T that is not an integer multiple of dt (to 1e-9
-    relative).
+    step or longer than MAX_STEPS steps and for a T that is not an integer
+    multiple of dt (to 1e-9 relative).
     """
     if not math.isfinite(T / dt):
         raise InvalidParams(f"horizon T = {T} is not a finite number of steps dt = {dt}")
     nsteps = int(round(T / dt))
     if nsteps < 1:
         raise InvalidParams(f"horizon T = {T} is shorter than one step dt = {dt}")
+    if nsteps > MAX_STEPS:
+        raise InvalidParams(f"horizon T = {T} is {T / dt:.3g} steps dt = {dt}, "
+                            f"more than the {MAX_STEPS} a run may take")
     if abs(nsteps * dt - T) > 1e-9 * max(T, dt):
         raise InvalidParams(f"horizon T = {T} is not an integer multiple of dt = {dt}")
     return nsteps

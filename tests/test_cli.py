@@ -3,8 +3,6 @@
 import csv
 import io
 import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -249,23 +247,6 @@ def test_diagnostics_bytes_match_csv_writer(tmp_path):
         assert fh.read() == buf.getvalue().encode()
 
 
-def test_simulate_without_dumps_never_imports_the_csv_kernel(tmp_path):
-    # the diagnostics rows are formatted by '%.17g' %, so only field dumps
-    # compile the kernel and build its tables
-    path = write_cfg(tmp_path, TINY)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys; from chrelax.cli import dispatch; "
-            "assert dispatch(sys.argv[1:]) == 0; "
-            "print(sorted(m for m in sys.modules if m.startswith('chrelax._csv')))")
-    done = subprocess.run(
-        [sys.executable, "-c", code, "simulate", "--config", path,
-         "--out", str(tmp_path / "out")],
-        env=env, check=True, capture_output=True, text=True)
-    assert done.stdout.splitlines()[-1] == "[]"
-
-
 def test_simulate_dump_fields_round_trip(tmp_path):
     path = write_cfg(tmp_path, TINY + "output.dump_fields = true\n")
     out = tmp_path / "results"
@@ -380,21 +361,19 @@ def test_forked_and_in_process_writers_write_the_same_bytes(tmp_path, monkeypatc
     assert dumped(tmp_path / "local", DUMPING) == forked
 
 
-def test_dumping_simulate_formats_fields_outside_its_process(tmp_path):
-    # the writer process imports the CSV kernel; the solver's process never does
+def test_dumping_simulate_formats_fields_outside_its_process(tmp_path, monkeypatch):
+    # every Grid.dump_field call runs in the forked writer: the solver's
+    # process counts none, while the writer writes all 30 files
+    calls = []
+    dump_field = Grid.dump_field
+    monkeypatch.setattr(Grid, "dump_field",
+                        lambda *args: calls.append(1) or dump_field(*args))
     path = write_cfg(tmp_path, DUMPING)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys; from chrelax.cli import dispatch; "
-            "assert dispatch(sys.argv[1:]) == 0; "
-            "print(sorted(m for m in sys.modules if m.startswith('chrelax._csv')))")
     out = tmp_path / "out"
-    done = subprocess.run(
-        [sys.executable, "-c", code, "simulate", "--config", path, "--out", str(out)],
-        env=env, check=True, capture_output=True, text=True)
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert dispatch(["simulate", "--config", path, "--out", str(out)]) == 0
+    assert calls == []
     assert len(dumped(out, DUMPING)) == 30
+    assert_no_child_process()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep-alpha"])
@@ -405,6 +384,18 @@ def test_non_finite_horizon_is_a_config_error(tmp_path, capsys, command, horizon
     assert dispatch([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: horizon T = {horizon} is not a finite number of steps")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-alpha"])
+@pytest.mark.parametrize("horizon", ["time.T = 1e300", "time.dt = 1e-300"])
+def test_too_many_steps_is_a_config_error(tmp_path, capsys, command, horizon):
+    key = horizon.split(" = ")[0]
+    text = "".join(line for line in TINY.splitlines(True) if not line.startswith(key))
+    path = write_cfg(tmp_path, text + horizon + "\n")
+    assert dispatch([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon T = ") and err.count("error:") == 1
+    assert f"more than the {stepper.MAX_STEPS} a run may take" in err
 
 
 def test_simulate_defaults_to_configured_outdir(tmp_path, monkeypatch):
@@ -472,9 +463,9 @@ def test_write_report_is_deterministic(tmp_path):
     assert [p.rsplit("/", 1)[1] for p in paths] == [
         "sweep-alpha_abc123def456.csv",
         "sweep-alpha_abc123def456_summary.csv"]
-    first = [open(p, "rb").read() for p in paths]
+    first = [Path(p).read_bytes() for p in paths]
     again = write_report(report, str(tmp_path))
-    assert [open(p, "rb").read() for p in again] == first
+    assert [Path(p).read_bytes() for p in again] == first
     rows = read_csv(paths[1])
     assert rows[0] == ["slope", "intercept", "residual", "verdict"]
     assert rows[1][0] == "0.29999999999999999" and rows[1][3] == "pass"

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from chrelax import CgNoConvergence, Grid, GridMismatch, InvalidParams
-from chrelax._csvtext import CSV_BLOCK_ROWS, CsvRows
+from chrelax.grid import CSV_BLOCK_ROWS
 from conftest import laplacian_diag
 
 
@@ -368,7 +368,7 @@ def test_dump_field_bytes_match_csv_writer(tmp_path):
     rng = np.random.default_rng(31)
     # the last grid spans three write blocks, the last one partial
     for g in (Grid(7), Grid((3, 4), length=(1.0, 0.3)), Grid(2 * CSV_BLOCK_ROWS + 5)):
-        for k in range(2):  # the second dump reuses the grid's template
+        for k in range(2):  # the second dump reuses the grid's row prefixes
             u = rng.standard_normal(g.ncells)
             u[:3] = [-0.0, 5e-324, 1e300]
             path = tmp_path / f"f{g.dim}_{k}.csv"
@@ -381,9 +381,9 @@ def test_dump_field_bytes_match_csv_writer(tmp_path):
 @pytest.mark.parametrize("grid", [Grid(3 * CSV_BLOCK_ROWS + 20),
                                   Grid((3 * CSV_BLOCK_ROWS // 64 + 1, 64))])
 def test_dump_layout_keeps_no_state_between_dumps(grid, tmp_path):
-    # block b writes the fallback text of 5e-324, 1e300, nan and the kernel's
-    # -0.0 into its rows 4b to 4b + 3, where every other block holds values
-    # in range; then a field in range there, then the first field again
+    # block b holds 5e-324, 1e300, nan and -0.0 in its rows 4b to 4b + 3,
+    # where every other block holds plain values; then a field of plain
+    # values, then the first field again
     rng = np.random.default_rng(36)
     blocks = -(-grid.ncells // CSV_BLOCK_ROWS)
     assert blocks >= 3
@@ -439,10 +439,10 @@ def test_dump_field_bytes_for_other_field_dtypes(tmp_path):
 
 def test_dump_field_memory_is_bounded():
     # the second dump of a 64 x 64 field, after the first has built the
-    # grid's coordinate text and the kernel's tables, peaked at 0.54 MB
-    # under tracemalloc: with CSV_BLOCK_ROWS = 1024, the row buffer and its
-    # mask (2 x 72 KB) and the kernel's temporaries take 0.51 MB, and the
-    # '%.17g' fallback of the 300 tiny cells the rest
+    # grid's coordinate text, peaked at 0.14 MB under tracemalloc: one block
+    # of CSV_BLOCK_ROWS = 1024 rows alive at a time, as Python floats, the
+    # tuple of the rows' prefixes and values, and their text (the 4096 rows
+    # in one block peaked at 0.52 MB)
     g = Grid((64, 64))
     u = np.random.default_rng(33).standard_normal(g.ncells)
     u[:300] *= 1e-9
@@ -454,43 +454,6 @@ def test_dump_field_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 0.6e6, f"tracemalloc peak {peak / 1e6:.3f} MB"
-
-
-def g17_oracle_values():
-    """About 10^6 doubles for the '%.17g' oracle, by class."""
-    rng = np.random.default_rng(34)
-
-    def signed(magnitudes):
-        return magnitudes * rng.choice([-1.0, 1.0], magnitudes.size)
-
-    # +-1 and +-2 ulp around every power of ten from 1e-7 to 1e17
-    powers = np.array([float(f"1e{m}") for m in range(-7, 18)])
-    near = (powers.view(np.int64)[:, None] + np.arange(-2, 3)).view(np.float64)
-    # the 17-digit text of these rounds up to the next power of ten (they
-    # lie outside the vectorised range, which has no such double)
-    carry = np.array([float(f"1e{m}") for m in (
-        -305, -243, -176, -175, -174, -79, -78, -73, -70, -14, 98, 129, 153, 220)])
-    special = np.array([
-        9.99999999999999999e16, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
-        2.2250738585072014e-308, 1e-6, 1e-4, 1e16, 1e17, np.inf, -np.inf, np.nan])
-    return np.concatenate([
-        rng.standard_normal(500_000),
-        signed(10.0 ** rng.uniform(-320, 308, 100_000)),  # log-uniform
-        signed(10.0 ** rng.uniform(-6, -4, 400_000)),  # e-05 and e-06 forms
-        near.reshape(-1), -near.reshape(-1), carry, -carry, special,
-    ])
-
-
-def test_csv_kernel_matches_percent_format():
-    values = g17_oracle_values()
-    assert values.size >= 10**6
-    buf = io.BytesIO()
-    CsvRows(b"", np.zeros(values.size, np.intp)).write(buf, values)
-    want = (("%.17g\r\n" * values.size) % tuple(values.tolist())).encode()
-    if buf.getvalue() != want:
-        pairs = zip(values.tolist(), buf.getvalue().split(), want.split())
-        bad = [(v, g, w) for v, g, w in pairs if g != w]
-        pytest.fail(f"{len(bad)} values differ, first {bad[:5]}")
 
 
 def test_coordinates_are_cached_and_read_only():

@@ -327,6 +327,12 @@ def test_run_rejects_bad_horizon_and_setup():
         run(ModelParams(tau=0.0), pot, controls, init, g, T=0.01, scheme=scheme)
 
 
+def test_step_count_is_bounded():
+    assert stepper.step_count(stepper.MAX_STEPS * 1e-3, 1e-3) == stepper.MAX_STEPS
+    with pytest.raises(InvalidParams, match="more than the"):
+        stepper.step_count((stepper.MAX_STEPS + 1) * 1e-3, 1e-3)
+
+
 def test_substep_failure_reports_step_index():
     params, pot, controls, init, g = source_free_setup(n=16, p0=1.0)
     # the cold first step needs two Newton iterations

@@ -1,8 +1,9 @@
-"""Print the physical and code line counts of the package source under src/.
+"""Print the line counts of the package source under src/.
 
-Code lines are the lines that are not blank, not comment-only and not part of
-a module, class or function docstring (found with ast).  Run it from
-anywhere: ``python tools/src_lines.py``.
+Four counts: physical lines; code lines, the lines that are not blank, not
+comment-only and not part of a module, class or function docstring (found
+with ast); docstring lines; and comment-only lines outside docstrings.  Run
+it from anywhere: ``python tools/src_lines.py``.
 """
 
 import ast
@@ -12,7 +13,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def main():
-    physical = code = 0
+    physical = code = docstring = comment = 0
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text()
         lines = text.splitlines()
@@ -25,9 +26,15 @@ def main():
                         and isinstance(first.value.value, str)):
                     docs.update(range(first.lineno, first.end_lineno + 1))
         physical += len(lines)
-        code += sum(1 for i, line in enumerate(lines, 1) if line.strip()
-                    and not line.lstrip().startswith("#") and i not in docs)
-    print(f"src/: {physical} physical lines, {code} code lines")
+        docstring += len(docs)
+        for i, line in enumerate(lines, 1):
+            if line.strip() and i not in docs:
+                if line.lstrip().startswith("#"):
+                    comment += 1
+                else:
+                    code += 1
+    print(f"src/: {physical} physical lines, {code} code lines, "
+          f"{docstring} docstring lines, {comment} comment lines")
 
 
 if __name__ == "__main__":
