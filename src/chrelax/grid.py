@@ -12,16 +12,9 @@ face-based gradient form satisfies the summation-by-parts identity
 exactly: both sides take their face differences from the grid's one face
 table.
 
-On this grid the cosine (DCT-II) basis diagonalises the Laplacian
-exactly, with analytic eigenvalues, so a shifted system
-``(c - d lap) x = b`` with constant c is solved by transform, divide,
-transform back: by dense per-axis matrices on small grids, by the real FFT
-of the mirrored field on large ones.  ``solve_shifted`` returns that solve
-for a scalar shift.  A per-cell shift is solved iteratively with the
-exact cosine solve of S = mean(shift) - scale lap as the preconditioner:
-by Richardson sweeps when the shift is near constant, by the conjugate
-gradients of ``solve_spd`` otherwise (the rule is stated in
-``_shifted_cg``).
+Shifted systems ``(shift - scale lap) x = b`` are solved by
+``solve_shifted``, whose docstring states the scalar-shift solve;
+``_shifted_cg`` states the per-cell one.
 
 Fields are written as CSV: the bytes ``csv.writer`` writes for each
 cell's coordinates and value as ``'%.17g'`` formats them, a block of rows
@@ -41,18 +34,14 @@ from .errors import CgNoConvergence, GridMismatch, InvalidParams
 # product (at most 512 KiB per axis, and faster than the FFT at these sizes).
 DENSE_COSINE_MAX = 256
 
-# Cosine divisors kept per grid by cosine_solve.  A run uses at most two
+# Cosine divisors kept per grid by solve_shifted.  A run uses at most two
 # (shift, scale) pairs, as the phase shift is always per cell; a ladder on
 # one grid adds one per rung, so criterion 5 fills the slots and they clear.
 DENOM_CACHE_MAX = 8
 
-# A per-cell shift whose spread max|shift - mean| / mean is at most this is
-# solved by preconditioned Richardson, a wider one by CG (see _shifted_cg).
-# Richardson's sweep is cheaper but contracts by only the spread.  Timed on
-# 64, 128 and 64 x 64 cells against a CG that applied no Laplacian, CG
-# caught up at a spread of about 0.3 on a smooth 64 x 64 shift, and at 0.1
-# Richardson took at most 0.93 of CG's time (CHANGES.md); the CG used now
-# applies one Laplacian more per iteration.
+# The widest spread of a per-cell shift that _shifted_cg solves by
+# Richardson sweeps: a sweep applies no Laplacian, but contracts only by the
+# spread, so a wider shift goes to CG.
 RICHARDSON_Q = 0.1
 
 # dump_field formats this many rows per '%' and write, so that only one
@@ -106,7 +95,7 @@ class Grid:
         self._coordinates = None  # built on first use
         self._csv_prefixes = None  # each row's coordinate text, built on the first dump
         self._cosine = None  # built on the first cosine solve
-        self._denoms = {}  # (shift, scale) -> cosine_solve's divisor
+        self._denoms = {}  # (shift, scale) -> solve_shifted's divisor
         self._hash = hash((self.n, self.length))
 
     def __repr__(self):
@@ -247,9 +236,6 @@ class Grid:
         residual to an approximate solution (an SPD approximate inverse).
         Raises CgNoConvergence when the operator loses definiteness and when
         ``max_iter`` iterations run out.
-
-        ``solve_shifted`` runs it on a per-cell shift too wide for
-        Richardson sweeps (see ``_shifted_cg``).
         """
         if not (isinstance(rhs, np.ndarray) and rhs.shape == self._shape):
             raise self._mismatch(rhs)
@@ -311,26 +297,6 @@ class Grid:
             self._cosine = (mats if dense else None, lam)
         return self._cosine
 
-    def cosine_solve(self, shift, scale, rhs):
-        """Exact solve of (shift - scale * laplacian) x = rhs for a scalar
-        shift > 0 and scale >= 0: transform, divide, transform back.
-
-        Small grids transform with dense per-axis matrices.  Larger ones
-        use the real FFT: mirrored across each boundary, a field is an even
-        periodic field on 2n cells per axis, where the Neumann Laplacian is
-        the periodic one.  That costs O(N log N) time and O(N) memory.
-        The divisor is kept per (shift, scale) pair.
-        """
-        if not (isinstance(rhs, np.ndarray) and rhs.shape == self._shape):
-            raise self._mismatch(rhs)
-        key = (float(shift), float(scale))
-        denom = self._denoms.get(key)
-        if denom is None:
-            if len(self._denoms) == DENOM_CACHE_MAX:
-                self._denoms.clear()
-            denom = self._denoms[key] = self._cosine_denom(*key)
-        return self._cosine_divide(denom, rhs)
-
     def _cosine_denom(self, shift, scale):
         """shift + scale * (the eigenvalues of -laplacian), in the layout of
         the cosine coefficients."""
@@ -358,21 +324,33 @@ class Grid:
         return (C0.T @ (coef / denom) @ C1).reshape(-1)
 
     def solve_shifted(self, shift, scale, rhs, tol=1e-10):
-        """Solve (shift - scale * laplacian) x = rhs.
+        """Solve (shift - scale * laplacian) x = rhs, for scale >= 0.
 
-        A scalar ``shift`` is solved exactly by the cosine solve, and
-        ``tol`` does not apply.  A per-cell ``shift`` with positive mean is
-        solved to ``tol``, preconditioned with the exact cosine solve of
-        S = mean(shift) - scale * laplacian, by Richardson sweeps or
-        conjugate gradients (``_shifted_cg`` states the rule).
+        A per-cell ``shift``, an array of shape ``(ncells,)`` with positive
+        mean, is solved to ``tol`` by ``_shifted_cg``, which states how.  A
+        scalar ``shift > 0`` is solved exactly, and ``tol`` does not apply:
+        the cosine (DCT-II) basis diagonalises the Laplacian on this grid,
+        so rhs is transformed, divided by shift + scale * (the eigenvalues
+        of -laplacian) and transformed back.  Grids with no axis longer than
+        DENSE_COSINE_MAX transform with dense per-axis matrices.  Larger
+        ones use the real FFT: mirrored across each boundary, a field is an
+        even periodic field on 2n cells per axis, where the Neumann
+        Laplacian is the periodic one, in O(N log N) time and O(N) memory.
+        The divisor is kept per (shift, scale) pair.
         """
+        if not (isinstance(rhs, np.ndarray) and rhs.shape == self._shape):
+            raise self._mismatch(rhs)
         if isinstance(shift, np.ndarray) and shift.ndim:
-            if not (isinstance(rhs, np.ndarray) and rhs.shape == self._shape):
-                raise self._mismatch(rhs)
             if shift.shape != self._shape:
                 raise self._mismatch(shift)
             return self._shifted_cg(shift, scale, rhs, tol)[0]
-        return self.cosine_solve(shift, scale, rhs)
+        key = (float(shift), float(scale))
+        denom = self._denoms.get(key)
+        if denom is None:
+            if len(self._denoms) == DENOM_CACHE_MAX:
+                self._denoms.clear()
+            denom = self._denoms[key] = self._cosine_denom(*key)
+        return self._cosine_divide(denom, rhs)
 
     def _shifted_cg(self, shift, scale, rhs, tol):
         """Solve (shift - scale * laplacian) x = rhs with a per-cell shift
@@ -380,8 +358,9 @@ class Grid:
         solves (preconditioner applications).
 
         With c = mean(shift), S = c - scale * laplacian and d = shift - c,
-        the operator is A = S + diag(d), and z = S^-1 r is the exact cosine
-        solve.  The spread q = max|d| / c picks the iteration:
+        the operator is A = S + diag(d), and z = S^-1 r is the exact
+        scalar-shift solve of ``solve_shifted``.  The spread q = max|d| / c
+        picks the iteration:
 
         - q <= RICHARDSON_Q: preconditioned Richardson, x_0 = S^-1 rhs,
           then x_{k+1} = x_k + S^-1 r_k with r_{k+1} = -d S^-1 r_k, one

@@ -14,6 +14,7 @@ these specs, so a changed default changes every config digest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,8 @@ class ProliferationSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InvalidParams(f"unknown proliferation kind {self.kind!r}")
+        if not math.isfinite(self.p0):
+            raise InvalidParams(f"proliferation rate p0 must be finite, got {self.p0}")
         if self.kind == "constant" and self.p0 < 0.0:
             raise InvalidParams("constant proliferation rate must be nonnegative")
         if self.kind == "ramp" and not self.p0 > 0.0:
@@ -47,7 +50,8 @@ class ProliferationSpec:
 
     def rate(self, phi):
         """P(phi) as the scalar p0 for the constant kind, else per cell;
-        a scalar shift lets the stepper's solves skip conjugate gradients."""
+        a scalar gives the stepper's solves a scalar shift, which
+        ``Grid.solve_shifted`` solves exactly."""
         return self.p0 if self.kind == "constant" else self(phi)
 
     @property
@@ -229,11 +233,15 @@ def validate(params, potential, init, grid):
     """Cross-check a run setup; returns a list of violation strings.
 
     An empty list means the setup satisfies every structural hypothesis the
-    scheme needs (positivity of tau and chi, admissible initial phase range
-    for the constrained potentials, and for the parabolic limit alpha = 0 a
-    proliferation rate bounded below by p0 > 0 with tau * p0 >= 1).
+    scheme needs (finite alpha, tau and chi, positivity of tau and chi,
+    admissible initial phase range for the constrained potentials, and for
+    the parabolic limit alpha = 0 a proliferation rate bounded below by
+    p0 > 0 with tau * p0 >= 1).
     """
-    problems = []
+    problems = [f"{name} must be finite, got {value}"
+                for name, value in (("alpha", params.alpha), ("tau", params.tau),
+                                    ("chi", params.chi))
+                if not math.isfinite(value)]
     if not params.tau > 0.0:
         problems.append(f"tau must be positive, got {params.tau}")
     if not params.chi > 0.0:

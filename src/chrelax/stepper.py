@@ -14,7 +14,8 @@ the smooth potential part F2' lagged at the old phase:
                 = -chi lap phi' - P(phi')(chi (1 - phi') - mu') + u2
 
 Every substep is a symmetric positive definite shifted-Laplacian solve
-``(shift - scale lap) x = b``, done by ``Grid.solve_shifted``:
+``(shift - scale lap) x = b``, done by ``Grid.solve_shifted``, which
+states how each shift is solved:
 
   phase Newton Jacobian   shift = tau/dt + F1''_eps(phi'),  scale = 1
   potential               shift = alpha + dt^2 P(phi'),     scale = dt^2
@@ -45,24 +46,12 @@ forcing tolerance
   eta = max(cg_tol, GAMMA * tol / |r|),   GAMMA = 0.01,
 
 relative to the current residual r, with tol the stopping tolerance (see
-``step_phi``).  A constant shift is solved exactly by the cosine
-transform.  A per-cell shift is solved iteratively, preconditioned with
-the cosine solve at mean(shift), by Richardson sweeps or conjugate
-gradients (``Grid._shifted_cg`` states the rule).  From the four-point
-start the first residual lies close enough to tol that eta exceeds the
-Richardson spread, so that a correction can take a single cosine solve
-(CHANGES.md records how many do).  The linear substeps are solved to cg_tol,
-in increment form (unknown minus its previous value), which keeps the
-absolute residual, and with it the drift of the conserved quantities,
-far below the relative tolerance.
-
-A step of one Newton iteration, as most are, does 2 resolvent evaluations
-and 1 curvature F1''_eps (one per Newton iteration: the final iterate's
-residual needs none), 1 per-cell phase solve (a per-cell P adds one per
-other substep), 4 Laplacians (plus one per CG iteration, on a shift too
-wide for Richardson sweeps) and 5 field sums (phi, xi, mu, v, sigma) that serve both the
-non-finite guard and the mass series.  P(phi') and sigma + chi (1 - phi'),
-which the potential and the nutrient substeps share, are evaluated once.
+``step_phi``).  From the four-point start the first residual lies close
+enough to tol that eta can exceed the phase shift's spread, and then a
+correction takes a single Richardson sweep of ``Grid._shifted_cg``.  The
+linear substeps are solved to cg_tol, in increment form (unknown minus its
+previous value), which keeps the absolute residual, and with it the drift
+of the conserved quantities, far below the relative tolerance.
 
 Integrating the potential substep over the box gives the discrete mass
 identity

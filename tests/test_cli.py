@@ -4,13 +4,15 @@ import csv
 import io
 import os
 import time
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chrelax import (Grid, NonFiniteState, RateFit, build_scenario, cli, experiments,
+from chrelax import (Grid, NonFiniteState, RateFit, build_scenario, cli, config, experiments,
                      parse_config, run, stepper)
 from chrelax.cli import (_DIAGNOSTIC_BLOCK_ROWS, _write_diagnostics, dispatch,
                          write_report)
@@ -89,6 +91,19 @@ def test_non_finite_rung_is_an_error_before_any_run(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err == "error: study.alphas must be a nonempty positive ladder of finite rungs\n"
     assert runs == []
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key,name", [("model.alpha", "alpha"), ("model.tau", "tau"),
+                                      ("model.chi", "chi"), ("model.P.p0", "p0")])
+def test_non_finite_model_coefficient_is_a_config_error(tmp_path, capsys, key, name, value):
+    path = write_cfg(tmp_path, TINY + f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert dispatch(["simulate", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{name} must be finite, got {value}" in err
+    assert not list(out.rglob("*.csv"))  # refused before the run
 
 
 @pytest.mark.parametrize("setting,message", [
@@ -398,11 +413,104 @@ def test_too_many_steps_is_a_config_error(tmp_path, capsys, command, horizon):
     assert f"more than the {stepper.MAX_STEPS} a run may take" in err
 
 
+# an alpha = 0 run that validate admits (tau * p0 = 1): with chi = 2 and a
+# strong pulse its period-2 phase sawtooth grows, and the guard stops it
+GUARDED = """\
+grid.n = 32
+time.T = 0.4
+time.dt = 0.02
+potential.kind = regular
+potential.epsilon = 1e-3
+model.alpha = 0
+model.tau = 0.5
+model.P.kind = constant
+model.P.p0 = 2
+model.chi = 2
+init.phi0.kind = cosine_bump
+init.phi0.amplitude = 0.5
+controls.u1.kind = gaussian_pulse
+controls.u1.amplitude = 4.7
+controls.u1.width = 0.15
+controls.u1.t_off = 1
+"""
+
+
+def test_admitted_limit_run_can_trip_the_guard(tmp_path, capsys):
+    path = write_cfg(tmp_path, GUARDED)
+    assert dispatch(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert err.startswith("error: step 17 (t = 0.34), substep phi: "
+                          "alpha = 0 limit scheme unstable")
+
+
 def test_simulate_defaults_to_configured_outdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = write_cfg(tmp_path, TINY + "output.dir = from_config\n")
     assert dispatch(["simulate", "--config", path]) == 0
     assert (tmp_path / "from_config").is_dir()
+
+
+# -- config fuzz -----------------------------------------------------------------
+
+# 8 cells, 4 steps and two-rung ladders; each case sets one key of the
+# schema to one hostile value of its kind
+FUZZ_BASE = (
+    "grid.n = 8\ntime.T = 4e-3\ntime.dt = 1e-3\npotential.kind = regular\n"
+    "study.alphas = 0.5, 0.25\nstudy.epsilons = 1e-2, 1e-3\nstudy.deltas = 1, 0.5\n"
+)
+HOSTILE = {
+    "float": ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300"),
+    "int": ("0", "-1", "3", "100000"),
+    "float_list": ("nan", "inf", "0", "-1", "", "0.5, 0.5", "1e300"),
+}
+HOSTILE["int_list"] = HOSTILE["float_list"]
+# the commands and the key prefixes they are fuzzed on
+FUZZED = {"simulate": ("",), "sweep-alpha": ("study.", "model.")}
+
+
+@pytest.fixture(scope="module")
+def fuzz_exits(tmp_path_factory):
+    """(command, key, value) -> (exit code, stderr), or (None, the
+    exception's repr) when one escaped ``dispatch``.  The command prints
+    numpy's RuntimeWarnings and does not raise them, so neither does this."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path, out = tmp / "run.cfg", str(tmp / "out")
+    exits = {}
+    for command, prefixes in FUZZED.items():
+        for key, (kind, _) in config.SCHEMA.items():
+            if key.startswith("output.") or not key.startswith(prefixes):
+                continue
+            base = "".join(line for line in FUZZ_BASE.splitlines(True)
+                           if not line.startswith(key + " "))
+            for value in HOSTILE.get(kind, ()):
+                path.write_text(f"{base}{key} = {value}\n")
+                stderr = io.StringIO()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    try:
+                        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+                            code = dispatch([command, "--config", str(path), "--out", out])
+                    except Exception as e:  # the failure this test reports
+                        code, stderr = None, io.StringIO(repr(e))
+                exits[command, key, value] = code, stderr.getvalue()
+    return exits
+
+
+def test_config_fuzz_ends_in_an_exit_code(fuzz_exits):
+    # no exception escapes dispatch, the exit code is 0, 1 or 2, and an
+    # exit 1 says why on an error line
+    assert len(fuzz_exits) > 700
+    bad = {case: got for case, got in fuzz_exits.items()
+           if got[0] not in (0, 1, 2) or (got[0] == 1 and "error:" not in got[1])}
+    assert bad == {}
+
+
+def test_config_fuzz_refuses_non_finite_model_coefficients(fuzz_exits):
+    keys = ("model.alpha", "model.tau", "model.chi", "model.P.p0")
+    got = {(command, key, value): fuzz_exits[command, key, value][0]
+           for command in FUZZED for key in keys for value in ("nan", "inf", "-inf")}
+    assert got == dict.fromkeys(got, 1)
 
 
 # -- study dispatch --------------------------------------------------------------

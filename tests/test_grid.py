@@ -91,7 +91,6 @@ ENTRY_POINTS = {
     "solve_shifted scalar": lambda g, u, path: g.solve_shifted(1.0, 1.0, u),
     "solve_shifted per-cell": lambda g, u, path: g.solve_shifted(
         np.linspace(1.0, 2.0, g.ncells), 1.0, u),
-    "cosine_solve": lambda g, u, path: g.cosine_solve(1.0, 1.0, u),
     "solve_spd": lambda g, u, path: g.solve_spd(
         lambda w: w, u, 1e-10, 10, precond=lambda r: r),
     "dump_field": lambda g, u, path: g.dump_field(u, path),

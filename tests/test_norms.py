@@ -370,7 +370,7 @@ def peak_kib():
 g = Grid(64)
 rhs = np.cos(np.pi * g.coordinates()[0])
 for _ in range(50):
-    g.cosine_solve(1.0, 1e-3, rhs)
+    g.solve_shifted(1.0, 1e-3, rhs)
 before = peak_kib()
 fit_rate([(2.0**-k, 2.0**(-0.5 * k)) for k in range(2, 6)])
 print(peak_kib() - before)

@@ -62,7 +62,7 @@ def test_cosine_solve_matches_dense(n, length, shift, scale, transform):
     b = rng.standard_normal(grid.ncells)
     A = shift * np.eye(grid.ncells) - scale * dense_laplacian(grid)
     want = np.linalg.solve(A, b)
-    got = grid.cosine_solve(shift, scale, b)
+    got = grid.solve_shifted(shift, scale, b)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
 
@@ -88,7 +88,7 @@ def test_constant_shift_converges_in_one_iteration():
         return 2.0 * w - 0.5 * g.laplacian(w)
 
     x = g.solve_spd(counted, b, tol=1e-12, max_iter=10 * g.ncells + 50,
-                    precond=lambda r: g.cosine_solve(2.0, 0.5, r))
+                    precond=lambda r: g.solve_shifted(2.0, 0.5, r))
     assert len(calls) == 1
     np.testing.assert_allclose(counted(x), b, rtol=0, atol=1e-12)
 
@@ -97,7 +97,7 @@ def test_constant_shift_converges_in_one_iteration():
 def test_scalar_shift_is_the_cosine_solve(n, transform, monkeypatch):
     grid = Grid(n)
     b = np.random.default_rng(29).standard_normal(grid.ncells)
-    want = grid.cosine_solve(1.3, 0.2, b)
+    want = grid.solve_shifted(1.3, 0.2, b)
 
     def no_cg(*args, **kwargs):
         raise AssertionError("a scalar shift needs no conjugate gradients")
@@ -127,7 +127,7 @@ def test_variable_shift_is_cg_preconditioned_at_the_mean_shift(n, transform):
         return shift * w - 0.1 * grid.laplacian(w)
 
     want = grid.solve_spd(operator, b, 1e-10, 10 * grid.ncells + 50,
-                          precond=lambda r: grid.cosine_solve(mean, 0.1, r))
+                          precond=lambda r: grid.solve_shifted(mean, 0.1, r))
     got, iterations = grid._shifted_cg(shift, 0.1, b, 1e-10)
     assert iterations == len(calls) > 1
     np.testing.assert_array_equal(grid.solve_shifted(shift, 0.1, b, 1e-10), got)
@@ -224,7 +224,7 @@ def test_near_constant_shift_takes_richardson_sweeps(n, q, transform):
     b = np.random.default_rng(37).standard_normal(grid.ncells)
     shift = near_constant_shift(grid, q, 37, mean=2.0)
     mean = float(np.add.reduce(shift) / shift.size)
-    x0 = grid.cosine_solve(mean, 0.1, b)
+    x0 = grid.solve_shifted(mean, 0.1, b)
     r1 = (mean - shift) * x0
     x, iterations = grid._shifted_cg(shift, 0.1, b, 0.5)
     assert iterations == 1
@@ -232,7 +232,7 @@ def test_near_constant_shift_takes_richardson_sweeps(n, q, transform):
     tol = 0.5 * np.linalg.norm(r1) / np.linalg.norm(b)  # between |r1| and |r2|
     x, iterations = grid._shifted_cg(shift, 0.1, b, tol)
     assert iterations == 2
-    np.testing.assert_array_equal(x, x0 + grid.cosine_solve(mean, 0.1, r1))
+    np.testing.assert_array_equal(x, x0 + grid.solve_shifted(mean, 0.1, r1))
 
 
 @pytest.mark.parametrize("n", [12, (5, 7)])
@@ -251,7 +251,7 @@ def test_shift_just_above_the_richardson_spread_takes_cg(n, transform):
         return shift * w - 0.1 * grid.laplacian(w)
 
     want = grid.solve_spd(operator, b, 1e-10, 10 * grid.ncells + 50,
-                          precond=lambda r: grid.cosine_solve(mean, 0.1, r))
+                          precond=lambda r: grid.solve_shifted(mean, 0.1, r))
     got, iterations = grid._shifted_cg(shift, 0.1, b, 1e-10)
     assert iterations == len(calls) > 1
     np.testing.assert_array_equal(got, want)
@@ -328,7 +328,7 @@ def test_indefinite_variable_shift_with_positive_mean_fails(n, transform):
     with pytest.raises(CgNoConvergence) as want:
         grid.solve_spd(lambda w: shift * w - 0.01 * grid.laplacian(w), b,
                        1e-10, 10 * grid.ncells + 50,
-                       precond=lambda r: grid.cosine_solve(mean, 0.01, r))
+                       precond=lambda r: grid.solve_shifted(mean, 0.01, r))
     with pytest.raises(CgNoConvergence,
                        match=r"^operator lost positive definiteness") as ei:
         grid.solve_shifted(shift, 0.01, b)
@@ -376,7 +376,7 @@ def test_cosine_solve_conserves_mass(transform):
     # lap integrates to zero, so shift * int(x) = int(b) up to roundoff
     for g in (Grid(64), Grid((16, 24), length=(1.0, 1.5))):
         b = np.random.default_rng(19).standard_normal(g.ncells)
-        x = g.cosine_solve(0.7, 3.0, b)
+        x = g.solve_shifted(0.7, 3.0, b)
         assert abs(0.7 * g.integrate(x) - g.integrate(b)) <= 1e-14 * g.h_norm(b)
 
 
@@ -387,7 +387,7 @@ def test_cosine_solve_on_large_grids(n):
     grid = Grid(n)
     assert grid._cosine_tables()[0] is None
     b = np.random.default_rng(23).standard_normal(grid.ncells)
-    x = grid.cosine_solve(1.0, 1e-4, b)
+    x = grid.solve_shifted(1.0, 1e-4, b)
     resid = x - 1e-4 * grid.laplacian(x) - b
     assert grid.h_norm(resid) <= 1e-12 * grid.h_norm(b)
 
@@ -395,7 +395,7 @@ def test_cosine_solve_on_large_grids(n):
 def test_cosine_solve_rejects_indefinite_shift():
     g = Grid(8)
     with pytest.raises(InvalidParams):
-        g.cosine_solve(0.0, 1.0, g.field(1.0))
+        g.solve_shifted(0.0, 1.0, g.field(1.0))
 
 
 # -- seed fingerprint --------------------------------------------------------
