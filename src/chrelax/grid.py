@@ -30,8 +30,9 @@ import numpy as np
 
 from .errors import CgNoConvergence, GridMismatch, InvalidParams
 
-# Axes of up to this many cells take the cosine transform as a dense matrix
-# product (at most 512 KiB per axis, and faster than the FFT at these sizes).
+# Axes of up to this many cells take the cosine transform as dense matrix
+# products (faster than the FFT at these sizes).  An axis length keeps 8 n^2
+# bytes per table, one table in 1-D and two in 2-D (at most 1 MiB).
 DENSE_COSINE_MAX = 256
 
 # Cosine divisors kept per grid by solve_shifted.  A run uses at most two
@@ -276,25 +277,28 @@ class Grid:
 
     def _cosine_tables(self):
         """The cosine solve's tables, built once: the orthonormal DCT-II
-        matrix of each axis and the eigenvalues of -laplacian on the cosine
-        modes; on a grid with an axis longer than DENSE_COSINE_MAX, no
-        matrices and the eigenvalues of the even extension (2n cells per
-        axis, periodic) in rfftn layout."""
+        matrix C of each axis and the eigenvalues of -laplacian on the
+        cosine modes.  A 2-D grid also keeps a C-contiguous copy of each
+        C.T, so that ``_cosine_divide``'s four matrix products all take
+        both operands as stored; axes of equal length share their
+        matrices.  On a grid with an axis longer than DENSE_COSINE_MAX there
+        are no matrices, and the eigenvalues are those of the even
+        extension (2n cells per axis, periodic) in rfftn layout."""
         if self._cosine is None:
             dense = max(self.n) <= DENSE_COSINE_MAX
             sizes = (list(self.n) if dense
                      else [2 * k for k in self.n[:-1]] + [self.n[-1] + 1])
-            mats, lam = [], np.zeros(sizes)
+            mats, lam = {}, np.zeros(sizes)
             for ax, (k, h, m) in enumerate(zip(self.n, self.h, sizes)):
                 j = np.arange(m)
                 shape = [1] * self.dim
                 shape[ax] = m
                 lam += ((4.0 / h**2) * np.sin(0.5 * np.pi * j / k) ** 2).reshape(shape)
-                if dense:
+                if dense and k not in mats:
                     C = np.cos(np.pi * np.outer(j, j + 0.5) / k) * math.sqrt(2.0 / k)
                     C[0] *= math.sqrt(0.5)
-                    mats.append(C)
-            self._cosine = (mats if dense else None, lam)
+                    mats[k] = C if self.dim == 1 else (C, np.ascontiguousarray(C.T))
+            self._cosine = ([mats[k] for k in self.n] if dense else None, lam)
         return self._cosine
 
     def _cosine_denom(self, shift, scale):
@@ -307,7 +311,10 @@ class Grid:
 
     def _cosine_divide(self, denom, rhs):
         """Transform rhs to the cosine basis, divide by denom (from
-        ``_cosine_denom``) and transform back."""
+        ``_cosine_denom``) and transform back: C.T (C rhs / denom) in 1-D,
+        C0.T ((C0 U C1.T) / denom) C1 in 2-D with U = rhs on the grid and
+        each C.T the stored copy; or, past DENSE_COSINE_MAX, by the real FFT
+        of the even extension."""
         mats = self._cosine[0]
         if mats is None:
             u = rhs.reshape(self.n)
@@ -319,9 +326,9 @@ class Grid:
         if self.dim == 1:
             (C,) = mats
             return C.T @ ((C @ rhs) / denom)
-        C0, C1 = mats
-        coef = C0 @ rhs.reshape(self.n) @ C1.T
-        return (C0.T @ (coef / denom) @ C1).reshape(-1)
+        (C0, C0T), (C1, C1T) = mats
+        coef = C0 @ rhs.reshape(self.n) @ C1T
+        return (C0T @ (coef / denom) @ C1).reshape(-1)
 
     def solve_shifted(self, shift, scale, rhs, tol=1e-10):
         """Solve (shift - scale * laplacian) x = rhs, for scale >= 0.

@@ -180,7 +180,9 @@ def step_phi(state, params, potential, scheme, grid, guess=None, *, xi_guess=Non
     floor).  Every iterate is rounded to the nearest double,
     and tau/dt - lap amplifies that rounding by up to tau/dt + 4 sum 1/h^2.
     The floor is eps_mach (tau/dt + 4 sum 1/h^2) |phi|_h; on 1-D and 2-D
-    runs with both potentials the residual stalled at 0.12-0.20 of it.
+    runs with both potentials the residual stalled at 0.12-0.20 of it.  A
+    phi whose norm overflows leaves tol infinite, which any guess would
+    pass, so that raises NonFiniteState.
 
     Each correction is solved to the forcing tolerance
     eta = max(cg_tol, GAMMA * tol / |r|) relative to the residual r
@@ -197,6 +199,9 @@ def step_phi(state, params, potential, scheme, grid, guess=None, *, xi_guess=Non
     g = state.mu + params.chi * state.sigma - potential.f2_prime(phi)
     floor = EPS_MACH * (tau_dt + grid.lap_bound) * h_norm(phi)
     tol = max(scheme.newton_tol, floor)
+    if not math.isfinite(tol):
+        raise NonFiniteState("phase step tolerance is not finite: the roundoff floor "
+                             f"eps_mach (tau/dt + 4 sum 1/h^2) |phi|_h is {floor:.3g}")
 
     def residual(z, near):
         j, fp = evaluate(z, yp, near)  # J(z), F1'_eps(z)

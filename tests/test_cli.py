@@ -413,6 +413,22 @@ def test_too_many_steps_is_a_config_error(tmp_path, capsys, command, horizon):
     assert f"more than the {stepper.MAX_STEPS} a run may take" in err
 
 
+def test_phase_whose_norm_overflows_is_an_error(tmp_path, capsys):
+    # |phi|_h overflows, so the phase step's roundoff floor and its tolerance
+    # are infinite and would accept the unsolved guess; numpy warns of the
+    # overflow, which the command prints and does not raise
+    path = write_cfg(tmp_path, TINY.replace("value = 0.25", "value = 1e300"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert dispatch(["simulate", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert err.startswith("error: step 1 (t = 0.001), substep phi: phase step "
+                          "tolerance is not finite")
+    assert not list(out.glob("diagnostics_*.csv"))
+
+
 # an alpha = 0 run that validate admits (tau * p0 = 1): with chi = 2 and a
 # strong pulse its period-2 phase sawtooth grows, and the guard stops it
 GUARDED = """\

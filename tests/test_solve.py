@@ -392,6 +392,25 @@ def test_cosine_solve_on_large_grids(n):
     assert grid.h_norm(resid) <= 1e-12 * grid.h_norm(b)
 
 
+@pytest.mark.parametrize("n", [(64, 64), (5, 7), (48, 80)])
+def test_2d_cosine_divide_multiplies_by_stored_transposes(n):
+    # C0 U C1.T and C0.T V C1 with the transposes stored C-contiguous: the
+    # same bits as the products with the transposed views
+    grid = Grid(n)
+    (C0, C0T), (C1, C1T) = grid._cosine_tables()[0]
+    assert C0T.flags.c_contiguous and C1T.flags.c_contiguous
+    np.testing.assert_array_equal(C0T, C0.T)
+    np.testing.assert_array_equal(C1T, C1.T)
+    assert (C0 is C1) == (n[0] == n[1])  # equal axes share their tables
+    rng = np.random.default_rng(67)
+    denom = grid._cosine_denom(1.3, 0.01)
+    for _ in range(3):
+        b = rng.standard_normal(grid.ncells)
+        coef = C0 @ b.reshape(n) @ C1.T
+        want = (C0.T @ (coef / denom) @ C1).reshape(-1)
+        np.testing.assert_array_equal(grid._cosine_divide(denom, b), want)
+
+
 def test_cosine_solve_rejects_indefinite_shift():
     g = Grid(8)
     with pytest.raises(InvalidParams):
