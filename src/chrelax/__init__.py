@@ -1,15 +1,12 @@
 """Relaxed Cahn-Hilliard tumour-growth solver and verification harness.
 
-A phase field phi, chemical potential mu and nutrient sigma evolve under a
-weakly damped (inertial) relaxation of the chemical potential equation; as
-the inertia coefficient alpha vanishes the dynamics degenerate to the
-parabolic limit system.  The package provides the double-well potential
-toolbox (regular, logarithmic and double-obstacle wells handled through
-their Yosida regularisation), a cell-centred no-flux discretisation, the
-implicit splitting stepper, discrete space-time norms, and the studies
-that verify the qualitative theory numerically: vanishing-inertia rates,
-regularisation self-consistency, continuous dependence on the controls
-and strict phase separation.
+A phase field phi, chemical potential mu and nutrient sigma evolve under an
+inertial relaxation of the chemical potential equation, which degenerates
+to the parabolic limit system as the inertia alpha vanishes.  The modules:
+``potentials`` (double wells through their Yosida regularisation),
+``grid`` (the no-flux discretisation and its solves), ``model``,
+``stepper``, ``norms`` (space-time norms), ``experiments`` (the
+verification studies), ``config`` and ``cli``.
 """
 
 from .config import (

@@ -72,7 +72,7 @@ def _write_diagnostics(traj, outdir, digest):
 
     Each row is the step number and the four values as ``'%.17g'`` formats
     them: what ``csv.writer`` writes for these strings (CRLF, nothing to
-    quote).  Rows are formatted a block at a time.
+    quote).
     """
     path = os.path.join(outdir, f"diagnostics_{digest}.csv")
     table = np.column_stack(
@@ -100,25 +100,17 @@ def _field_dumper(grid, dt, rundir):
 
     The writer is one process, forked here before the run.  ``observe``
     sends it each record point through a blocking pipe: the step as 8
-    little-endian bytes, then the float64 bytes of mu, v, phi, sigma and xi.
-    The child reads one whole record point at a time and writes it with
-    ``_write_record``, while the solver steps on.  A full pipe blocks the
-    observer, so no more than one record point plus the pipe's buffer is in
-    flight; the fields are copied at once, and the state is left alone.
+    little-endian bytes, then the float64 bytes of the ``_FIELDS``.  The
+    child writes one whole record point at a time with ``_write_record``
+    while the solver steps on, so no more than one record point plus the
+    pipe's buffer is in flight.
 
-    ``join(report)`` closes the pipe, reads the error pipe until the writer
-    has gone and reaps it with ``waitpid``.  A write that failed in the
-    child comes back through the error pipe as the child's exception (an
-    OSError with the path and the cause), and ``join`` raises it when
-    ``report`` is true.  The child always leaves through ``os._exit``, so it
-    flushes no inherited stdio and runs no atexit hook.
-
-    The fork is safe because the child calls no BLAS: ``dump_field`` uses
-    only elementwise numpy and file writes, and OpenBLAS's thread pool sits
-    idle between calls.  Python 3.12 and later warn (DeprecationWarning)
-    when a process with threads forks, as OpenBLAS's pool makes this one.
-    Where ``os.fork`` does not exist, ``observe`` calls ``_write_record``
-    in process.
+    ``join(report)`` closes the pipe and reaps the writer.  A write that
+    failed in the child comes back through the error pipe as the child's
+    exception, and ``join`` raises it when ``report`` is true.  The child
+    leaves through ``os._exit`` and calls no BLAS, which makes the fork
+    safe.  Where ``os.fork`` does not exist, ``observe`` calls
+    ``_write_record`` in process.
     """
     os.makedirs(rundir, exist_ok=True)
 
@@ -172,10 +164,9 @@ def _simulate(cfg, outdir):
     """Run one config and write its diagnostics and, with
     ``output.dump_fields``, every record point's fields.
 
-    The field writer is joined on every path (see ``_field_dumper``).  When
-    the run raises, its error is the one that propagates, unless it is the
-    BrokenPipeError of a writer that failed first: then the writer's error
-    is raised in its place.
+    The field writer is joined on every path.  When the run raises, its
+    error propagates, unless it is the BrokenPipeError of a writer that
+    failed first: then the writer's error is raised in its place.
     """
     sc = build_scenario(cfg)
     digest = cfg.digest()

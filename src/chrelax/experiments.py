@@ -5,13 +5,10 @@ and returns a StudyReport carrying the measured table, an optional rate
 fit and named pass/fail verdicts.  Reports are pure functions of the
 config, with rows sorted by the ladder parameter (descending).
 
-Every study streams: a run hands its record points to an observer
-(``run(observe=...)``) and keeps no series.  The ladders' reference runs
-(the alpha = 0 limit, the unperturbed run, each eps rung) fill a
-ReferenceSeries, and the run compared with it (an alpha rung, a perturbed
-run, the eps/2 run) folds its differences into a CompositeStream as it
-goes, so a study holds one reference stack at a time.  The separation
-study keeps a running phase range.
+A ladder's reference run (the alpha = 0 limit, the unperturbed run, an eps
+rung) fills a ``norms.ReferenceSeries``, and each run compared with it
+streams into a ``norms.CompositeStream``, so a study holds one reference
+stack at a time.
 """
 
 from __future__ import annotations
@@ -118,11 +115,9 @@ def _ladder(cfg, key):
 
 def sweep_alpha(cfg):
     """Vanishing-inertia convergence: run an alpha ladder against the
-    alpha = 0 limit and fit the decay rate of the error composite.
-
-    The comparison estimate is only available for a proliferation rate that
-    is constant in phi and positive, so that the limit operator stays
-    invertible; the limit run, which comes first, refuses other P.
+    alpha = 0 limit and fit the decay rate of the error composite.  The
+    limit run comes first, so a P that ``validate`` refuses at alpha = 0
+    fails the study before any rung runs.
     """
     sc = build_scenario(cfg)
     alphas = _ladder(cfg, "study.alphas")

@@ -2,23 +2,15 @@
 
 Fields are flat float64 arrays of length ``grid.ncells`` in row-major cell
 order; cell centres sit at (i + 1/2) h per axis.  The Laplacian is the
-standard 3/5-point stencil in flux form with mirror ghost cells, so
-boundary fluxes vanish identically and ``integrate(laplacian(u)) == 0`` up
-to roundoff.  The discrete inner product carries the cell volume, and the
-face-based gradient form satisfies the summation-by-parts identity
-
-    inner(-laplacian(u), v) == face_form(u, v)
-
-exactly: both sides take their face differences from the grid's one face
-table.
+3/5-point stencil in flux form with mirror ghost cells, so
+``integrate(laplacian(u)) == 0`` up to roundoff, and summation by parts,
+``inner(-laplacian(u), v) == face_form(u, v)``, holds exactly: both sides
+take their face differences from the grid's one face table.
 
 Shifted systems ``(shift - scale lap) x = b`` are solved by
-``solve_shifted``, whose docstring states the scalar-shift solve;
-``_shifted_cg`` states the per-cell one.
-
-Fields are written as CSV: the bytes ``csv.writer`` writes for each
-cell's coordinates and value as ``'%.17g'`` formats them, a block of rows
-at a time (``dump_field``).
+``solve_shifted``, whose docstring states the scalar-shift solve, and
+``_shifted_cg`` states the per-cell one.  ``dump_field`` states the CSV
+field format.
 """
 
 from __future__ import annotations
@@ -31,13 +23,13 @@ import numpy as np
 from .errors import CgNoConvergence, GridMismatch, InvalidParams
 
 # Axes of up to this many cells take the cosine transform as dense matrix
-# products (faster than the FFT at these sizes).  An axis length keeps 8 n^2
-# bytes per table, one table in 1-D and two in 2-D (at most 1 MiB).
+# products, else the FFT.  An axis length keeps 8 n^2 bytes per table, one
+# table in 1-D and two in 2-D.
 DENSE_COSINE_MAX = 256
 
 # Cosine divisors kept per grid by solve_shifted.  A run uses at most two
 # (shift, scale) pairs, as the phase shift is always per cell; a ladder on
-# one grid adds one per rung, so criterion 5 fills the slots and they clear.
+# one grid adds one per rung, and a full cache is cleared.
 DENOM_CACHE_MAX = 8
 
 # The widest spread of a per-cell shift that _shifted_cg solves by
@@ -53,12 +45,9 @@ CSV_BLOCK_ROWS = 1024
 class Grid:
     """Uniform cell-centred grid in one or two space dimensions.
 
-    Every public method that takes a field validates it: a field is a numpy
-    array of shape ``(ncells,)``, and anything else raises GridMismatch
-    (see ``check``).  The private kernels behind them validate nothing.
-    ``stepper.run`` validates its initial data once and from then on passes
-    only arrays it made, so the public methods' guards are one shape test
-    each, done in place.
+    Every public method that takes a field raises GridMismatch unless it is
+    a numpy array of shape ``(ncells,)`` (see ``check``); the private
+    kernels behind them validate nothing.
     """
 
     def __init__(self, n, length=1.0):
@@ -153,12 +142,11 @@ class Grid:
         """Mirror-ghost Neumann Laplacian in flux form."""
         if not (isinstance(u, np.ndarray) and u.shape == self._shape):
             raise self._mismatch(u)
-        # _differences inlined, as its generator costs about 1 us a call; the
-        # values must stay the same for summation by parts with face_form.
-        # Each interior flux enters two cells with opposite sign, so the
-        # divergence telescopes and boundary fluxes never appear.  The first
-        # axis's fluxes sit between stride zeros at each end, so one
-        # difference of that padded array adds them all in
+        # _differences inlined, with the same values, for summation by parts
+        # with face_form.  Each interior flux enters two cells with opposite
+        # sign, so the divergence telescopes and boundary fluxes never
+        # appear.  The first axis's fluxes sit between stride zeros at each
+        # end, so one difference of that padded array adds them all in
         stride, h, _ = self._stencil[0]
         pad = np.zeros(u.size + stride)
         flux = np.subtract(u[stride:], u[:-stride], out=pad[stride:-stride])
@@ -231,12 +219,10 @@ class Grid:
     def solve_spd(self, apply, rhs, tol, max_iter, *, precond):
         """Preconditioned conjugate gradients for an SPD operator.
 
-        ``apply`` maps a field to a field and must be symmetric positive
-        definite in the discrete inner product.  Stops when the residual
-        has dropped below ``tol`` relative to ``rhs``.  ``precond`` maps a
-        residual to an approximate solution (an SPD approximate inverse).
-        Raises CgNoConvergence when the operator loses definiteness and when
-        ``max_iter`` iterations run out.
+        ``apply`` and ``precond`` (an approximate inverse) map a field to a
+        field and must be SPD.  Stops when the residual has dropped below
+        ``tol`` relative to ``rhs``; raises CgNoConvergence when the
+        operator loses definiteness and when ``max_iter`` iterations run out.
         """
         if not (isinstance(rhs, np.ndarray) and rhs.shape == self._shape):
             raise self._mismatch(rhs)
@@ -277,13 +263,11 @@ class Grid:
 
     def _cosine_tables(self):
         """The cosine solve's tables, built once: the orthonormal DCT-II
-        matrix C of each axis and the eigenvalues of -laplacian on the
-        cosine modes.  A 2-D grid also keeps a C-contiguous copy of each
-        C.T, so that ``_cosine_divide``'s four matrix products all take
-        both operands as stored; axes of equal length share their
-        matrices.  On a grid with an axis longer than DENSE_COSINE_MAX there
-        are no matrices, and the eigenvalues are those of the even
-        extension (2n cells per axis, periodic) in rfftn layout."""
+        matrix C of each axis, on a 2-D grid with a C-contiguous copy of
+        C.T (axes of equal length share them), and the eigenvalues of
+        -laplacian on the cosine modes.  Past DENSE_COSINE_MAX there are no
+        matrices, and the eigenvalues are those of the even extension (2n
+        cells per axis, periodic) in rfftn layout."""
         if self._cosine is None:
             dense = max(self.n) <= DENSE_COSINE_MAX
             sizes = (list(self.n) if dense
@@ -312,9 +296,8 @@ class Grid:
     def _cosine_divide(self, denom, rhs):
         """Transform rhs to the cosine basis, divide by denom (from
         ``_cosine_denom``) and transform back: C.T (C rhs / denom) in 1-D,
-        C0.T ((C0 U C1.T) / denom) C1 in 2-D with U = rhs on the grid and
-        each C.T the stored copy; or, past DENSE_COSINE_MAX, by the real FFT
-        of the even extension."""
+        C0.T ((C0 U C1.T) / denom) C1 in 2-D with U = rhs on the grid, or
+        past DENSE_COSINE_MAX the real FFT of the even extension."""
         mats = self._cosine[0]
         if mats is None:
             u = rhs.reshape(self.n)
@@ -334,16 +317,14 @@ class Grid:
         """Solve (shift - scale * laplacian) x = rhs, for scale >= 0.
 
         A per-cell ``shift``, an array of shape ``(ncells,)`` with positive
-        mean, is solved to ``tol`` by ``_shifted_cg``, which states how.  A
-        scalar ``shift > 0`` is solved exactly, and ``tol`` does not apply:
-        the cosine (DCT-II) basis diagonalises the Laplacian on this grid,
-        so rhs is transformed, divided by shift + scale * (the eigenvalues
-        of -laplacian) and transformed back.  Grids with no axis longer than
-        DENSE_COSINE_MAX transform with dense per-axis matrices.  Larger
-        ones use the real FFT: mirrored across each boundary, a field is an
-        even periodic field on 2n cells per axis, where the Neumann
-        Laplacian is the periodic one, in O(N log N) time and O(N) memory.
-        The divisor is kept per (shift, scale) pair.
+        mean, is solved to ``tol`` by ``_shifted_cg``.  A scalar
+        ``shift > 0`` is solved exactly, and ``tol`` does not apply: the
+        cosine (DCT-II) basis diagonalises the Laplacian on this grid, so
+        rhs is transformed, divided by shift + scale * (the eigenvalues of
+        -laplacian), kept per (shift, scale), and transformed back.  The
+        transform is a dense product per axis up to DENSE_COSINE_MAX cells
+        per axis, else the real FFT of the field mirrored across each
+        boundary, an even periodic field on 2n cells per axis.
         """
         if not (isinstance(rhs, np.ndarray) and rhs.shape == self._shape):
             raise self._mismatch(rhs)
@@ -361,28 +342,23 @@ class Grid:
 
     def _shifted_cg(self, shift, scale, rhs, tol):
         """Solve (shift - scale * laplacian) x = rhs with a per-cell shift
-        to |r| <= tol |rhs|; returns (x, iterations), the number of cosine
-        solves (preconditioner applications).
+        to |r| <= tol |rhs|; returns (x, the number of cosine solves).
 
-        With c = mean(shift), S = c - scale * laplacian and d = shift - c,
-        the operator is A = S + diag(d), and z = S^-1 r is the exact
-        scalar-shift solve of ``solve_shifted``.  The spread q = max|d| / c
+        With c = mean(shift), S = c - scale * laplacian (solved exactly as
+        in ``solve_shifted``) and d = shift - c, the spread q = max|d| / c
         picks the iteration:
 
         - q <= RICHARDSON_Q: preconditioned Richardson, x_0 = S^-1 rhs,
-          then x_{k+1} = x_k + S^-1 r_k with r_{k+1} = -d S^-1 r_k, one
-          cosine solve and three vector operations a sweep, and no
-          Laplacian.  As S >= c, each sweep contracts the Euclidean
-          residual by at least q (Concus & Golub 1973), so
-          1 + ceil(log tol / log q) sweeps suffice.
-        - larger q, also an indefinite shift: ``solve_spd`` on A with S^-1
-          as the preconditioner, one cosine solve and one Laplacian an
-          iteration.  It raises CgNoConvergence when the operator loses
-          definiteness.
+          then x_{k+1} = x_k + S^-1 r_k with r_{k+1} = -d S^-1 r_k: one
+          cosine solve a sweep and no Laplacian.  As S >= c, each sweep
+          contracts the residual by at least q (Concus & Golub 1973).
+        - larger q, also an indefinite shift: ``solve_spd`` on S + diag(d)
+          with S^-1 as the preconditioner.
 
         Both raise CgNoConvergence on a non-finite rhs and when 10 * ncells
-        + 50 iterations run out, Richardson also on a non-finite residual.
-        ``solve_shifted`` validates rhs and shift.
+        + 50 iterations run out, Richardson also on a non-finite residual
+        and CG when the operator loses definiteness.  The caller validates
+        rhs and shift.
         """
         mean = float(np.add.reduce(shift)) / shift.size
         denom = self._cosine_denom(mean, scale)
@@ -428,12 +404,10 @@ class Grid:
         """Write one field as CSV with 17 significant digits per value.
 
         The bytes are those of ``csv.writer`` given each cell's coordinates
-        and value as ``'%.17g'`` formats them: a header row, then one row
-        per cell in row-major order, CRLF line ends and no quoting (no
-        number needs it).  A field of another real dtype is written as its
-        float64 values.  Rows are formatted and written CSV_BLOCK_ROWS at a
-        time; each row's coordinate text is built once per grid, on the
-        first dump.
+        and value as ``'%.17g'`` formats them: a header row (``x,value`` or
+        ``x,y,value``), then one row per cell in row-major order, CRLF line
+        ends and no quoting.  A field of another real dtype is written as
+        its float64 values.
         """
         self.check(u)
         u = u.astype(np.float64, casting="same_kind", copy=False)
@@ -452,15 +426,23 @@ class Grid:
                 fh.write(b"%s%.17g\r\n" * len(values) % tuple(rows))
 
     def load_field(self, path):
-        """Read a field previously written by dump_field."""
+        """Read a field written by ``dump_field``.  A file whose header,
+        row count or any row's value does not fit this grid raises
+        GridMismatch; a blank row or a value that is not a number names
+        its row."""
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         expected = ["x", "value"] if self.dim == 1 else ["x", "y", "value"]
         if rows and rows[0] != expected:
             raise GridMismatch(f"unexpected field header {rows[0]!r}")
-        vals = np.array([float(row[-1]) for row in rows[1:]])
-        if vals.shape != (self.ncells,):
+        vals = []
+        for i, row in enumerate(rows[1:], 2):
+            try:
+                vals.append(float(row[-1]))
+            except (IndexError, ValueError):
+                raise GridMismatch(f"row {i} of {path} holds no number: {row!r}") from None
+        if len(vals) != self.ncells:
             raise GridMismatch(
-                f"field file holds {vals.size} cells, grid has {self.ncells}"
+                f"field file holds {len(vals)} cells, grid has {self.ncells}"
             )
-        return vals
+        return np.array(vals)

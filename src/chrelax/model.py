@@ -1,12 +1,11 @@
 """Model data for the relaxed tumour-growth system.
 
-The evolving state couples the chemical potential mu (with its time
-derivative v while the inertial term is active), the phase field phi, the
-nutrient sigma, and the selection xi of the convex part's subdifferential
-that the phase step produced.  Proliferation P(phi) and the source
-truncation h(phi) are nonnegative, bounded, Lipschitz shape functions;
-controls u1 (medication) and u2 (nutrient supply) are bounded space-time
-sources given by small closed-form presets so runs stay reproducible.
+The state holds the chemical potential mu, its time derivative v, the
+phase field phi, the nutrient sigma and the selection xi of the convex
+part's subdifferential that the phase step produced.  Proliferation P(phi)
+and the source truncation h(phi) are nonnegative, bounded, Lipschitz
+shape functions; controls u1 (medication) and u2 (nutrient supply) are
+closed-form space-time presets.
 
 The config keys take their kinds (a spec's ``KINDS``) and defaults from
 these specs, so a changed default changes every config digest.
@@ -22,6 +21,19 @@ import numpy as np
 from .errors import InvalidParams
 from .grid import Grid
 from .potentials import SplitPotential, YosidaParams
+
+
+def _ramp(phi):
+    """clamp((1 + phi)/2, 0, 1), the shape of the ramp kinds of P and h."""
+    return np.minimum(np.maximum(0.5 * (1.0 + phi), 0.0), 1.0)
+
+
+def _cosine_modes(grid, mode, scale):
+    """scale times the product over the axes of cos(mode pi x / L)."""
+    out = np.full(grid.ncells, scale)
+    for x, L in zip(grid.coordinates(), grid.length):
+        out *= np.cos(mode * np.pi * x / L)
+    return out
 
 
 @dataclass(frozen=True)
@@ -46,12 +58,12 @@ class ProliferationSpec:
     def __call__(self, phi):
         if self.kind == "constant":
             return np.full_like(phi, self.p0)
-        return self.p0 * np.minimum(np.maximum(0.5 * (1.0 + phi), 0.0), 1.0)
+        return self.p0 * _ramp(phi)
 
     def rate(self, phi):
         """P(phi) as the scalar p0 for the constant kind, else per cell;
-        a scalar gives the stepper's solves a scalar shift, which
-        ``Grid.solve_shifted`` solves exactly."""
+        a scalar gives the stepper's solves a scalar shift
+        (``Grid.solve_shifted``)."""
         return self.p0 if self.kind == "constant" else self(phi)
 
     @property
@@ -74,7 +86,7 @@ class TruncationSpec:
 
     def __call__(self, phi):
         if self.kind == "ramp":
-            return np.minimum(np.maximum(0.5 * (1.0 + phi), 0.0), 1.0)
+            return _ramp(phi)
         if self.kind == "one":
             return np.ones_like(phi)
         return np.zeros_like(phi)
@@ -85,7 +97,7 @@ class ModelParams:
     """Coefficients of the evolution system.
 
     alpha scales the inertial term of the chemical potential (alpha = 0
-    is the parabolic limit, in which v stays 0), tau the phase relaxation
+    is the parabolic limit of ``stepper.run``), tau the phase relaxation
     time, chi the chemotaxis strength.
     """
 
@@ -143,16 +155,13 @@ class ControlSpec:
         # the pulse with its amplitude, or the product of the cosine modes
         profile = self._profiles.get(grid)
         if profile is None:
-            coords = grid.coordinates()
             if self.kind == "gaussian_pulse":
                 q = np.zeros(grid.ncells)
-                for x, c in zip(coords, self.center):
+                for x, c in zip(grid.coordinates(), self.center):
                     q += (x - c) ** 2
                 profile = self.amplitude * np.exp(-q / (2.0 * self.width**2))
             else:
-                profile = np.ones(grid.ncells)
-                for x, L in zip(coords, grid.length):
-                    profile *= np.cos(self.mode * np.pi * x / L)
+                profile = _cosine_modes(grid, self.mode, 1.0)
             profile.flags.writeable = False
             self._profiles[grid] = profile
         return profile
@@ -191,13 +200,9 @@ class FieldSpec:
     def build(self, grid):
         if self.kind == "constant":
             return grid.field(self.value)
-        coords = grid.coordinates()
         if self.kind == "cosine_bump":
-            out = np.full(grid.ncells, self.amplitude)
-            for x, L in zip(coords, grid.length):
-                out *= np.cos(self.mode * np.pi * x / L)
-            return out + self.value
-        x = coords[0]
+            return _cosine_modes(grid, self.mode, self.amplitude) + self.value
+        x = grid.coordinates()[0]
         return self.lo + (self.hi - self.lo) * 0.5 * (
             1.0 + np.tanh((x - self.center) / self.width)
         )
@@ -232,11 +237,10 @@ class State:
 def validate(params, potential, init, grid):
     """Cross-check a run setup; returns a list of violation strings.
 
-    An empty list means the setup satisfies every structural hypothesis the
-    scheme needs (finite alpha, tau and chi, positivity of tau and chi,
-    admissible initial phase range for the constrained potentials, and for
-    the parabolic limit alpha = 0 a proliferation rate bounded below by
-    p0 > 0 with tau * p0 >= 1).
+    An empty list means finite alpha, tau and chi, positive tau and chi,
+    nonnegative alpha, finite initial fields, an admissible initial phase
+    range for the constrained potentials, and for alpha = 0 a proliferation
+    rate bounded below by p0 > 0 with tau * p0 >= 1.
     """
     problems = [f"{name} must be finite, got {value}"
                 for name, value in (("alpha", params.alpha), ("tau", params.tau),
@@ -259,31 +263,23 @@ def validate(params, potential, init, grid):
             "the parabolic limit (alpha = 0) needs tau * min P >= 1, below which "
             f"its phase increments grow; got tau * min P = {params.tau * p_min:.6g}"
         )
-    fields = {
-        "mu0": init.mu0.build(grid),
-        "mu0_prime": init.mu0_prime.build(grid),
-        "phi0": init.phi0.build(grid),
-        "sigma0": init.sigma0.build(grid),
-    }
+    fields = {name: getattr(init, name).build(grid)
+              for name in ("mu0", "mu0_prime", "phi0", "sigma0")}
     for name, u in fields.items():
         if not np.all(np.isfinite(u)):
             problems.append(f"initial field {name} is not finite everywhere")
-    phi0 = fields["phi0"]
-    if potential.kind == "logarithmic":
-        m = float(np.max(np.abs(phi0)))
-        if m >= 1.0:
-            problems.append(
-                "phi0 reaches the boundary of the admissible phase interval; the "
-                "logarithmic potential needs |phi0| strictly below 1 (its convex "
-                f"part has empty subdifferential at +-1), got max |phi0| = {m}"
-            )
-    if potential.kind == "obstacle":
-        m = float(np.max(np.abs(phi0)))
-        if m > 1.0:
-            problems.append(
-                f"phi0 must stay inside [-1, 1] for the obstacle potential, "
-                f"got max |phi0| = {m}"
-            )
+    m = float(np.max(np.abs(fields["phi0"])))
+    if potential.kind == "logarithmic" and m >= 1.0:
+        problems.append(
+            "phi0 reaches the boundary of the admissible phase interval; the "
+            "logarithmic potential needs |phi0| strictly below 1 (its convex "
+            f"part has empty subdifferential at +-1), got max |phi0| = {m}"
+        )
+    if potential.kind == "obstacle" and m > 1.0:
+        problems.append(
+            f"phi0 must stay inside [-1, 1] for the obstacle potential, "
+            f"got max |phi0| = {m}"
+        )
     return problems
 
 

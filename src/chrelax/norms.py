@@ -11,15 +11,9 @@ convolution against the constant 1 uses the left-endpoint rule
 
 so it vanishes at t_0 and is exact for piecewise-constant integrands.
 
-All of these are sups and sums over time, so the study composites are
-computed in one pass.  A ReferenceSeries holds the reference run's mu, phi
-and sigma at its record points; a CompositeStream takes the other run one
-record point at a time (both plug into ``run(observe=...)``), and every
-STREAM_BLOCK points it differences the block against the reference,
-continues the running convolutions and folds the block's norms into
-running sups and sums.  ``alpha_error`` and ``contdep_lhs`` assemble the
-composites from the norms it finishes with, so a study keeps a reference
-stack and a fixed buffer instead of every snapshot of every run.
+A ``CompositeStream`` computes these norms in one pass over a run against
+a ``ReferenceSeries``; ``alpha_error`` and ``contdep_lhs`` assemble the
+study composites from its norms.
 """
 
 from __future__ import annotations
@@ -52,12 +46,10 @@ def record_count(nsteps, record_every):
 
 class ReferenceSeries:
     """mu, phi and sigma of a reference run of nsteps steps of dt at its
-    record points, every record_every-th step, stacked (npoints, 3, ncells)
-    and filled one record point per call, so a run can stream into it
-    through ``run(observe=...)``.  It is the schedule a CompositeStream runs
-    on.  A stride that does not divide nsteps raises InvalidParams: the
-    norms weight every record interval alike.  A state of another grid
-    raises GridMismatch."""
+    record points, stacked (npoints, 3, ncells) and filled one record point
+    per call (``run(observe=...)``).  A record_every that does not divide
+    nsteps raises InvalidParams: the norms weight every record interval
+    alike.  A state of another grid raises GridMismatch."""
 
     def __init__(self, grid, dt, record_every, nsteps):
         if nsteps % record_every:
@@ -89,15 +81,14 @@ class CompositeStream:
     continuous-dependence composites.
 
     Called once per record point (``run(observe=stream)``), it copies mu,
-    phi and sigma into a fixed buffer of STREAM_BLOCK points.  Each full block
-    is differenced against the reference, the time convolutions of the mu
-    and sigma differences are extended by a ``cumsum`` that continues from
-    the previous block's last row (so the sums are added in the order of
-    one running sum down the whole series), and ``Grid.stacked_sq_norms``
-    reduces the block into running sups and sums.  A state of another grid
-    raises GridMismatch.  A run that records more points than the
-    reference raises ScheduleMismatch at once; ``finish`` reduces the last
-    partial block and raises it for a run that recorded fewer.
+    phi and sigma into a buffer of STREAM_BLOCK points.  Each full block is
+    differenced against the reference, the time convolutions continue from
+    the previous block (added in the order of one running sum down the
+    series), and the block's norms fold into running sups and sums, so a
+    study holds a reference stack and this buffer.  A state of another
+    grid raises GridMismatch.  A run that records more points than the
+    reference raises ScheduleMismatch at once; ``finish`` raises it for a
+    run that recorded fewer.
     """
 
     def __init__(self, reference):
@@ -235,11 +226,9 @@ def fit_rate(points):
     values; anything else raises DegenerateFit.  The residual is the
     Euclidean norm of the log-space misfit, zero for an exact power law.
 
-    Two unknowns have the closed form of the normal equations on centred
-    logs: slope = sum(dx * dy) / sum(dx^2), intercept = mean(ly) - slope *
-    mean(lx).  It agrees with a LAPACK least-squares solve to roundoff and
-    calls no LAPACK: the first such call in a process touches about 1 MB of
-    BLAS workspace, more than the alpha = 0 reference stack of a sweep.
+    The two unknowns take the closed form of the normal equations on
+    centred logs, slope = sum(dx * dy) / sum(dx^2) and intercept =
+    mean(ly) - slope * mean(lx), so the fit calls no LAPACK.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:

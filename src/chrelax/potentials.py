@@ -24,28 +24,14 @@ constant 1/eps.  It is evaluated through the resolvent r -> x solving
 
     x + eps * s(x) = r,      s = the monotone section generating dF1,
 
-which for the regular kind is a scalar cubic, started from its closed-form
-root and checked by Newton's residual test (see ``_solve_cubic``), for the
+which for the regular kind is a scalar cubic (``_solve_cubic``), for the
 logarithmic kind a scalar transcendental equation solved by safeguarded
-Newton, and for the obstacle kind the projection onto [-1, 1].  The
-Newton solves take RESOLVENT_TOL as the tolerance of their residual
-x + eps s(x) - r and RESOLVENT_MAX_ITER updates as their budget, and raise
-NewtonDivergence when the budget runs out.  All operations act pointwise
-and accept floats or numpy arrays of any shape.
-
-The logarithmic resolvent can start warm.  Given ``near = (r0,
-F1'_eps(r0))`` at a nearby point r0, it starts from the linearisation
-x0 = J(r0) + (r - r0) J'(r0), where J(r0) = r0 - eps F1'_eps(r0) and
-J'(r0) = g / (g + 2 eps) with g = 1 - J(r0)^2, and takes at most two plain
-Newton updates.  A hint at r itself, ``near = (r, fp0)`` with fp0 a
-prediction of F1'_eps(r) (the phase step passes one at its Newton
-start), needs no linearisation: the start is x0 = r - eps fp0.  The
-result is returned only when every cell passes the safeguarded solve's
-own residual test; a tail cell, a start or iterate outside the Newton
-bracket (also a NaN one), or a residual still too large after two
-updates sends the whole array to the safeguarded solve, started cold and
-so bit-identical to a call without ``near``.  The other kinds ignore
-``near``.
+Newton (``_solve_entropy``), started warm from a hint ``near`` when one
+is given (``_entropy_near``), and for the obstacle kind the projection
+onto [-1, 1].  The Newton solves take RESOLVENT_TOL as the tolerance of
+their residual x + eps s(x) - r and RESOLVENT_MAX_ITER updates as their
+budget, and raise NewtonDivergence when the budget runs out.  All
+operations act pointwise and accept floats or numpy arrays of any shape.
 """
 
 from __future__ import annotations
@@ -91,11 +77,8 @@ def _like(r, out):
 class SplitPotential:
     """One double well F = F1 + F2 with its convex-analysis toolbox.
 
-    The ``regular()``, ``logarithmic(k1)`` and ``obstacle(k2)`` constructors
-    name the kinds.  ``__post_init__`` checks the kind and the well-shape
-    constraints (k1 > 1, k2 > 0) on every construction, so a direct call,
-    as the config builds it, is checked too: invalid parameters raise
-    InvalidParams at once.
+    Every construction checks the kind and the well-shape constraints
+    (k1 > 1, k2 > 0) and raises InvalidParams on a violation.
     """
 
     KINDS = ("regular", "logarithmic", "obstacle")
@@ -170,7 +153,7 @@ class SplitPotential:
 
         Nonexpansive in r; the result lies in the closure of the effective
         domain of F1.  ``near`` is an optional start hint for the
-        logarithmic kind (see the module docstring).
+        logarithmic kind (``_entropy_near``).
         """
         return _like(r, self._evaluate(_as_array(r), yp, near)[0])
 
@@ -269,14 +252,12 @@ def _solve_cubic(r, eps, tol, max_iter):
     cancellation of (r - x)/eps.
 
     Starts from the closed form x0 = 2/sqrt(3 eps) sinh(asinh(1.5 sqrt(3 eps)
-    r) / 3) (Holmes, Math. Gazette 86, 2002), a few ulp from the root, so
-    at |r| <= 1 the residual test passes with no Newton update; Newton,
-    with the same test and budget, refines cells past the start's
-    roundoff.  An iterate also passes where every residual is within 8 ulp
-    of the terms it sums, which ends a call on large |r| (up to +-1e300)
-    after at most one update.  Where 1.5 sqrt(3 eps) r is subnormal the
-    start keeps only that product's bits: up to (4/(3 sqrt(3 eps)) + 1/2)
-    times the smallest subnormal off, far inside tol."""
+    r) / 3) (Holmes, Math. Gazette 86, 2002), a few ulp from the root;
+    Newton, with the residual test and budget, refines cells past the
+    start's roundoff.  An iterate also passes where every residual is
+    within 8 ulp of the terms it sums, which ends a call on large |r|.
+    Where 1.5 sqrt(3 eps) r is subnormal the start keeps only that
+    product's bits, far inside tol."""
     # cubes as products: within 1 ulp of x**3, and faster than numpy's pow
     # on negative bases
     s = math.sqrt(3.0 * eps)
@@ -311,13 +292,19 @@ _BRACKET_TOL = 4.0 * np.spacing(1.0)
 
 
 def _entropy_near(r, eps, tol, near):
-    """Warm root of x + eps ln((1+x)/(1-x)) = r from the linearised
-    resolvent at ``near = (r0, F1'_eps(r0))``, or from r - eps fp0 when
-    ``near = (r, fp0)`` is a hint at r itself.
+    """Warm root of x + eps ln((1+x)/(1-x)) = r, or None.
 
-    Returns x and F1'_eps(r), the section at x, or None when the safeguarded
-    solve must run: some |r| is in the tail, an iterate leaves (-_EDGE,
-    _EDGE) or is not finite, or some cell misses ``tol`` after two updates.
+    Given ``near = (r0, F1'_eps(r0))`` at a nearby point r0, Newton starts
+    from the linearised resolvent x0 = J(r0) + (r - r0) J'(r0), where
+    J(r0) = r0 - eps F1'_eps(r0) and J'(r0) = g / (g + 2 eps) with
+    g = 1 - J(r0)^2; given a hint at r itself, ``near = (r, fp0)`` with
+    fp0 a prediction of F1'_eps(r), it starts from x0 = r - eps fp0.  At
+    most two plain Newton updates follow.  Returns x and F1'_eps(r), the
+    section at x, once every cell passes ``tol``.  Returns None, and the
+    caller runs the safeguarded solve started cold, bit-identical to a
+    call without ``near``, when some |r| is in the tail, an iterate leaves
+    (-_EDGE, _EDGE) or is not finite, or some cell misses ``tol`` after
+    two updates.
     """
     # a NaN cell makes each maximum below NaN, which fails every comparison
     if _abs_max(r) >= _EDGE + eps * _EDGE_SLOPE:
@@ -341,14 +328,10 @@ def _entropy_near(r, eps, tol, near):
 def _solve_entropy(r_in, eps, tol, max_iter):
     """Root of x + eps ln((1+x)/(1-x)) = r on (-1, 1), safeguarded Newton.
 
-    Far outside the well (|r| much larger than 1) the root is within a few
-    ulp of +-1 and is taken from the asymptotic form 1 - x = 2 exp(-(r-x)/eps)
-    instead of iterating on a collapsed bracket.
-
-    Every iteration works on the whole array: a cell stops moving once its
-    residual is within ``tol`` or its bracket has collapsed, and the tail
-    cells and the bisection fallback are touched only when some cell needs
-    them.
+    In the tail (|r| >= _EDGE + eps s(_EDGE)) the root is within a few ulp
+    of +-1 and is taken from the asymptotic form 1 - x = 2 exp(-(r-x)/eps)
+    instead of iterating on a collapsed bracket.  A cell stops moving once
+    its residual is within ``tol`` or its bracket has collapsed.
     """
     shape = np.shape(r_in)
     r = np.asarray(r_in, dtype=float).reshape(-1)

@@ -8,50 +8,22 @@ the smooth potential part F2' lagged at the old phase:
                 = mu + chi sigma - F2'(phi)
   potential alpha (v' - v)/dt + (phi' - phi)/dt - lap mu' + P(phi') mu'
                 = P(phi')(sigma + chi (1 - phi')) - h(phi') u1,
-            with mu' = mu + dt v'  (for alpha = 0 the inertial term
-            drops out, mu' solves the stationary equation and v stays 0)
+            with mu' = mu + dt v'  (alpha = 0: see ``run``)
   nutrient  (sigma' - sigma)/dt - lap sigma' + P(phi') sigma'
                 = -chi lap phi' - P(phi')(chi (1 - phi') - mu') + u2
 
 Every substep is a symmetric positive definite shifted-Laplacian solve
-``(shift - scale lap) x = b``, done by ``Grid.solve_shifted``, which
-states how each shift is solved:
+``(shift - scale lap) x = b`` by ``Grid.solve_shifted``:
 
   phase Newton Jacobian   shift = tau/dt + F1''_eps(phi'),  scale = 1
   potential               shift = alpha + dt^2 P(phi'),     scale = dt^2
   nutrient                shift = 1 + dt P(phi'),           scale = dt
 
-The phase step wraps its solve in a damped Newton iteration, started from
-an extrapolation of the accepted phase levels (``_extrapolate``): phi_0
-at step 1, 2 phi_1 - phi_0 at step 2, 3 phi_2 - 3 phi_1 + phi_0 at step
-3, and from step 4 on
-
-  4 phi_n - 6 phi_{n-1} + 4 phi_{n-2} - phi_{n-3},
-
-which is exact on cubics in the step index.  (A five-point start, exact
-on quartics, amplifies roundoff and is not used; CHANGES.md records the
-counts.)  An alpha = 0 run switches at step 5 to
-
-  phi_n + 2 (phi_{n-1} - phi_{n-2}) - (phi_{n-3} - phi_{n-4}),
-
-which is also exact on (-1)^n and n (-1)^n: it follows the period-2
-sawtooth of the limit scheme (see ``run``) as well as the smooth trend.
-From there most steps take one Newton iteration, and the stopping test
-is the one of a cold start.  For the logarithmic kind the same
-coefficients extrapolate the accepted selections xi, and the first
-residual's resolvent starts from x0 = guess - eps xi_pred (see
-``step_phi``).  The Newton is inexact: each correction is solved to the
-forcing tolerance
-
-  eta = max(cg_tol, GAMMA * tol / |r|),   GAMMA = 0.01,
-
-relative to the current residual r, with tol the stopping tolerance (see
-``step_phi``).  From the four-point start the first residual lies close
-enough to tol that eta can exceed the phase shift's spread, and then a
-correction takes a single Richardson sweep of ``Grid._shifted_cg``.  The
-linear substeps are solved to cg_tol, in increment form (unknown minus its
-previous value), which keeps the absolute residual, and with it the drift
-of the conserved quantities, far below the relative tolerance.
+The phase step is an inexact damped Newton iteration (``step_phi``)
+started from an extrapolation of the accepted levels (``_extrapolate``).
+The linear substeps are solved to cg_tol in increment form (unknown minus
+its previous value), which keeps the absolute residual, and with it the
+drift of the conserved quantities, far below the relative tolerance.
 
 Integrating the potential substep over the box gives the discrete mass
 identity
@@ -59,10 +31,9 @@ identity
   alpha d/dt integral(v) + d/dt integral(phi)
       = integral(P(phi')(sigma + chi(1 - phi') - mu') - h(phi') u1),
 
-exact up to the CG residual because the Laplacian integrates to zero in
-flux form.  With P = 0 and u1 = 0 the quantity alpha*integral(v) +
-integral(phi) is conserved, and integral(sigma) likewise; the acceptance
-suite checks both to 1e-8 over full runs.
+exact up to the solve residual because the Laplacian integrates to zero
+in flux form: with P = 0 and u1 = 0, alpha*integral(v) + integral(phi) is
+conserved, and integral(sigma) likewise.
 """
 
 from __future__ import annotations
@@ -91,7 +62,7 @@ UNSTABLE_STEPS = 4
 GAMMA = 0.01
 
 # the most steps a run takes: run allocates about 40 bytes per step up front
-# (three mass series, the Newton counts and the step times), 0.4 GB here
+# (three mass series, the Newton counts and the step times), 0.4 GB at most
 MAX_STEPS = 10**7
 
 EPS_MACH = float(np.finfo(float).eps)
@@ -137,20 +108,16 @@ class SchemeConfig:
 
 @dataclass
 class Trajectory:
-    """Output of one run.
-
-    ``snapshots`` holds the initial and the final state; the states at
-    the record points reach the caller only through ``run(observe=...)``.
-    The mass diagnostics cover every step, and ``newton_iters[n]`` counts
-    the phase Newton iterations of step n + 1.
-    """
+    """Output of one run: the initial and the final state (``snapshots``),
+    the mass diagnostics of every step, and in ``newton_iters[n]`` the
+    phase Newton iterations of step n + 1."""
 
     snapshots: list = field(default_factory=list)
     step_times: np.ndarray = None
     mass_phi: np.ndarray = None
     mass_sigma: np.ndarray = None
     mass_v: np.ndarray = None
-    newton_iters: np.ndarray = None  # phase Newton iterations of each step
+    newton_iters: np.ndarray = None
 
     @property
     def final(self):
@@ -161,36 +128,30 @@ def step_phi(state, params, potential, scheme, grid, guess=None, *, xi_guess=Non
     """Implicit phase update; returns (phi_next, xi_next, newton_iters).
 
     Solves tau (x - phi)/dt - lap x + F1'_eps(x) = g with
-    g = mu + chi sigma - F2'(phi) by damped Newton from ``guess``
-    (default: phi itself); the residual is measured in the discrete L2
-    norm.  One resolvent evaluation per iterate gives the residual and xi.
-    For the guess it is started from ``xi_guess``, a prediction of
-    F1'_eps(guess), when one is given (``run`` gives one for the
-    logarithmic kind), and else from the one at phi; every trial after
-    that is started from the one at the current Newton iterate.  A poor or
-    non-finite ``xi_guess`` costs the resolvent its safeguarded solve, not
-    accuracy (see the ``potentials`` module docstring).  The Jacobian
-    curvature F1''_eps is computed from that resolvent only at an iterate
-    whose correction is solved, once per Newton iteration.  F1'_eps is
-    defined on all of R, so any finite guess will do, also one outside the
-    domain of F1.  A line search whose trials down to step length 2^-30
-    all fail to lower the residual raises NewtonDivergence.
+    g = mu + chi sigma - F2'(phi) by damped Newton from ``guess`` (default
+    phi; F1'_eps is defined on all of R, so any finite guess will do),
+    with the residual in the discrete L2 norm.  One resolvent evaluation
+    per iterate gives the residual and xi, started from ``xi_guess`` (a
+    prediction of F1'_eps(guess)) or xi at phi for the guess and from the
+    current iterate for every later trial (``potentials._entropy_near``);
+    F1''_eps is computed from it only where a correction is solved.
 
-    The iteration stops at tol = max(newton_tol, the residual's roundoff
-    floor).  Every iterate is rounded to the nearest double,
-    and tau/dt - lap amplifies that rounding by up to tau/dt + 4 sum 1/h^2.
-    The floor is eps_mach (tau/dt + 4 sum 1/h^2) |phi|_h; on 1-D and 2-D
-    runs with both potentials the residual stalled at 0.12-0.20 of it.  A
-    phi whose norm overflows leaves tol infinite, which any guess would
-    pass, so that raises NonFiniteState.
+    The iteration stops at tol = max(newton_tol, floor), where the
+    residual's roundoff floor eps_mach (tau/dt + 4 sum 1/h^2) |phi|_h is
+    the rounding of an iterate amplified by tau/dt - lap.  A phi whose
+    norm overflows leaves tol infinite and raises NonFiniteState.
 
-    Each correction is solved to the forcing tolerance
-    eta = max(cg_tol, GAMMA * tol / |r|) relative to the residual r
-    (inexact Newton; Dembo, Eisenstat & Steihaug 1982), not to cg_tol: the
-    correction's linear residual, about GAMMA * tol, stays below what the
-    stopping test can see.  A correction is solved only while |r| > tol, so
-    GAMMA * tol / |r| stays below GAMMA.  The stopping test is unchanged,
-    and on the runs measured so is every step's Newton count.
+    The Newton is inexact (Dembo, Eisenstat & Steihaug 1982): each
+    correction is solved to the forcing tolerance
+
+      eta = max(cg_tol, GAMMA * tol / |r|)
+
+    relative to the residual r.  A correction is solved only while
+    |r| > tol, so its linear residual, about GAMMA * tol, stays below what
+    the stopping test can see.  A line search halves the step until the
+    residual does not grow; one whose trials down to step length 2^-30 all
+    fail raises NewtonDivergence, as does a residual above tol after
+    newton_max_iter iterations.
     """
     dt, tau, phi = scheme.dt, params.tau, state.phi
     tau_dt = tau / dt
@@ -246,14 +207,22 @@ def step_phi(state, params, potential, scheme, grid, guess=None, *, xi_guess=Non
 
 
 def _extrapolate(now, incs, limit):
-    """Newton start for the next step from the accepted level ``now`` and
-    the increments that led to it, newest first (``incs[0]`` = ``now``
-    minus the level before), or None on the first step.
+    """Newton start for the next step from the accepted level
+    ``now`` = phi_n and the increments that led to it, newest first
+    (``incs[0]`` = phi_n - phi_{n-1}); None on the first step.
 
-    Takes two levels at step 2, three at step 3 and four from step 4 on,
-    and is exact on polynomials in the step index of one degree less.  An
-    alpha = 0 run (``limit``) switches to the sawtooth start at step 5 (see
-    the module docstring).  Built from increments, the start is rounded
+    The start is 2 phi_n - phi_{n-1} at step 2, 3 phi_n - 3 phi_{n-1} +
+    phi_{n-2} at step 3, and from step 4 on
+
+      4 phi_n - 6 phi_{n-1} + 4 phi_{n-2} - phi_{n-3},
+
+    exact on cubics in the step index.  An alpha = 0 run (``limit``)
+    switches at step 5 to
+
+      phi_n + 2 (phi_{n-1} - phi_{n-2}) - (phi_{n-3} - phi_{n-4}),
+
+    also exact on (-1)^n and n (-1)^n, the period-2 sawtooth of the limit
+    scheme (see ``run``).  Built from increments, the start is rounded
     about once, at the addition to ``now``.
     """
     k = len(incs)
@@ -282,11 +251,9 @@ def step_mu(state, phi_next, params, scheme, u1, grid, prolif):
     The unknown is the increment of v in the SPD system
     (alpha + dt^2 P) v' - dt^2 lap v' = alpha v - (phi' - phi)
         + dt lap mu + dt [P (sigma + chi(1 - phi') - mu) - h u1],
-    with mu' = mu + dt v'.  At alpha = 0 this is dt times the stationary
-    equation (-lap + P) mu' = P (sigma + chi(1 - phi')) - h u1
-    - (phi' - phi)/dt, so mu' does not depend on v; P must then be bounded
-    away from zero or the operator degenerates on constants.  ``prolif``
-    is ``_proliferation(state, phi_next, params)``.
+    with mu' = mu + dt v' (alpha = 0: see ``run``, and a P not bounded
+    away from zero raises InvalidParams).  ``prolif`` is
+    ``_proliferation(state, phi_next, params)``.
     """
     dt, alpha = scheme.dt, params.alpha
     if not alpha >= 0.0:
@@ -307,8 +274,7 @@ def step_mu(state, phi_next, params, scheme, u1, grid, prolif):
     return state.mu + dt * v_next, v_next
 
 
-# exists only for perfbench/tracer.py, which wraps this name at install;
-# ROADMAP item 1 deletes it
+# exists only for perfbench/tracer.py, which wraps this name at install
 step_mu_limit = step_mu
 
 
@@ -376,43 +342,36 @@ def step_count(T, dt):
 def run(params, potential, controls, init, grid, T, scheme, observe=None):
     """Integrate from t = 0 to t = T; returns a Trajectory.
 
-    T must be an integer number of steps.  The initial state is checked
-    against the grid once (``Grid.check``); every later field is one the
-    run made.  Each substep's output is checked for non-finite values;
-    substep failures propagate with the step, the substep (phi, mu or
-    sigma) and the solver residual in the message and as
-    ``step``/``substep`` attributes.  The run is deterministic:
-    identical inputs produce bit-identical trajectories on one host, numpy
-    build and SIMD dispatch, whatever the number of BLAS threads; across
-    numpy's SIMD dispatch levels they agree within the bound of the
-    committed solution fingerprint, not bit for bit.
+    T must be a whole number of steps (``step_count``).  The initial state
+    is checked against the grid once (``Grid.check``); every later field
+    is one the run made.  ``observe(state)``, when given, is called at
+    t = 0, at every record_every-th step and at the final step, and must
+    not modify the state.  Each phase step starts from ``_extrapolate`` of
+    the accepted phases and, for the logarithmic kind, of the selections
+    xi.
 
-    The Trajectory keeps only the initial and the final state.  A caller
-    that needs the record points passes ``observe``: ``observe(state)``
-    is called at t = 0, at every record_every-th step and at the final
-    step, and must not modify the state.
+    A substep whose output is not finite, or whose solve fails, raises
+    with the step, the substep (phi, mu or sigma) and the solver residual
+    in its message and as ``step``/``substep`` attributes.  Identical
+    inputs give bit-identical trajectories on one host, numpy build and
+    SIMD dispatch, whatever the number of BLAS threads; across numpy's
+    SIMD dispatch levels they agree within the bound of the committed
+    solution fingerprint.
 
-    Each phase step starts from the extrapolated phase (see the module
-    docstring) and, for the logarithmic kind, from the selection xi
-    extrapolated with the same coefficients; the other kinds keep no xi
-    increments.
+    alpha = 0 is the parabolic limit.  The potential step then solves dt
+    times the stationary equation
 
-    An alpha = 0 run is the parabolic limit: ``step_mu`` solves the
-    stationary potential equation, and v is held at exactly 0 after every
-    step (v at t = 0 is mu0_prime).  The phase step lags mu, and the
-    potential step sets mu' from -(phi' - phi)/(dt P), so on smooth modes
-    each phase increment feeds into the next with a factor of about
-    -1/(tau P): the limit scheme is smooth while tau P stays above 1, and
-    at tau P = 1 they form a bounded period-2 sawtooth.  Below that they
-    grow, so ``validate`` refuses an alpha = 0 run with tau * min P < 1.
-    The alpha = 0 phase Newton starts from an extrapolation that follows
-    the sawtooth as well as the smooth trend, so that such a step can end
-    after one Newton iteration.  The start moves only the Newton's first
-    iterate: the scheme, phi -> mu -> sigma as the paper states it, and
-    with it the sawtooth, stay as they are.  Should the increments grow
-    all the same, the run raises SchemeUnstable once its phase increments
-    have grown and reversed direction for UNSTABLE_STEPS steps in a row,
-    instead of letting them grow until the resolvent fails.
+      (-lap + P) mu' = P (sigma + chi (1 - phi')) - h u1 - (phi' - phi)/dt,
+
+    and v is held at exactly 0 after every step (v at t = 0 is
+    mu0_prime).  As the phase step lags mu, on smooth modes each phase
+    increment feeds into the next with a factor of about -1/(tau P): the
+    increments are smooth while tau P > 1, form a bounded period-2
+    sawtooth at tau P = 1 and grow below it, so ``validate`` refuses
+    tau * min P < 1.  The scheme keeps its sawtooth, and the limit's
+    Newton start follows it.  Should the increments grow all the same,
+    the run raises SchemeUnstable once they have grown and reversed
+    direction for UNSTABLE_STEPS steps in a row.
     """
     problems = validate(params, potential, init, grid)
     if problems:

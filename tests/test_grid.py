@@ -476,3 +476,14 @@ def test_load_rejects_header_and_size_mismatch(tmp_path):
     path.write_text("x,val\n0.5,1.0\n")
     with pytest.raises(GridMismatch):
         g.load_field(path)
+    # a blank row (here a trailing extra CRLF) and a non-numeric value name
+    # their row
+    g.dump_field(u, path)
+    with open(path, "ab") as fh:
+        fh.write(b"\r\n")
+    with pytest.raises(GridMismatch, match="row 10 "):
+        g.load_field(path)
+    g.dump_field(u, path)
+    path.write_bytes(path.read_bytes().replace(b",1\r\n", b",one\r\n", 1))
+    with pytest.raises(GridMismatch, match="row 2 "):
+        g.load_field(path)
