@@ -40,7 +40,6 @@ from .model import (
     State,
     TruncationSpec,
     initial_state,
-    validate,
 )
 from .norms import (
     RateFit,

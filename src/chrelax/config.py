@@ -26,7 +26,7 @@ from .model import (
     ModelParams,
     ProliferationSpec,
     TruncationSpec,
-    validate,
+    initial_state,
 )
 from .potentials import SplitPotential
 from .stepper import SchemeConfig
@@ -285,6 +285,7 @@ class Scenario:
 
 
 def build_scenario(cfg):
+    """The Scenario of ``cfg``, refused as ``initial_state`` refuses it."""
     grid = build_grid(cfg)
     sc = Scenario(
         params=build_params(cfg),
@@ -295,7 +296,5 @@ def build_scenario(cfg):
         T=cfg["time.T"],
         scheme=build_scheme(cfg),
     )
-    problems = validate(sc.params, sc.potential, sc.init, grid)
-    if problems:
-        raise InvalidParams("; ".join(problems))
+    initial_state(sc.params, sc.potential, sc.init, grid, sc.scheme.yosida)
     return sc

@@ -116,7 +116,7 @@ def _ladder(cfg, key):
 def sweep_alpha(cfg):
     """Vanishing-inertia convergence: run an alpha ladder against the
     alpha = 0 limit and fit the decay rate of the error composite.  The
-    limit run comes first, so a P that ``validate`` refuses at alpha = 0
+    limit run comes first, so a P that ``initial_state`` refuses at alpha = 0
     fails the study before any rung runs.
     """
     sc = build_scenario(cfg)

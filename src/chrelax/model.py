@@ -234,13 +234,16 @@ class State:
         )
 
 
-def validate(params, potential, init, grid):
-    """Cross-check a run setup; returns a list of violation strings.
+def initial_state(params, potential, init, grid, yp):
+    """The checked t = 0 state of a run; xi starts as the Yosida derivative
+    at phi0.
 
-    An empty list means finite alpha, tau and chi, positive tau and chi,
-    nonnegative alpha, finite initial fields, an admissible initial phase
-    range for the constrained potentials, and for alpha = 0 a proliferation
-    rate bounded below by p0 > 0 with tau * p0 >= 1.
+    Raises InvalidParams, naming every violation, unless alpha, tau and chi
+    are finite, tau and chi positive and alpha nonnegative, the initial
+    fields finite, the initial phase inside the admissible range of the
+    constrained potentials, and for alpha = 0 the proliferation rate bounded
+    below by p0 > 0 with tau * p0 >= 1; then GridMismatch unless every
+    field has the grid's shape.
     """
     problems = [f"{name} must be finite, got {value}"
                 for name, value in (("alpha", params.alpha), ("tau", params.tau),
@@ -280,17 +283,8 @@ def validate(params, potential, init, grid):
             f"phi0 must stay inside [-1, 1] for the obstacle potential, "
             f"got max |phi0| = {m}"
         )
-    return problems
-
-
-def initial_state(init, potential, yp, grid):
-    """Assemble the t = 0 state; xi starts as the Yosida derivative at phi0."""
-    phi0 = init.phi0.build(grid)
-    return State(
-        mu=init.mu0.build(grid),
-        v=init.mu0_prime.build(grid),
-        phi=phi0,
-        sigma=init.sigma0.build(grid),
-        xi=np.asarray(potential.yosida_prime(phi0, yp)),
-        t=0.0,
-    )
+    if problems:
+        raise InvalidParams("; ".join(problems))
+    mu, v, phi, sigma = fields.values()
+    grid.check(mu, v, phi, sigma)
+    return State(mu, v, phi, sigma, np.asarray(potential.yosida_prime(phi, yp)), 0.0)

@@ -43,9 +43,6 @@ import numpy as np
 
 from .errors import InvalidParams, NewtonDivergence, OutsideSubdifferentialDomain
 
-LOG2X2 = 2.0 * np.log(2.0)
-
-
 # the resolvent's residual tolerance and Newton budget, for every kind
 RESOLVENT_TOL = 1e-12
 RESOLVENT_MAX_ITER = 100

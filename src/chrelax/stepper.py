@@ -39,7 +39,7 @@ conserved, and integral(sigma) likewise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,7 +51,7 @@ from .errors import (
     NonFiniteState,
     SchemeUnstable,
 )
-from .model import State, initial_state, validate
+from .model import State, initial_state
 from .potentials import YosidaParams
 
 # consecutive alpha = 0 steps whose phase increment grows and points against
@@ -112,12 +112,12 @@ class Trajectory:
     the mass diagnostics of every step, and in ``newton_iters[n]`` the
     phase Newton iterations of step n + 1."""
 
-    snapshots: list = field(default_factory=list)
-    step_times: np.ndarray = None
-    mass_phi: np.ndarray = None
-    mass_sigma: np.ndarray = None
-    mass_v: np.ndarray = None
-    newton_iters: np.ndarray = None
+    snapshots: list
+    step_times: np.ndarray
+    mass_phi: np.ndarray
+    mass_sigma: np.ndarray
+    mass_v: np.ndarray
+    newton_iters: np.ndarray
 
     @property
     def final(self):
@@ -149,16 +149,19 @@ def step_phi(state, params, potential, scheme, grid, guess=None, *, xi_guess=Non
     relative to the residual r.  A correction is solved only while
     |r| > tol, so its linear residual, about GAMMA * tol, stays below what
     the stopping test can see.  A line search halves the step until the
-    residual does not grow; one whose trials down to step length 2^-30 all
-    fail raises NewtonDivergence, as does a residual above tol after
-    newton_max_iter iterations.
+    residual does not grow (one that overflows grows); one whose trials
+    down to step length 2^-30 all fail raises NewtonDivergence, as does a
+    residual above tol after newton_max_iter iterations.
     """
     dt, tau, phi = scheme.dt, params.tau, state.phi
     tau_dt = tau / dt
     yp = scheme.yosida
     evaluate, laplacian, h_norm = potential._evaluate, grid.laplacian, grid.h_norm
     g = state.mu + params.chi * state.sigma - potential.f2_prime(phi)
-    floor = EPS_MACH * (tau_dt + grid.lap_bound) * h_norm(phi)
+    try:
+        floor = EPS_MACH * (tau_dt + grid.lap_bound) * h_norm(phi)
+    except FloatingPointError:  # |phi|_h overflows (see run)
+        floor = math.inf
     tol = max(scheme.newton_tol, floor)
     if not math.isfinite(tol):
         raise NonFiniteState("phase step tolerance is not finite: the roundoff floor "
@@ -182,8 +185,11 @@ def step_phi(state, params, potential, scheme, grid, guess=None, *, xi_guess=Non
         s = 1.0
         xn = x + delta  # the full step; x + s * delta once s is halved
         while True:
-            rn, jn, fpn = residual(xn, near)
-            rn_norm = h_norm(rn)
+            try:
+                rn, jn, fpn = residual(xn, near)
+                rn_norm = h_norm(rn)
+            except FloatingPointError:  # a trial that overflows (see run)
+                rn_norm = math.inf
             if math.isfinite(rn_norm) and rn_norm <= rnorm:
                 break
             if s <= 2.0**-30:
@@ -309,9 +315,13 @@ def _unstable(params, phi_next, growth):
 
 def _require_finite(name, u):
     # returns the sum that Grid.integrate takes; a non-finite cell makes the
-    # sum non-finite, and a finite field whose sum overflows gets the full
-    # scan and passes it
-    total = float(np.add.reduce(u))
+    # sum non-finite, and a finite field whose sum overflows (raised in run)
+    # gets the full scan and passes it
+    try:
+        total = float(np.add.reduce(u))
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.add.reduce(u))
     if not math.isfinite(total):
         bad = int(np.count_nonzero(~np.isfinite(u)))
         if bad:
@@ -342,21 +352,24 @@ def step_count(T, dt):
 def run(params, potential, controls, init, grid, T, scheme, observe=None):
     """Integrate from t = 0 to t = T; returns a Trajectory.
 
-    T must be a whole number of steps (``step_count``).  The initial state
-    is checked against the grid once (``Grid.check``); every later field
+    T must be a whole number of steps (``step_count``), and the initial
+    state is the one ``initial_state`` builds and checks; every later field
     is one the run made.  ``observe(state)``, when given, is called at
     t = 0, at every record_every-th step and at the final step, and must
     not modify the state.  Each phase step starts from ``_extrapolate`` of
     the accepted phases and, for the logarithmic kind, of the selections
     xi.
 
-    A substep whose output is not finite, or whose solve fails, raises
-    with the step, the substep (phi, mu or sigma) and the solver residual
-    in its message and as ``step``/``substep`` attributes.  Identical
-    inputs give bit-identical trajectories on one host, numpy build and
-    SIMD dispatch, whatever the number of BLAS threads; across numpy's
-    SIMD dispatch levels they agree within the bound of the committed
-    solution fingerprint.
+    The steps and observer calls raise numpy's overflow, invalid and
+    divide errors (``np.errstate``).  A substep whose output is not
+    finite, whose arithmetic raises or whose solve fails raises with the
+    step, the substep (phi, mu or sigma; ``observe`` for the observer,
+    step 0 at t = 0) and the solver residual in its message and as
+    ``step``/``substep`` attributes, a floating-point error as a
+    NonFiniteState.  Identical inputs give bit-identical trajectories on
+    one host, numpy build and SIMD dispatch, whatever the number of BLAS
+    threads; across numpy's SIMD dispatch levels they agree within the
+    bound of the committed solution fingerprint.
 
     alpha = 0 is the parabolic limit.  The potential step then solves dt
     times the stationary equation
@@ -367,29 +380,18 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
     mu0_prime).  As the phase step lags mu, on smooth modes each phase
     increment feeds into the next with a factor of about -1/(tau P): the
     increments are smooth while tau P > 1, form a bounded period-2
-    sawtooth at tau P = 1 and grow below it, so ``validate`` refuses
+    sawtooth at tau P = 1 and grow below it, so ``initial_state`` refuses
     tau * min P < 1.  The scheme keeps its sawtooth, and the limit's
     Newton start follows it.  Should the increments grow all the same,
     the run raises SchemeUnstable once they have grown and reversed
     direction for UNSTABLE_STEPS steps in a row.
     """
-    problems = validate(params, potential, init, grid)
-    if problems:
-        raise InvalidParams("; ".join(problems))
+    state = initial_state(params, potential, init, grid, scheme.yosida)
     nsteps = step_count(T, scheme.dt)
-
-    state = initial_state(init, potential, scheme.yosida, grid)
-    grid.check(state.mu, state.v, state.phi, state.sigma, state.xi)
-    traj = Trajectory()
+    first = state.copy()
     mass_phi = np.empty(nsteps + 1)
     mass_sigma = np.empty(nsteps + 1)
     mass_v = np.empty(nsteps + 1)
-    traj.snapshots.append(state.copy())
-    if observe is not None:
-        observe(state)
-    mass_phi[0] = grid.integrate(state.phi)
-    mass_sigma[0] = grid.integrate(state.sigma)
-    mass_v[0] = grid.integrate(state.v)
 
     newton_iters = np.zeros(nsteps, dtype=int)
     # the accepted phase increments, newest first (at most four), and for the
@@ -400,65 +402,72 @@ def run(params, potential, controls, init, grid, T, scheme, observe=None):
     # alpha = 0 guard: the norm of the last phase increment and the streak of
     # growing, reversed increments
     inc_norm_prev, streak = 0.0, 0
-    for n in range(nsteps):
-        t_next = (n + 1) * scheme.dt
-        substep = "phi"
-        guess = _extrapolate(state.phi, incs, limit)
-        xi_guess = None if xi_incs is None else _extrapolate(state.xi, xi_incs, limit)
-        try:
-            u1 = controls.u1.sample(t_next, grid)
-            u2 = controls.u2.sample(t_next, grid)
-            phi_next, xi_next, newton_iters[n] = step_phi(
-                state, params, potential, scheme, grid, guess, xi_guess=xi_guess)
-            sum_phi = _require_finite("phi", phi_next)
-            _require_finite("xi", xi_next)
-            inc = phi_next - state.phi
-            if limit:
-                inc_norm = float(np.sqrt(np.dot(inc, inc)))
-                if incs and inc_norm > inc_norm_prev and (
-                        np.dot(inc, incs[0]) < -0.5 * inc_norm * inc_norm_prev):
-                    streak += 1
-                else:
-                    streak = 0
-                if streak == UNSTABLE_STEPS:
-                    _unstable(params, phi_next, inc_norm / inc_norm_prev)
-                inc_norm_prev = inc_norm
-            substep = "mu"
-            prolif = _proliferation(state, phi_next, params)
-            mu_next, v_next = step_mu(state, phi_next, params, scheme, u1, grid,
-                                      prolif)
-            if limit:
-                v_next = np.zeros(grid.ncells)
-            _require_finite("mu", mu_next)
-            sum_v = _require_finite("v", v_next)
-            substep = "sigma"
-            sigma_next = step_sigma(state, phi_next, mu_next, params, scheme, u2,
-                                    grid, prolif)
-            sum_sigma = _require_finite("sigma", sigma_next)
-        except ChRelaxError as e:
-            head = e.args[0] if e.args else e.__class__.__name__
-            residual = getattr(e, "residual", None)
-            tail = "" if residual is None else f" (residual {residual:.3e})"
-            e.args = (f"step {n + 1} (t = {t_next:.6g}), substep {substep}: "
-                      f"{head}{tail}",) + e.args[1:]
-            e.step, e.substep = n + 1, substep
+    n, t_next, substep = 0, 0.0, "observe"  # where a failure is reported from
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            mass_phi[0] = grid.cell_volume * _require_finite("phi", state.phi)
+            mass_sigma[0] = grid.cell_volume * _require_finite("sigma", state.sigma)
+            mass_v[0] = grid.cell_volume * _require_finite("v", state.v)
+            if observe is not None:
+                observe(state)
+            for n in range(1, nsteps + 1):
+                t_next = n * scheme.dt
+                substep = "phi"
+                guess = _extrapolate(state.phi, incs, limit)
+                xi_guess = (None if xi_incs is None
+                            else _extrapolate(state.xi, xi_incs, limit))
+                u1 = controls.u1.sample(t_next, grid)
+                u2 = controls.u2.sample(t_next, grid)
+                phi_next, xi_next, newton_iters[n - 1] = step_phi(
+                    state, params, potential, scheme, grid, guess, xi_guess=xi_guess)
+                sum_phi = _require_finite("phi", phi_next)
+                _require_finite("xi", xi_next)
+                inc = phi_next - state.phi
+                if limit:
+                    inc_norm = float(np.sqrt(np.dot(inc, inc)))
+                    if incs and inc_norm > inc_norm_prev and (
+                            np.dot(inc, incs[0]) < -0.5 * inc_norm * inc_norm_prev):
+                        streak += 1
+                    else:
+                        streak = 0
+                    if streak == UNSTABLE_STEPS:
+                        _unstable(params, phi_next, inc_norm / inc_norm_prev)
+                    inc_norm_prev = inc_norm
+                substep = "mu"
+                prolif = _proliferation(state, phi_next, params)
+                mu_next, v_next = step_mu(state, phi_next, params, scheme, u1, grid,
+                                          prolif)
+                if limit:
+                    v_next = np.zeros(grid.ncells)
+                _require_finite("mu", mu_next)
+                sum_v = _require_finite("v", v_next)
+                substep = "sigma"
+                sigma_next = step_sigma(state, phi_next, mu_next, params, scheme, u2,
+                                        grid, prolif)
+                sum_sigma = _require_finite("sigma", sigma_next)
+                incs = [inc] + incs[:3]
+                if xi_incs is not None:
+                    xi_incs = [xi_next - state.xi] + xi_incs[:3]
+                state = State(mu=mu_next, v=v_next, phi=phi_next, sigma=sigma_next,
+                              xi=xi_next, t=t_next)
+                mass_phi[n] = grid.cell_volume * sum_phi
+                mass_sigma[n] = grid.cell_volume * sum_sigma
+                mass_v[n] = grid.cell_volume * sum_v
+                if observe is not None and (n % scheme.record_every == 0 or n == nsteps):
+                    substep = "observe"
+                    observe(state)
+    except (ChRelaxError, FloatingPointError) as e:
+        err = e if isinstance(e, ChRelaxError) else NonFiniteState(str(e))
+        head = err.args[0] if err.args else err.__class__.__name__
+        residual = getattr(err, "residual", None)
+        tail = "" if residual is None else f" (residual {residual:.3e})"
+        err.args = (f"step {n} (t = {t_next:.6g}), substep {substep}: "
+                    f"{head}{tail}",) + err.args[1:]
+        err.step, err.substep = n, substep
+        if err is e:
             raise
-        incs = [inc] + incs[:3]
-        if xi_incs is not None:
-            xi_incs = [xi_next - state.xi] + xi_incs[:3]
-        state = State(mu=mu_next, v=v_next, phi=phi_next, sigma=sigma_next,
-                      xi=xi_next, t=t_next)
-        mass_phi[n + 1] = grid.cell_volume * sum_phi
-        mass_sigma[n + 1] = grid.cell_volume * sum_sigma
-        mass_v[n + 1] = grid.cell_volume * sum_v
-        if observe is not None and (
-                (n + 1) % scheme.record_every == 0 or n + 1 == nsteps):
-            observe(state)
+        raise err from e
 
-    traj.snapshots.append(state)
-    traj.step_times = scheme.dt * np.arange(nsteps + 1)
-    traj.mass_phi = mass_phi
-    traj.mass_sigma = mass_sigma
-    traj.mass_v = mass_v
-    traj.newton_iters = newton_iters
-    return traj
+    return Trajectory(snapshots=[first, state],
+                      step_times=scheme.dt * np.arange(nsteps + 1), mass_phi=mass_phi,
+                      mass_sigma=mass_sigma, mass_v=mass_v, newton_iters=newton_iters)

@@ -4,7 +4,6 @@ import csv
 import io
 import os
 import time
-import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chrelax import (Grid, NonFiniteState, RateFit, build_scenario, cli, config, experiments,
+from chrelax import (FieldSpec, Grid, NonFiniteState, RateFit, build_scenario, cli, config, experiments,
                      parse_config, run, stepper)
 from chrelax.cli import (_DIAGNOSTIC_BLOCK_ROWS, _write_diagnostics, dispatch,
                          write_report)
@@ -415,21 +414,34 @@ def test_too_many_steps_is_a_config_error(tmp_path, capsys, command, horizon):
 
 def test_phase_whose_norm_overflows_is_an_error(tmp_path, capsys):
     # |phi|_h overflows, so the phase step's roundoff floor and its tolerance
-    # are infinite and would accept the unsolved guess; numpy warns of the
-    # overflow, which the command prints and does not raise
+    # are infinite and would accept the unsolved guess
     path = write_cfg(tmp_path, TINY.replace("value = 0.25", "value = 1e300"))
     out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert dispatch(["simulate", "--config", path, "--out", str(out)]) == 1
+    assert dispatch(["simulate", "--config", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 1
+    assert err.count("\n") == 1
     assert err.startswith("error: step 1 (t = 0.001), substep phi: phase step "
                           "tolerance is not finite")
     assert not list(out.glob("diagnostics_*.csv"))
 
 
-# an alpha = 0 run that validate admits (tau * p0 = 1): with chi = 2 and a
+@pytest.mark.parametrize("setting,where", [
+    ("init.mu0.value = 1e300", "step 1 (t = 0.001), substep phi: overflow"),
+    ("model.chi = 1e300", "step 2 (t = 0.002), substep phi: overflow"),
+    ("model.tau = 1e-300", "step 2 (t = 0.002), substep phi: phase line search"),
+    ("init.sigma0.value = 1e308", "step 1 (t = 0.001), substep phi: overflow"),
+], ids=["mu0", "chi", "tau", "sigma0-sum"])
+def test_huge_finite_value_is_one_error_line(tmp_path, capsys, setting, where):
+    # the run raises numpy's floating-point errors instead of printing its
+    # warnings, so the refusal is the only line on stderr (the phi0 case is
+    # test_phase_whose_norm_overflows_is_an_error)
+    path = write_cfg(tmp_path, FUZZ_BASE + setting + "\n")
+    assert dispatch(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1
+
+
+# an alpha = 0 run that initial_state admits (tau * p0 = 1): with chi = 2 and a
 # strong pulse its period-2 phase sawtooth grows, and the guard stops it
 GUARDED = """\
 grid.n = 32
@@ -488,8 +500,8 @@ FUZZED = {"simulate": ("",), "sweep-alpha": ("study.", "model.")}
 @pytest.fixture(scope="module")
 def fuzz_exits(tmp_path_factory):
     """(command, key, value) -> (exit code, stderr), or (None, the
-    exception's repr) when one escaped ``dispatch``.  The command prints
-    numpy's RuntimeWarnings and does not raise them, so neither does this."""
+    exception's repr) when one escaped ``dispatch``, as a numpy
+    RuntimeWarning does under this suite's warning filter."""
     tmp = tmp_path_factory.mktemp("fuzz")
     path, out = tmp / "run.cfg", str(tmp / "out")
     exits = {}
@@ -502,13 +514,11 @@ def fuzz_exits(tmp_path_factory):
             for value in HOSTILE.get(kind, ()):
                 path.write_text(f"{base}{key} = {value}\n")
                 stderr = io.StringIO()
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    try:
-                        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-                            code = dispatch([command, "--config", str(path), "--out", out])
-                    except Exception as e:  # the failure this test reports
-                        code, stderr = None, io.StringIO(repr(e))
+                try:
+                    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+                        code = dispatch([command, "--config", str(path), "--out", out])
+                except Exception as e:  # the failure this test reports
+                    code, stderr = None, io.StringIO(repr(e))
                 exits[command, key, value] = code, stderr.getvalue()
     return exits
 
@@ -528,8 +538,99 @@ def test_config_fuzz_refuses_non_finite_model_coefficients(fuzz_exits):
            for command in FUZZED for key in keys for value in ("nan", "inf", "-inf")}
     assert got == dict.fromkeys(got, 1)
 
+def test_writer_exit_without_an_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # an exception that cannot be pickled leaves the error pipe empty, and
+    # the writer's exit status is all that reports the failure
+    class Unpicklable(Exception):  # a local class pickles by no name
+        pass
+
+    def failing(*args):
+        raise Unpicklable("not sent")
+
+    monkeypatch.setattr(cli, "_write_record", failing)
+    path = write_cfg(tmp_path, DUMPING)
+    out = tmp_path / "results"
+    assert dispatch(["simulate", "--config", path, "--out", str(out)]) == 1
+    rundir = out / parse_config(DUMPING).digest()
+    assert capsys.readouterr().err == (f"error: cannot write output: the field writer "
+                                       f"of {rundir} exited with status 1\n")
+    assert_no_child_process()
+
+
+def test_initial_fields_are_built_once_per_run(tmp_path, monkeypatch):
+    # build_scenario and run each build the four initial fields once
+    builds = []
+    build = FieldSpec.build
+    monkeypatch.setattr(FieldSpec, "build",
+                        lambda self, grid: builds.append(self) or build(self, grid))
+    sc = build_scenario(parse_config(TINY))
+    assert len(builds) == 4
+    run(sc.params, sc.potential, sc.controls, sc.init, sc.grid, sc.T, sc.scheme)
+    assert len(builds) == 8
+    builds.clear()
+    path = write_cfg(tmp_path, TINY)
+    assert dispatch(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert len(builds) == 8
+
 
 # -- study dispatch --------------------------------------------------------------
+
+CONTDEP = TINY + """\
+model.alpha = 0.1
+study.perturb_u1.kind = gaussian_pulse
+study.perturb_u1.center_x = 0.3
+study.deltas = 1, 0.5
+"""
+SEPARATION = """\
+grid.n = 8
+time.T = 0.01
+time.dt = 1e-3
+potential.kind = logarithmic
+potential.epsilon = 1e-3
+model.alpha = 0.1
+init.phi0.kind = tanh_interface
+init.sigma0.kind = constant
+init.sigma0.value = 0.3
+"""
+
+
+@pytest.mark.parametrize("command,text,columns", [
+    ("contdep", CONTDEP, ["delta", "lhs", "rhs", "ratio"]),
+    ("separation", SEPARATION, ["r_min", "r_max", "xi_sup", "margin", "epsilon"]),
+], ids=["contdep", "separation"])
+def test_contdep_and_separation_write_their_tables(tmp_path, capsys, command, text,
+                                                   columns):
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "results"
+    assert dispatch([command, "--config", path, "--out", str(out)]) == 0
+    table = out / f"{command}_{parse_config(text).digest()}.csv"
+    assert sorted(out.iterdir()) == [table]
+    assert capsys.readouterr().out.startswith(f"{command}: wrote {table}\n")
+    rows = read_csv(table)
+    assert rows[0] == columns and len(rows) == 3
+    assert all(np.isfinite(float(v)) for row in rows[1:] for v in row)
+
+
+def test_failed_contdep_verdict_exits_two_and_writes_its_table(tmp_path, capsys,
+                                                               monkeypatch):
+    # the second rung changes nothing, so the ratio spread is unbounded
+    lhs = iter([1e-3, 0.0])
+    monkeypatch.setattr(experiments, "contdep_lhs", lambda norms: next(lhs))
+    path = write_cfg(tmp_path, CONTDEP)
+    out = tmp_path / "results"
+    assert dispatch(["contdep", "--config", path, "--out", str(out)]) == 2
+    assert "contdep: FAIL" in capsys.readouterr().out
+    assert len(read_csv(out / f"contdep_{parse_config(CONTDEP).digest()}.csv")) == 3
+
+
+def test_separation_of_another_potential_exits_one(tmp_path, capsys):
+    path = write_cfg(tmp_path, TINY)
+    out = tmp_path / "results"
+    assert dispatch(["separation", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: the separation study applies to the logarithmic potential "
+                   "only, got 'regular'\n")
+    assert list(out.iterdir()) == []
 
 
 def test_sweep_eps_writes_report(tmp_path, capsys):

@@ -17,7 +17,6 @@ from chrelax import (
     TruncationSpec,
     YosidaParams,
     initial_state,
-    validate,
 )
 
 
@@ -228,22 +227,27 @@ def test_cosine_bump_2d_separable():
 # -- validation and initial state -------------------------------------------
 
 
+YP = YosidaParams(epsilon=1e-2)
+
+
 def test_validate_accepts_default_setup():
     g = Grid(16)
-    assert validate(
-        ModelParams(), SplitPotential.regular(), default_init(), g) == []
+    initial_state(ModelParams(), SplitPotential.regular(), default_init(), g, YP)
 
 
 def test_validate_flags_each_violation():
     g = Grid(16)
     init = default_init()
     pot = SplitPotential.regular()
-    assert len(validate(ModelParams(tau=0.0), pot, init, g)) == 1
-    assert len(validate(ModelParams(chi=-1.0), pot, init, g)) == 1
-    assert len(validate(ModelParams(alpha=-0.1), pot, init, g)) == 1
+    for params, rule in ((ModelParams(tau=0.0), "tau must be positive, got 0.0"),
+                         (ModelParams(chi=-1.0), "chi must be positive, got -1.0"),
+                         (ModelParams(alpha=-0.1), "alpha must be nonnegative, got -0.1")):
+        with pytest.raises(InvalidParams, match=f"^{rule}$"):
+            initial_state(params, pot, init, g, YP)
     # several violations accumulate
-    assert len(validate(
-        ModelParams(tau=0.0, chi=0.0), pot, init, g)) == 2
+    with pytest.raises(InvalidParams, match="^tau must be positive, got 0.0; "
+                       "chi must be positive, got 0.0$"):
+        initial_state(ModelParams(tau=0.0, chi=0.0), pot, init, g, YP)
 
 
 def test_validate_limit_needs_positive_proliferation():
@@ -251,12 +255,14 @@ def test_validate_limit_needs_positive_proliferation():
     init = default_init()
     pot = SplitPotential.regular()
     ok = ModelParams(alpha=0.0, proliferation=ProliferationSpec("constant", p0=1.0))
-    assert validate(ok, pot, init, g) == []
+    initial_state(ok, pot, init, g, YP)
     for bad_p in (ProliferationSpec("ramp", p0=1.0),
                   ProliferationSpec("constant", p0=0.0)):
         bad = ModelParams(alpha=0.0, proliferation=bad_p)
-        msgs = validate(bad, pot, init, g)
-        assert len(msgs) == 1 and "limit" in msgs[0]
+        with pytest.raises(InvalidParams, match=r"^the parabolic limit \(alpha = 0\) "
+                           "needs a proliferation rate bounded away from zero; use "
+                           "a constant P with p0 > 0$"):
+            initial_state(bad, pot, init, g, YP)
 
 
 def test_validate_phase_range_per_potential():
@@ -269,10 +275,13 @@ def test_validate_phase_range_per_potential():
         phi0=FieldSpec("constant", value=1.1), sigma0=FieldSpec())
     log, obs = SplitPotential.logarithmic(), SplitPotential.obstacle()
     # the entropy needs a strict interior start, the obstacle allows the bound
-    assert len(validate(ModelParams(), log, at_one, g)) == 1
-    assert validate(ModelParams(), obs, at_one, g) == []
-    assert len(validate(ModelParams(), obs, beyond, g)) == 1
-    assert validate(ModelParams(), SplitPotential.regular(), beyond, g) == []
+    with pytest.raises(InvalidParams, match=r"^phi0 reaches the boundary .*, got max \|phi0\| = 1\.0$"):
+        initial_state(ModelParams(), log, at_one, g, YP)
+    initial_state(ModelParams(), obs, at_one, g, YP)
+    with pytest.raises(InvalidParams, match=r"^phi0 must stay inside \[-1, 1\] for the "
+                       r"obstacle potential, got max \|phi0\| = 1\.1$"):
+        initial_state(ModelParams(), obs, beyond, g, YP)
+    initial_state(ModelParams(), SplitPotential.regular(), beyond, g, YP)
 
 
 def test_validate_rejects_nonfinite_fields():
@@ -280,30 +289,28 @@ def test_validate_rejects_nonfinite_fields():
     init = InitialData(
         mu0=FieldSpec("constant", value=math.nan), mu0_prime=FieldSpec(),
         phi0=FieldSpec(), sigma0=FieldSpec("constant", value=math.inf))
-    msgs = validate(ModelParams(), SplitPotential.regular(), init, g)
-    assert len(msgs) == 2
-    assert any("mu0" in m for m in msgs) and any("sigma0" in m for m in msgs)
+    with pytest.raises(InvalidParams, match="^initial field mu0 is not finite "
+                       "everywhere; initial field sigma0 is not finite everywhere$"):
+        initial_state(ModelParams(), SplitPotential.regular(), init, g, YP)
 
 
 def test_initial_state_assembly():
     g = Grid(16)
     init = default_init()
     pot = SplitPotential.regular()
-    yp = YosidaParams(epsilon=1e-2)
-    s = initial_state(init, pot, yp, g)
+    s = initial_state(ModelParams(), pot, init, g, YP)
     assert s.t == 0.0
     np.testing.assert_array_equal(s.mu, init.mu0.build(g))
     np.testing.assert_array_equal(s.v, init.mu0_prime.build(g))
     np.testing.assert_array_equal(s.phi, init.phi0.build(g))
     np.testing.assert_array_equal(s.sigma, init.sigma0.build(g))
     np.testing.assert_allclose(
-        s.xi, pot.yosida_prime(s.phi, yp), rtol=0, atol=1e-12)
+        s.xi, pot.yosida_prime(s.phi, YP), rtol=0, atol=1e-12)
 
 
 def test_state_copy_is_independent():
     g = Grid(8)
-    s = initial_state(
-        default_init(), SplitPotential.regular(), YosidaParams(epsilon=1e-2), g)
+    s = initial_state(ModelParams(), SplitPotential.regular(), default_init(), g, YP)
     c = s.copy()
     c.phi[:] = 99.0
     assert np.max(np.abs(s.phi)) < 1.0

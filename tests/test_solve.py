@@ -287,6 +287,17 @@ def test_non_finite_residual_fails_the_richardson_path(monkeypatch):
     assert ei.value.iterations == 2 and math.isnan(ei.value.residual)
 
 
+def test_richardson_budget_runs_out():
+    # a spread of 0.09 contracts the residual by 0.09 a sweep, which cannot
+    # reach a relative 1e-300 within the 10 * 8 + 50 sweeps of an n = 8 grid
+    grid = Grid(8)
+    shift = 1.0 + 0.09 * (-1.0) ** np.arange(grid.ncells)
+    with pytest.raises(CgNoConvergence, match=r"^Richardson iteration did not reach "
+                       r"tol 1e-300 in 130 iterations$") as ei:
+        grid.solve_shifted(shift, 0.0, np.ones(grid.ncells), tol=1e-300)
+    assert ei.value.iterations == 130 and 0.0 < ei.value.residual < 1e-100
+
+
 @pytest.mark.parametrize("substep,scale", [("mu", 1e-6), ("sigma", 1e-3)])
 def test_non_finite_rhs_in_a_run_names_step_and_substep(substep, scale, monkeypatch):
     # the ramp-P shifts of the potential (scale dt^2) and the nutrient step

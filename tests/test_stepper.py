@@ -363,6 +363,24 @@ def test_non_finite_state_fails_at_its_substep(monkeypatch):
     assert ei.value.step == 2 and ei.value.substep == "sigma"
 
 
+@pytest.mark.parametrize("at_step,t", [(0, "0"), (3, "0.003")])
+def test_floating_point_error_in_observe_names_observe(at_step, t):
+    # run raises numpy's overflow, also in the observer's arithmetic, and
+    # reports it as a NonFiniteState of the record point it was observing
+    params, pot, controls, init, g = source_free_setup(n=16, p0=1.0)
+
+    def observe(state):
+        if round(state.t / 1e-3) == at_step:
+            np.float64(1e300) * np.float64(1e300)
+
+    with pytest.raises(NonFiniteState, match=rf"^step {at_step} \(t = {t}\), "
+                       r"substep observe: overflow encountered") as ei:
+        run(params, pot, controls, init, g, T=0.005,
+            scheme=SchemeConfig(dt=1e-3, eps=1e-3), observe=observe)
+    assert ei.value.step == at_step and ei.value.substep == "observe"
+    assert isinstance(ei.value.__cause__, FloatingPointError)
+
+
 def test_limit_run_holds_v_at_zero_and_reports_substep_mu(monkeypatch):
     params, pot, controls, init, g = source_free_setup(n=16, p0=1.0)
     params = replace(params, alpha=0.0)
@@ -408,6 +426,11 @@ def test_require_finite_scans_only_a_non_finite_sum():
             stepper._require_finite("xi", u)
     with pytest.raises(NonFiniteState, match=r"^v is non-finite in 2 of 3 cells$"):
         stepper._require_finite("v", np.array([np.inf, 0.0, -np.inf]))
+    # and so under the floating-point errors that run raises
+    with np.errstate(over="raise", invalid="raise"):
+        assert stepper._require_finite("phi", np.array([1e308, 1e308])) == np.inf
+        with pytest.raises(NonFiniteState, match=r"^v is non-finite in 2 of 3 cells$"):
+            stepper._require_finite("v", np.array([np.inf, 0.0, -np.inf]))
 
 
 @pytest.mark.parametrize("case", ["1d-log", "2d-regular", "limit"])
@@ -508,7 +531,7 @@ def interface_state(kind, grid, scheme):
         mu0=FieldSpec("cosine_bump", amplitude=0.2, mode=2), mu0_prime=FieldSpec(),
         phi0=FieldSpec("tanh_interface", lo=-0.9, hi=0.9, width=0.1),
         sigma0=FieldSpec("constant", value=0.5))
-    return initial_state(init, SplitPotential(kind), scheme.yosida, grid)
+    return initial_state(ModelParams(), SplitPotential(kind), init, grid, scheme.yosida)
 
 
 @pytest.mark.parametrize("kind", ["regular", "logarithmic"])
@@ -586,7 +609,7 @@ def test_predictor_makes_most_steps_one_newton_iteration(name):
     assert np.mean(its[2:] == 1) >= 0.9
     # step 1 starts from phi_0, as a cold start does
     params, pot, controls, init, g, T, scheme = args
-    state = initial_state(init, pot, scheme.yosida, g)
+    state = initial_state(params, pot, init, g, scheme.yosida)
     assert its[0] == step_phi(state, params, pot, scheme, g)[2]
 
 

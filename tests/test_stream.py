@@ -212,7 +212,7 @@ def test_observe_sees_every_record_point_and_keeps_two_snapshots():
     # nsteps = 10 is not a multiple of record_every = 3: t = 0, 3, 6, 9, 10
     assert [s.t for s in seen] == pytest.approx([0.0, 3e-3, 6e-3, 9e-3, 1e-2])
     # the state seen at t is the final state of the same run stopped at t
-    stopped = [initial_state(init, pot, scheme.yosida, g)] + [
+    stopped = [initial_state(params, pot, init, g, scheme.yosida)] + [
         run(params, pot, controls, init, g, s.t, scheme).final for s in seen[1:]]
     for a, b in zip(seen, stopped):
         for name in ("mu", "v", "phi", "sigma", "xi"):
@@ -460,7 +460,7 @@ def ladder_limit(**updates):
 
 def test_diverging_limit_run_fails_early_by_name():
     # at tau P = 0.5 the phase increments would double and flip sign at every
-    # step: validate refuses the run, in build_scenario and in run itself
+    # step: initial_state refuses the run, in build_scenario and in run itself
     with pytest.raises(InvalidParams, match=r"tau \* min P = 0\.5\b"):
         ladder_limit(**{"model.P.p0": 0.5})
     params, *rest = ladder_limit()
